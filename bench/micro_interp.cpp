@@ -59,23 +59,8 @@ Program callProgram(int64_t Iterations) {
   return B.build();
 }
 
-/// Superinstruction fusion enabled down to baseline variants. Fusion is
-/// clock-neutral (FingerprintTest pins that), so every Fused benchmark
-/// below simulates the identical cycle count as its unfused twin; the
-/// delta the pair measures is pure host dispatch overhead. Pairs are
-/// registered adjacently so one `--benchmark_filter=Interp` run is an
-/// interleaved A/B on the same warmed-up process.
-CostModel fusedModel() {
-  CostModel Model;
-  Model.Fuse.Enabled = true;
-  Model.Fuse.MinLevel = 0;
-  return Model;
-}
-
-/// Loop whose body is one long straight-line chain of fusable bytecodes
-/// (no calls, no branches): the best case for batched handlers, where
-/// dozens of switch dispatches collapse into one fused-handler call per
-/// iteration. This is the headline fused-vs-unfused comparison.
+/// Loop whose body is one long straight-line chain of arithmetic and
+/// stack bytecodes (no calls, no branches): pure switch-dispatch cost.
 Program straightLineProgram(int64_t Iterations) {
   ProgramBuilder B;
   ClassId C = B.addClass("Main");
@@ -84,7 +69,7 @@ Program straightLineProgram(int64_t Iterations) {
   E.iconst(0).store(1).iconst(1).store(2).iconst(7).store(3);
   emitCountedLoop(E, 0, Iterations, [](CodeEmitter &L) {
     // Three dependent accumulator chains plus stack shuffles: ~40
-    // fusable instructions between backedges.
+    // instructions between backedges.
     L.load(1).iconst(3).imul().iconst(7).iadd().iconst(9973).irem().store(1);
     L.load(2).load(1).ixor().iconst(5).ishl().iconst(3).ishr().store(2);
     L.load(3).load(2).iand().load(1).ior().iconst(1).iadd().store(3);
@@ -97,10 +82,9 @@ Program straightLineProgram(int64_t Iterations) {
   return B.build();
 }
 
-void runInterp(benchmark::State &State, const Program &P,
-               const CostModel &Model, int64_t Items) {
+void runInterp(benchmark::State &State, const Program &P, int64_t Items) {
   for (auto _ : State) {
-    VirtualMachine VM(P, Model);
+    VirtualMachine VM(P);
     VM.addThread(P.entryMethod());
     VM.run();
     benchmark::DoNotOptimize(VM.cycles());
@@ -110,44 +94,25 @@ void runInterp(benchmark::State &State, const Program &P,
 
 void BM_InterpStraightLineLoop(benchmark::State &State) {
   Program P = straightLineProgram(10000);
-  runInterp(State, P, CostModel(), 10000);
+  runInterp(State, P, 10000);
 }
 BENCHMARK(BM_InterpStraightLineLoop);
 
-void BM_InterpStraightLineLoopFused(benchmark::State &State) {
-  Program P = straightLineProgram(10000);
-  runInterp(State, P, fusedModel(), 10000);
-}
-BENCHMARK(BM_InterpStraightLineLoopFused);
-
 void BM_InterpArithmeticLoop(benchmark::State &State) {
   Program P = arithProgram(10000);
-  runInterp(State, P, CostModel(), 10000);
+  runInterp(State, P, 10000);
 }
 BENCHMARK(BM_InterpArithmeticLoop);
 
-void BM_InterpArithmeticLoopFused(benchmark::State &State) {
-  Program P = arithProgram(10000);
-  runInterp(State, P, fusedModel(), 10000);
-}
-BENCHMARK(BM_InterpArithmeticLoopFused);
-
 void BM_InterpCallLoop(benchmark::State &State) {
   Program P = callProgram(10000);
-  runInterp(State, P, CostModel(), 10000);
+  runInterp(State, P, 10000);
 }
 BENCHMARK(BM_InterpCallLoop);
 
-void BM_InterpCallLoopFused(benchmark::State &State) {
-  // Call-dominated code is fusion's worst case: runs are short (invokes
-  // break them) and the win must not turn into a loss beyond noise.
+void BM_InterpInlinedCallLoop(benchmark::State &State) {
   Program P = callProgram(10000);
-  runInterp(State, P, fusedModel(), 10000);
-}
-BENCHMARK(BM_InterpCallLoopFused);
-
-void runInlinedCallLoop(benchmark::State &State, const CostModel &Model) {
-  Program P = callProgram(10000);
+  CostModel Model;
   MethodId Main = P.entryMethod();
   MethodId Leaf = P.findMethod("Main.leaf");
   ClassHierarchy CH(P);
@@ -164,16 +129,7 @@ void runInlinedCallLoop(benchmark::State &State, const CostModel &Model) {
   State.SetItemsProcessed(State.iterations() * 10000);
   (void)Leaf;
 }
-
-void BM_InterpInlinedCallLoop(benchmark::State &State) {
-  runInlinedCallLoop(State, CostModel());
-}
 BENCHMARK(BM_InterpInlinedCallLoop);
-
-void BM_InterpInlinedCallLoopFused(benchmark::State &State) {
-  runInlinedCallLoop(State, fusedModel());
-}
-BENCHMARK(BM_InterpInlinedCallLoopFused);
 
 /// Monomorphic virtual-call loop: one receiver object, one invokevirtual
 /// site. Exercises the per-site inline cache (every iteration after the
@@ -204,15 +160,9 @@ Program virtualProgram(int64_t Iterations) {
 
 void BM_InterpVirtualDispatchLoop(benchmark::State &State) {
   Program P = virtualProgram(10000);
-  runInterp(State, P, CostModel(), 10000);
+  runInterp(State, P, 10000);
 }
 BENCHMARK(BM_InterpVirtualDispatchLoop);
-
-void BM_InterpVirtualDispatchLoopFused(benchmark::State &State) {
-  Program P = virtualProgram(10000);
-  runInterp(State, P, fusedModel(), 10000);
-}
-BENCHMARK(BM_InterpVirtualDispatchLoopFused);
 
 /// Guarded-inline loop with alternating receivers: half the iterations hit
 /// the guard and run the inlined body, half fail every guard and take the
@@ -272,8 +222,9 @@ GuardedProgram guardedProgram(int64_t Iterations) {
   return G;
 }
 
-void runGuardedInlineLoop(benchmark::State &State, const CostModel &Model) {
+void BM_InterpGuardedInlineLoop(benchmark::State &State) {
   GuardedProgram G = guardedProgram(10000);
+  CostModel Model;
   for (auto _ : State) {
     VirtualMachine VM(G.P, Model);
     const uint32_t BodyUnits = G.P.method(G.Inlinee).machineSize();
@@ -298,16 +249,7 @@ void runGuardedInlineLoop(benchmark::State &State, const CostModel &Model) {
   }
   State.SetItemsProcessed(State.iterations() * 10000);
 }
-
-void BM_InterpGuardedInlineLoop(benchmark::State &State) {
-  runGuardedInlineLoop(State, CostModel());
-}
 BENCHMARK(BM_InterpGuardedInlineLoop);
-
-void BM_InterpGuardedInlineLoopFused(benchmark::State &State) {
-  runGuardedInlineLoop(State, fusedModel());
-}
-BENCHMARK(BM_InterpGuardedInlineLoopFused);
 
 void BM_OptCompileFigureOneRunTest(benchmark::State &State) {
   FigureOneProgram F = makeFigureOne(1);

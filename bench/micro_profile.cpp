@@ -5,13 +5,12 @@
 //
 // google-benchmark microbenchmarks for the profile substrate: dynamic
 // call graph insertion at varying context depths, rule-set partial-match
-// queries (Equation 3), calling-context-tree insertion, and decay. These
+// queries (Equation 3), and decay. These
 // back the paper's claim that the context-sensitive machinery is cheap
 // enough for online use.
 //
 //===----------------------------------------------------------------------===//
 
-#include "profile/CallingContextTree.h"
 #include "profile/DynamicCallGraph.h"
 #include "profile/InlineRules.h"
 #include "support/Rng.h"
@@ -85,18 +84,6 @@ void BM_RuleSetApplicableQuery(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_RuleSetApplicableQuery)->Arg(1)->Arg(3)->Arg(5);
-
-void BM_CctAddSample(benchmark::State &State) {
-  std::vector<Trace> Traces = makeTraces(4, 512);
-  CallingContextTree Cct;
-  size_t I = 0;
-  for (auto _ : State) {
-    Cct.addSample(Traces[I % Traces.size()]);
-    ++I;
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_CctAddSample);
 
 void BM_PartialContextMatch(benchmark::State &State) {
   std::vector<Trace> Traces = makeTraces(5, 64);

@@ -77,14 +77,6 @@ AdaptiveSystem::AdaptiveSystem(VirtualMachine &VM, ContextPolicy &Policy,
   });
 }
 
-void AdaptiveSystem::seedProfile(const DynamicCallGraph &Training) {
-  Training.forEach([&](const Trace &T, double Weight) {
-    Dcg.addSample(T, Weight);
-    ++AuditTracesFed;
-  });
-  rebuildInlineRules(/*NowCycle=*/0);
-}
-
 size_t AdaptiveSystem::rebuildInlineRules(uint64_t NowCycle) {
   if (Config.Organizer == InlineOrganizerKind::Threshold)
     return AiOrg.rebuildRules(VM.program(), Dcg, NowCycle, Rules);

@@ -191,13 +191,6 @@ public:
   /// cycles, so it is part of the simulated configuration.
   void setShareClient(CodeShareClient *C) { ShareClient = C; }
 
-  /// Pre-seeds the dynamic call graph with an offline training profile
-  /// (see profile/ProfileIo.h) and codifies its rules immediately, which
-  /// turns the system into the classic offline profile-directed pipeline
-  /// of the paper's related work. Seeded rules carry creation time 0 so
-  /// they never look "newer" than installed code. Call before run().
-  void seedProfile(const DynamicCallGraph &Training);
-
   /// Re-seeds the full AOS decision state from a v2 profile (the
   /// `--warm-start` path): DCG trace weights, controller sample counts,
   /// compiler refusals, and codified inlining decisions, resolving the

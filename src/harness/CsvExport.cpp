@@ -63,15 +63,14 @@ std::string aoci::exportCsv(const GridResults &Results,
 std::string aoci::exportMetricsCsv(const GridResults &Results) {
   std::string Out =
       "workload,policy,max_depth,kind,worker,queue_ns,host_ns,run_cycles,"
-      "steady,warmup_cycles,steady_cycles,fused_runs,fused_ops,"
-      "fused_bytes,warm_start,warm_applied,warm_dropped,"
-      "opt_compile_cycles,share_hits,share_publishes,share_saved_cycles,"
-      "shared_bytes,private_bytes,budget_spent,budget_pruned,"
-      "estimate_err_pct\n";
+      "steady,warmup_cycles,steady_cycles,warm_start,warm_applied,"
+      "warm_dropped,opt_compile_cycles,share_hits,share_publishes,"
+      "share_saved_cycles,shared_bytes,private_bytes,budget_spent,"
+      "budget_pruned,estimate_err_pct\n";
   for (const RunMetrics &M : Results.metrics())
     Out += formatString(
-        "%s,%s,%u,%s,%u,%llu,%llu,%llu,%s,%llu,%llu,%llu,%llu,%llu,"
-        "%s,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.4f\n",
+        "%s,%s,%u,%s,%u,%llu,%llu,%llu,%s,%llu,%llu,%s,%llu,%llu,%llu,"
+        "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.4f\n",
         M.WorkloadName.c_str(),
         M.IsBaseline ? "cins" : policyKindName(M.Policy), M.MaxDepth,
         M.IsBaseline ? "baseline" : "cell", M.Worker,
@@ -81,9 +80,6 @@ std::string aoci::exportMetricsCsv(const GridResults &Results) {
         !M.SteadyKnown ? "n/a" : M.SteadyReached ? "yes" : "no",
         static_cast<unsigned long long>(M.WarmupCycles),
         static_cast<unsigned long long>(M.SteadyCycles),
-        static_cast<unsigned long long>(M.FusedRuns),
-        static_cast<unsigned long long>(M.FusedOps),
-        static_cast<unsigned long long>(M.FusedBytes),
         M.WarmStarted ? "yes" : "no",
         static_cast<unsigned long long>(M.WarmApplied),
         static_cast<unsigned long long>(M.WarmDropped),

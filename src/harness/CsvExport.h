@@ -37,15 +37,13 @@ std::string exportCsv(const GridResults &Results,
 /// Renders the harness-side execution record (GridResults::metrics())
 /// as CSV, one row per run in grid order. Columns:
 ///   workload,policy,max_depth,kind,worker,queue_ns,host_ns,run_cycles,
-///   steady,warmup_cycles,steady_cycles,fused_runs,fused_ops,fused_bytes,
-///   warm_start,warm_applied,warm_dropped,opt_compile_cycles,
-///   share_hits,share_publishes,share_saved_cycles,shared_bytes,
-///   private_bytes
+///   steady,warmup_cycles,steady_cycles,warm_start,warm_applied,
+///   warm_dropped,opt_compile_cycles,share_hits,share_publishes,
+///   share_saved_cycles,shared_bytes,private_bytes,budget_spent,
+///   budget_pruned,estimate_err_pct
 /// `steady` is n/a for untraced runs (see SteadyState.h), else yes/no.
 /// The share_* columns are the shared-code-cache ledger (zero outside
 /// serve mode; see harness/Serve.h).
-/// The fused_* columns are the run's superinstruction-fusion ledger
-/// (zero with fusion off); deterministic across job counts.
 /// Kept separate from exportCsv(): simulated results are bit-identical
 /// across thread counts, host timings and worker assignments are not.
 std::string exportMetricsCsv(const GridResults &Results);

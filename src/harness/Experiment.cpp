@@ -71,9 +71,6 @@ RunResult aoci::runExperiment(const RunConfig &Config) {
   R.PeakCodeBytes = VM.codeManager().peakCodeBytes();
   R.Evictions = VM.codeManager().numEvictions();
   R.RecompilesAfterEvict = VM.codeManager().recompilesAfterEvict();
-  R.FusedRuns = VM.codeManager().fusedRunsInstalled();
-  R.FusedOps = VM.codeManager().fusedOpsTotal();
-  R.FusedBytes = VM.codeManager().fusedBytesTotal();
   R.ShareHits = Aos.stats().ShareHits;
   R.SharePublishes = Aos.stats().SharePublishes;
   R.ShareCyclesSaved = Aos.stats().ShareCyclesSaved;
@@ -197,16 +194,21 @@ double GridResults::speedupPercent(const std::string &Workload,
       static_cast<double>(cell(Workload, Policy, Depth).WallCycles));
 }
 
-double GridResults::codeSizePercent(const std::string &Workload,
-                                    PolicyKind Policy,
-                                    unsigned Depth) const {
+double aoci::codeSizePercent(const RunResult &Baseline,
+                             const RunResult &Cell) {
   // "Compiled code space" is the resident optimized code: the bytes of
   // optimized machine code installed once the system converges. The
   // cumulative-generated figure (which also counts code obsoleted by
   // recompilation) tracks compile *time* and is reported separately.
-  return percentChange(
-      static_cast<double>(baseline(Workload).OptBytesResident),
-      static_cast<double>(cell(Workload, Policy, Depth).OptBytesResident));
+  return percentChange(static_cast<double>(Baseline.OptBytesResident),
+                       static_cast<double>(Cell.OptBytesResident));
+}
+
+double GridResults::codeSizePercent(const std::string &Workload,
+                                    PolicyKind Policy,
+                                    unsigned Depth) const {
+  return aoci::codeSizePercent(baseline(Workload),
+                               cell(Workload, Policy, Depth));
 }
 
 double GridResults::compileTimePercent(const std::string &Workload,
@@ -281,9 +283,6 @@ RunMetrics makeMetrics(const PlannedRun &Run, const RunResult &Result,
   M.OsrEntries = Result.OsrEntries;
   M.Deopts = Result.Deopts;
   M.Evictions = Result.Evictions;
-  M.FusedRuns = Result.FusedRuns;
-  M.FusedOps = Result.FusedOps;
-  M.FusedBytes = Result.FusedBytes;
   M.WarmStarted = Result.WarmStarted;
   M.WarmApplied = Result.WarmStartApplied;
   M.WarmDropped = Result.WarmStartDropped;
@@ -397,11 +396,7 @@ aoci::runGrid(const GridConfig &Config,
                   static_cast<double>(Baseline->WallCycles),
                   static_cast<double>(R.WallCycles)))
               .c_str(),
-          formatPercent(
-              percentChange(
-                  static_cast<double>(Baseline->OptBytesGenerated),
-                  static_cast<double>(R.OptBytesGenerated)))
-              .c_str()));
+          formatPercent(aoci::codeSizePercent(*Baseline, R)).c_str()));
     }
   }
   return assembleGrid(Plan, Runs, Metrics, Sinks);

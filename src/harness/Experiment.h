@@ -80,9 +80,11 @@ struct RunResult {
 
   /// Wall-clock: the VM's cycle counter at completion (Figure 4's basis).
   uint64_t WallCycles = 0;
-  /// Cumulative optimized-code bytes generated (Figure 5's basis).
+  /// Cumulative optimized-code bytes generated, counting code later
+  /// obsoleted by recompilation.
   uint64_t OptBytesGenerated = 0;
-  /// Bytes of optimized code still installed at completion.
+  /// Bytes of optimized code still installed at completion (Figure 5's
+  /// basis; see GridResults::codeSizePercent).
   uint64_t OptBytesResident = 0;
   /// Optimizing-compiler cycles (the compile-time claim's basis).
   uint64_t OptCompileCycles = 0;
@@ -116,15 +118,6 @@ struct RunResult {
   uint64_t PeakCodeBytes = 0;
   uint64_t Evictions = 0;
   uint64_t RecompilesAfterEvict = 0;
-
-  /// Superinstruction fusion activity (all zero with fusion off, i.e.
-  /// Model.Fuse.Enabled == false). Deterministic — fusion decisions are a
-  /// pure function of installed code — but host-side machinery, so kept
-  /// out of the frozen grid CSV like the OSR and cache counters; the
-  /// metrics CSV carries them (`fused_runs,fused_ops,fused_bytes`).
-  uint64_t FusedRuns = 0;
-  uint64_t FusedOps = 0;
-  uint64_t FusedBytes = 0;
 
   /// Shared-code-cache activity (all zero without a CodeShareClient,
   /// i.e. outside serve mode — see src/share/ and harness/Serve.h).
@@ -234,11 +227,6 @@ struct RunMetrics {
   uint64_t Deopts = 0;
   /// Code-cache evictions of the best trial (zero with the cache off).
   uint64_t Evictions = 0;
-  /// Fused-handler installs of the best trial (zero with fusion off).
-  /// Appended to the metrics CSV as `fused_runs,fused_ops,fused_bytes`.
-  uint64_t FusedRuns = 0;
-  uint64_t FusedOps = 0;
-  uint64_t FusedBytes = 0;
   /// Warm-start provenance of the best trial (see RunResult), appended
   /// to the metrics CSV as `warm_start,warm_applied,warm_dropped`, and
   /// the optimizing-compiler cycles (`opt_compile_cycles`) whose cold-
@@ -305,6 +293,11 @@ struct GridConfig {
 
   GridConfig();
 };
+
+/// Optimized code size change % of \p Cell over \p Baseline (negative =
+/// smaller), the Figure 5 quantity. Both GridResults::codeSizePercent and
+/// the serial grid's progress lines use it.
+double codeSizePercent(const RunResult &Baseline, const RunResult &Cell);
 
 /// Results of a sweep: the per-workload cins baseline plus every cell.
 class GridResults {

@@ -65,9 +65,7 @@ struct FuzzConfig {
   /// fuzzing cost; CI uses a small scale).
   WorkloadParams Params{1, 0.05};
   /// Cost model and adaptive-system config. The constructor turns OSR
-  /// on and bounds the code cache (see above); Model.Fuse may also be
-  /// set — fusion is clock-neutral, so it never changes what the search
-  /// finds, only how fast the host gets there.
+  /// on and bounds the code cache (see above).
   CostModel Model;
   AosSystemConfig Aos;
   /// Stop after this many distinct differentials.

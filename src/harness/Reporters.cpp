@@ -218,7 +218,6 @@ std::string aoci::reportRunMetrics(const GridResults &Results) {
   uint64_t TotalHostNs = 0, TotalQueueNs = 0, TotalCycles = 0;
   uint64_t TotalOsrEntries = 0, TotalDeopts = 0;
   uint64_t TotalEvictions = 0;
-  uint64_t TotalFusedRuns = 0, TotalFusedBytes = 0;
   uint64_t TotalShareHits = 0, TotalSharePublishes = 0, TotalShareSaved = 0;
   uint64_t TotalBudgetSpent = 0, TotalBudgetPruned = 0;
   uint64_t WarmRuns = 0, TotalWarmApplied = 0, TotalWarmDropped = 0;
@@ -243,8 +242,6 @@ std::string aoci::reportRunMetrics(const GridResults &Results) {
     TotalOsrEntries += M.OsrEntries;
     TotalDeopts += M.Deopts;
     TotalEvictions += M.Evictions;
-    TotalFusedRuns += M.FusedRuns;
-    TotalFusedBytes += M.FusedBytes;
     TotalShareHits += M.ShareHits;
     TotalSharePublishes += M.SharePublishes;
     TotalShareSaved += M.ShareCyclesSaved;
@@ -281,12 +278,6 @@ std::string aoci::reportRunMetrics(const GridResults &Results) {
     Out += formatString(
         "  code cache: %llu evictions across the sweep\n",
         static_cast<unsigned long long>(TotalEvictions));
-  if (TotalFusedRuns != 0)
-    Out += formatString(
-        "  fusion: %llu fused runs installed (%llu host bytes of "
-        "handlers) across the sweep\n",
-        static_cast<unsigned long long>(TotalFusedRuns),
-        static_cast<unsigned long long>(TotalFusedBytes));
   if (TotalShareHits + TotalSharePublishes != 0)
     Out += formatString(
         "  shared code cache: %llu hits / %llu publishes, %llu compile "

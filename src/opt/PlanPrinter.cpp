@@ -38,14 +38,6 @@ std::string aoci::describeVariant(const Program &P,
       static_cast<unsigned long long>(Variant.CodeBytes),
       Variant.Plan.NumInlineBodies, Variant.Plan.NumGuards,
       static_cast<unsigned long long>(Variant.CompileCycles));
-  // Present only when superinstruction fusion attached handlers to this
-  // variant, so fusion-off output (and its goldens) is byte-identical.
-  if (Variant.Fused)
-    Out += formatString(
-        "  fused: %u runs covering %u instrs, %llu host bytes\n",
-        static_cast<unsigned>(Variant.Fused->Runs.size()),
-        Variant.Fused->OpsFused,
-        static_cast<unsigned long long>(Variant.Fused->FusedBytes));
   describeNode(P, Variant.Plan.Root, 2, Out);
   return Out;
 }

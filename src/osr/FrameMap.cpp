@@ -71,10 +71,6 @@ void aoci::retargetFrame(VirtualMachine &VM, ThreadState &T, size_t Index,
   // The cost table is keyed by (level, inlined); the body pointer is a
   // pure function of the method and stays valid.
   F.Cost = VM.frameCostTable(F.Method, To->Level, Inlined);
-  // Fused handlers belong to the variant, so the transfer swaps them too
-  // (null for inlined frames — their cost tables carry the scope bonus a
-  // physical batch charge would not match).
-  F.Fuse = (!Inlined && To->Fused) ? To->Fused.get() : nullptr;
   // A transfer is an invocation as far as the bounded code cache's
   // recency order is concerned (simulated-clock state only).
   To->LastUsedCycle = VM.cycles();

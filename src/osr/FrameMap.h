@@ -56,8 +56,7 @@ bool snapshotMatchesFrame(const FrameSnapshot &S, const ThreadState &T,
 size_t physicalRootIndex(const ThreadState &T, size_t Index);
 
 /// Retargets frame \p Index of \p T onto \p To: swaps Variant, the active
-/// inline plan, the Inlined bit, the fused-handler map, and the cached
-/// per-PC cost table (via
+/// inline plan, the Inlined bit, and the cached per-PC cost table (via
 /// VirtualMachine::frameCostTable). Everything else — PC, slab offsets,
 /// locals, operand stack — is deliberately untouched; see the file
 /// comment. \p To must be a variant of the frame's own source method.

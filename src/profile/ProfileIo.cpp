@@ -21,106 +21,6 @@
 using namespace aoci;
 
 //===----------------------------------------------------------------------===//
-// Legacy v1: bare DCG, resolved against a Program.
-//===----------------------------------------------------------------------===//
-
-std::string aoci::serializeProfile(const Program &P,
-                                   const DynamicCallGraph &Dcg) {
-  std::vector<std::string> Lines;
-  Dcg.forEach([&](const Trace &T, double Weight) {
-    std::string Line = formatString("%.6f", Weight);
-    for (const ContextPair &Pair : T.Context)
-      Line += formatString(" %s:%u",
-                           P.qualifiedName(Pair.Caller).c_str(), Pair.Site);
-    Line += " => " + P.qualifiedName(T.Callee);
-    Lines.push_back(std::move(Line));
-  });
-  std::sort(Lines.begin(), Lines.end());
-  std::string Out;
-  for (const std::string &Line : Lines) {
-    Out += Line;
-    Out += '\n';
-  }
-  return Out;
-}
-
-bool aoci::deserializeProfile(const Program &P, const std::string &Text,
-                              DynamicCallGraph &Dcg, std::string &Error) {
-  Dcg.clear();
-  std::istringstream In(Text);
-  std::string Line;
-  unsigned LineNo = 0;
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    if (Line.empty())
-      continue;
-    std::istringstream Fields(Line);
-    std::string WeightTok;
-    Fields >> WeightTok;
-    char *End = nullptr;
-    const double Weight = std::strtod(WeightTok.c_str(), &End);
-    if (End == WeightTok.c_str() || *End != '\0' || Weight <= 0) {
-      Error = formatString("line %u: bad weight '%s'", LineNo,
-                           WeightTok.c_str());
-      Dcg.clear();
-      return false;
-    }
-    Trace T;
-    std::string Token;
-    bool SawArrow = false;
-    while (Fields >> Token) {
-      if (Token == "=>") {
-        SawArrow = true;
-        continue;
-      }
-      if (SawArrow) {
-        if (T.Callee != InvalidMethodId) {
-          Error = formatString("line %u: multiple callees ('%s')", LineNo,
-                               Token.c_str());
-          Dcg.clear();
-          return false;
-        }
-        T.Callee = P.findMethod(Token);
-        if (T.Callee == InvalidMethodId) {
-          Error = formatString("line %u: unknown method '%s'", LineNo,
-                               Token.c_str());
-          Dcg.clear();
-          return false;
-        }
-        continue;
-      }
-      const size_t Colon = Token.rfind(':');
-      if (Colon == std::string::npos) {
-        Error = formatString("line %u: malformed pair '%s'", LineNo,
-                             Token.c_str());
-        Dcg.clear();
-        return false;
-      }
-      ContextPair Pair;
-      Pair.Caller = P.findMethod(Token.substr(0, Colon));
-      if (Pair.Caller == InvalidMethodId) {
-        Error = formatString("line %u: unknown method '%s'", LineNo,
-                             Token.substr(0, Colon).c_str());
-        Dcg.clear();
-        return false;
-      }
-      Pair.Site =
-          static_cast<BytecodeIndex>(std::atoi(Token.c_str() + Colon + 1));
-      T.Context.push_back(Pair);
-    }
-    if (!SawArrow || T.Callee == InvalidMethodId || T.Context.empty()) {
-      Error = formatString("line %u: incomplete trace '%s'", LineNo,
-                           Line.c_str());
-      Dcg.clear();
-      return false;
-    }
-    Dcg.addSample(T, Weight);
-  }
-  Error.clear();
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
 // v2: versioned, sectioned, Program-independent.
 //===----------------------------------------------------------------------===//
 

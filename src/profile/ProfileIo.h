@@ -9,27 +9,21 @@
 /// Text serialization of profile data. The paper contrasts its online
 /// system with the offline profile-directed inliners of its related work
 /// (Section 6: train on one run, optimize the next). This module makes
-/// that comparison runnable in two tiers:
+/// that comparison runnable.
 ///
-///  - The legacy v1 format (serializeProfile/deserializeProfile) is the
-///    bare dynamic call graph, one line per trace:
-///      weight caller:site [caller:site ...] => callee
-///    with methods identified by their stable qualified names, so a
-///    profile survives regeneration of the same workload.
+/// The versioned format (ProfileData, serializeProfileData,
+/// parseProfile) is the full AOS decision state: a magic + version
+/// header followed by bracketed sections for the DCG traces, the
+/// codified inlining decisions, the controller's hot-method sample
+/// counts, the compiler's inline refusals, and the organizer thresholds
+/// in effect. docs/profile-format.md is the normative spec (grammar,
+/// determinism and forward-compatibility rules, an annotated example).
+/// AdaptiveSystem::snapshotProfile() and AdaptiveSystem::warmStart() are
+/// the save/load hooks; `aoci run --profile-out/--warm-start` is the CLI
+/// surface.
 ///
-///  - The versioned v2 format (ProfileData, serializeProfileData,
-///    parseProfile) is the full AOS decision state: a magic + version
-///    header followed by bracketed sections for the DCG traces, the
-///    codified inlining decisions, the controller's hot-method sample
-///    counts, the compiler's inline refusals, and the organizer
-///    thresholds in effect. docs/profile-format.md is the normative
-///    spec (grammar, determinism and forward-compatibility rules, an
-///    annotated example). AdaptiveSystem::snapshotProfile() and
-///    AdaptiveSystem::warmStart() are the save/load hooks; `aoci run
-///    --profile-out/--warm-start` is the CLI surface.
-///
-/// v2 parsing is Program-independent: ProfileData stores qualified
-/// method *names*, and resolution against a concrete Program happens at
+/// Parsing is Program-independent: ProfileData stores qualified method
+/// *names*, and resolution against a concrete Program happens at
 /// warm-start time, where entries naming methods the production program
 /// lacks are dropped and counted rather than failing the run — the
 /// graceful-degradation half of the paper's stale-profile argument.
@@ -38,8 +32,6 @@
 
 #ifndef AOCI_PROFILE_PROFILEIO_H
 #define AOCI_PROFILE_PROFILEIO_H
-
-#include "profile/DynamicCallGraph.h"
 
 #include <cstdint>
 #include <string>
@@ -124,18 +116,6 @@ std::string serializeProfileData(const ProfileData &Data);
 /// forward-compatibility rule; see docs/profile-format.md).
 bool parseProfile(const std::string &Text, ProfileData &Data,
                   std::string &Error);
-
-/// Serializes \p Dcg to the legacy v1 format (bare DCG, no header).
-/// Deterministic: traces are sorted.
-std::string serializeProfile(const Program &P, const DynamicCallGraph &Dcg);
-
-/// Parses a legacy v1 profile back into \p Dcg (which is cleared
-/// first), resolving method names against \p P. Returns false (leaving
-/// \p Dcg cleared) when the text is malformed or names a method \p P
-/// does not contain; \p Error receives a diagnostic with the line
-/// number and offending token.
-bool deserializeProfile(const Program &P, const std::string &Text,
-                        DynamicCallGraph &Dcg, std::string &Error);
 
 } // namespace aoci
 

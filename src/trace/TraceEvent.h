@@ -68,11 +68,6 @@ enum class TraceEventKind : uint8_t {
   /// uncharged by scenario workloads; the steady-state detector uses it
   /// to keep warmup from being declared over while phases still flip.
   PhaseShift,
-  /// Superinstruction fusion attached straight-line handlers to a freshly
-  /// installed variant (CostModel::Fuse enabled at the variant's level).
-  /// Uncharged host-side bookkeeping; a zero run count records that
-  /// fusion ran but found nothing to batch.
-  FuseInstall,
   /// A persisted profile re-seeded the AOS state before the run
   /// (AdaptiveSystem::warmStart, the `--warm-start` flag): per-section
   /// applied counts plus the total dropped by stale-name resolution.
@@ -98,7 +93,7 @@ enum class TraceEventKind : uint8_t {
   BudgetDecision,
 };
 
-constexpr unsigned NumTraceEventKinds = 21;
+constexpr unsigned NumTraceEventKinds = 20;
 
 /// Stable kebab-case names (JSON `name` field, `--trace-filter` tokens).
 const char *traceEventKindName(TraceEventKind K);

@@ -218,13 +218,6 @@ void writeArgs(std::ostream &OS, const TraceSink &Sink, const TraceEvent &E) {
     intArg(OS, First, "phase", E.A);
     intArg(OS, First, "phases", E.B);
     break;
-  case TraceEventKind::FuseInstall:
-    methodArg(OS, First, "method", Sink, E.Method);
-    intArg(OS, First, "level", E.A);
-    intArg(OS, First, "runs", E.B);
-    intArg(OS, First, "opsFused", E.C);
-    intArg(OS, First, "fusedBytes", E.D);
-    break;
   case TraceEventKind::ProfileLoad:
     intArg(OS, First, "version", E.A);
     intArg(OS, First, "traces", E.B);

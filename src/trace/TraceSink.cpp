@@ -49,8 +49,6 @@ const char *aoci::traceEventKindName(TraceEventKind K) {
     return "code-evict";
   case TraceEventKind::PhaseShift:
     return "phase-shift";
-  case TraceEventKind::FuseInstall:
-    return "fuse-install";
   case TraceEventKind::ProfileLoad:
     return "profile-load";
   case TraceEventKind::SharePublish:

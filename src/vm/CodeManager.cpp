@@ -7,7 +7,6 @@
 
 #include "vm/CodeManager.h"
 
-#include "fuse/FusionBuilder.h"
 #include "support/Audit.h"
 #include "trace/TraceSink.h"
 #include "vm/Overhead.h"
@@ -74,19 +73,6 @@ const CodeVariant *CodeManager::install(std::unique_ptr<CodeVariant> Variant) {
 
   CodeVariant *Ptr = Variant.get();
   Ptr->indexPlanSites(P);
-  // Superinstruction fusion: staged lowering of the method body into
-  // batched straight-line handlers, attached to the variant the moment it
-  // is installed. Host-side only — no simulated cycle is charged, and the
-  // batch charges equal the per-PC entries they replace.
-  const bool FuseEligible = Model.Fuse.enabledFor(Ptr->Level);
-  if (FuseEligible) {
-    Ptr->Fused = buildFusedProgram(P, P.method(Ptr->M), Ptr->Level, Model);
-    if (Ptr->Fused) {
-      FusedRunsInstalled += Ptr->Fused->Runs.size();
-      FusedOpsTotal += Ptr->Fused->OpsFused;
-      FusedBytesTotal += Ptr->Fused->FusedBytes;
-    }
-  }
   unsigned Serial = 0;
   for (const auto &Existing : Variants)
     if (Existing->M == Ptr->M)
@@ -139,20 +125,6 @@ const CodeVariant *CodeManager::install(std::unique_ptr<CodeVariant> Variant) {
     }
     if (!Ptr->Plan.empty() && Trace->wants(TraceEventKind::PlanSite))
       emitPlanSites(*Trace, *Ptr, Ptr->Plan.Root, /*Depth=*/0);
-    if (FuseEligible && Trace->wants(TraceEventKind::FuseInstall)) {
-      // Emitted whenever fusion was attempted at an eligible level, even
-      // when the body yielded no runs — a zero row is how a trace shows
-      // fusion was on but found nothing to batch. Uncharged, like every
-      // observability event.
-      TraceEvent &E = Trace->append(TraceEventKind::FuseInstall,
-                                    traceTrack(AosComponent::Compilation),
-                                    Ptr->CompiledAtCycle);
-      E.Method = Ptr->M;
-      E.A = static_cast<int64_t>(Ptr->Level);
-      E.B = Ptr->Fused ? static_cast<int64_t>(Ptr->Fused->Runs.size()) : 0;
-      E.C = Ptr->Fused ? Ptr->Fused->OpsFused : 0;
-      E.D = Ptr->Fused ? static_cast<int64_t>(Ptr->Fused->FusedBytes) : 0;
-    }
   }
 
   // A baseline rematerialized as a deoptimization target (the cache
@@ -283,11 +255,6 @@ void CodeManager::enforceCapacity(const CodeVariant *JustInstalled) {
 void CodeManager::evict(CodeVariant &V) {
   assert(!V.Evicted && "double eviction");
   V.Evicted = true;
-  // Fused handlers die with the code. prepareEviction proved no frame is
-  // suspended in this variant, and pushFrame/retargetFrame re-read the
-  // pointer on every (re)entry, so nothing can still hold the old map.
-  // Recompile-on-re-entry derives a fresh program for the new variant.
-  V.Fused.reset();
   LiveBytes -= V.CodeBytes;
   ++Evictions;
 

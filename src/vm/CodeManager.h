@@ -122,11 +122,11 @@ public:
 
   /// Cumulative bytes of *optimized* machine code generated over the run
   /// (baseline code excluded), including code made obsolete by later
-  /// recompilations. This is the code-space measure behind Figure 5: it
-  /// reflects what the optimizing compiler produced and paid for.
+  /// recompilations: what the optimizing compiler produced and paid for.
   uint64_t optimizedBytesGenerated() const { return OptBytesGenerated; }
 
   /// Bytes of optimized code currently installed (final variants only).
+  /// This is the code-space measure behind Figure 5.
   uint64_t optimizedBytesResident() const;
 
   /// Bytes of machine code currently live — every non-evicted variant,
@@ -164,15 +164,6 @@ public:
   /// variant had been evicted — the recompile-on-re-entry cost of
   /// bounding the cache.
   uint64_t recompilesAfterEvict() const { return RecompilesAfterEvict; }
-
-  /// Cumulative fused straight-line runs installed over the run (counting
-  /// re-derivations after eviction), with the source instructions they
-  /// cover and their host-side byte footprint. All zero unless
-  /// CostModel::Fuse is enabled — and purely host-side bookkeeping either
-  /// way (fusion charges no simulated cycles).
-  uint64_t fusedRunsInstalled() const { return FusedRunsInstalled; }
-  uint64_t fusedOpsTotal() const { return FusedOpsTotal; }
-  uint64_t fusedBytesTotal() const { return FusedBytesTotal; }
 
   /// Cumulative optimizing-compiler cycles (baseline excluded).
   uint64_t optCompileCycles() const { return OptCompileCyclesTotal; }
@@ -225,9 +216,6 @@ private:
   uint64_t PeakBytes = 0;
   uint64_t Evictions = 0;
   uint64_t RecompilesAfterEvict = 0;
-  uint64_t FusedRunsInstalled = 0;
-  uint64_t FusedOpsTotal = 0;
-  uint64_t FusedBytesTotal = 0;
   unsigned NumCompiles[NumOptLevels] = {0, 0, 0};
   /// Next CodeVariant::InstallSeq to hand out.
   unsigned NextInstallSeq = 0;

@@ -15,11 +15,8 @@
 #ifndef AOCI_VM_CODEVARIANT_H
 #define AOCI_VM_CODEVARIANT_H
 
-#include "fuse/FusedProgram.h"
 #include "vm/CostModel.h"
 #include "vm/InlinePlan.h"
-
-#include <memory>
 
 namespace aoci {
 
@@ -64,12 +61,6 @@ struct CodeVariant {
   /// detectable audit failure rather than a host use-after-free; only the
   /// byte ledgers and dispatch tables treat it as gone.
   bool Evicted = false;
-  /// Fused straight-line handlers (null unless CodeManager::install built
-  /// them under an enabled FuseConfig). Host-side machinery only: freed on
-  /// eviction and re-derived if the method recompiles on re-entry. The
-  /// variant outliving the run (tombstone discipline) means frames caught
-  /// mid-eviction observe a null map, never a dangling one.
-  std::unique_ptr<const FusedProgram> Fused;
 
   /// Builds every InlineNode's direct-mapped site index (root node over
   /// this method's body, case bodies over their callee's). Called once by

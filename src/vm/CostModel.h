@@ -70,23 +70,6 @@ struct CodeCacheConfig {
   bool enabled() const { return CapacityBytes != 0; }
 };
 
-/// Superinstruction-fusion knob. Off by default: with Enabled == false no
-/// FusedProgram is ever built and the interpreter takes the per-bytecode
-/// path everywhere, reproducing every pre-fusion golden byte-for-byte.
-/// When enabled, variants installed at opt level >= MinLevel get fused
-/// straight-line handlers. Fusion is a host-side optimization only — the
-/// batched cycle charge equals the per-PC charges it replaces, so
-/// simulated results are bit-identical either way (see DESIGN.md,
-/// "Superinstruction fusion").
-struct FuseConfig {
-  bool Enabled = false;
-  uint8_t MinLevel = 1;
-
-  bool enabledFor(OptLevel L) const {
-    return Enabled && static_cast<uint8_t>(L) >= MinLevel;
-  }
-};
-
 /// All tunable cycle/byte constants of the simulation.
 struct CostModel {
   //===--------------------------------------------------------------------===//
@@ -178,10 +161,6 @@ struct CostModel {
   /// evicted methods fall back to baseline (or recompile on re-entry),
   /// trading mutator cycles for resident bytes.
   CodeCacheConfig CodeCache;
-
-  /// Superinstruction fusion (off by default — see FuseConfig). Purely a
-  /// host-throughput lever: changes no simulated cycle anywhere.
-  FuseConfig Fuse;
 
   //===--------------------------------------------------------------------===//
   // Sampling and AOS bookkeeping costs.

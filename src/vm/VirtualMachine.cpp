@@ -115,9 +115,6 @@ void VirtualMachine::pushFrame(ThreadState &T, MethodId Callee,
   F.LocalsBase = T.SlabTop - Hot.NumArgSlots;
   F.StackBase = F.LocalsBase + Hot.NumLocals;
   F.Inlined = Inlined;
-  // Fused handlers apply only to physical frames: inlined bodies charge
-  // scope-bonus cost tables the precomputed batch charge would not match.
-  F.Fuse = (!Inlined && Variant->Fused) ? Variant->Fused.get() : nullptr;
 
   const size_t Need = static_cast<size_t>(F.StackBase) + Hot.MaxStack;
   if (T.Slab.size() < Need)
@@ -416,16 +413,11 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
     Value *const Locals = Slab + F.LocalsBase;
     uint32_t PC = F.PC;
     uint32_t Top = T.SlabTop;
-    const uint32_t StackBase = F.StackBase;
-    // Fused straight-line handlers of this frame's variant (null for
-    // inlined frames or with fusion off). One null test per dispatch is
-    // the whole cost of the feature when disabled.
-    const FusedRun *const *const FuseMap = F.Fuse ? F.Fuse->runMap() : nullptr;
-    const FusedOp *const FuseOps = F.Fuse ? F.Fuse->Ops.data() : nullptr;
     // Set when the instruction changed the frame stack (call/return) or
     // resized the slab: cached pointers are stale, fall out to re-derive.
     bool Refresh = false;
 #ifndef NDEBUG
+    const uint32_t StackBase = F.StackBase;
     const uint32_t MaxStack = F.Hot->MaxStack;
     const uint32_t BodySize = F.Hot->BodySize;
     const uint16_t NumLocals = F.Hot->NumLocals;
@@ -476,33 +468,6 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
 
     do {
       assert(PC < BodySize && "PC out of range");
-      if (FuseMap != nullptr) {
-        if (const FusedRun *R = FuseMap[PC]) {
-          // Batch only when the whole run fits the remaining budgets. The
-          // per-instruction path re-checks clock and instruction budget
-          // before each *subsequent* instruction, and per-PC charges are
-          // non-negative, so the check before the run's last instruction
-          // is the binding one: Clock + ChargeBeforeLast < StopClock is
-          // exactly "per-instruction execution would have completed the
-          // run inside this activation of the loop". Otherwise fall
-          // through to per-bytecode dispatch, which suspends at exact PC
-          // granularity — always correct, merely slower.
-          if (MaxInstr >= R->Length &&
-              Clock + R->ChargeBeforeLast < StopClock) {
-            assert(Top - StackBase == R->DepthBefore && "fused entry depth");
-            executeFusedOps(FuseOps + R->FirstOp, R->NumOps, Locals,
-                            Slab + StackBase);
-            Clock += R->BatchCharge;
-            Counters.InstructionsExecuted += R->Length;
-            ++Counters.FusedRunsExecuted;
-            MaxInstr -= R->Length;
-            PC += R->Length;
-            Top = StackBase + R->DepthAfter;
-            assert(PC < BodySize && "fused run ran off the body");
-            continue;
-          }
-        }
-      }
       const Instruction &I = Body[PC];
       ++Counters.InstructionsExecuted;
       --MaxInstr;
@@ -801,185 +766,6 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
   }
 }
 
-void VirtualMachine::executeFusedOps(const FusedOp *Ops, uint32_t NumOps,
-                                     Value *Locals, Value *Stack) {
-  // Straight-line replay of one fused run. Every case replicates the
-  // corresponding interpreter switch case bit-for-bit (wrapping
-  // arithmetic, division guards, tag-aware equality, heap asserts); the
-  // only difference is that stack shuffling was compiled away and slots
-  // are addressed directly. Operands are read before the destination is
-  // written, so an op may target a slot it also reads.
-  auto read = [&](const FusedOperand &O) -> Value {
-    switch (O.Kind) {
-    case FusedSrc::Const:
-      return O.Imm;
-    case FusedSrc::Local:
-      return Locals[O.Index];
-    case FusedSrc::Slot:
-      return Stack[O.Index];
-    }
-    return Value();
-  };
-  auto binary = [&](const FusedOp &Op, auto Fn) {
-    const int64_t A = read(Op.A).asInt();
-    const int64_t B = read(Op.B).asInt();
-    return Value::makeInt(Fn(A, B));
-  };
-
-  for (const FusedOp *Op = Ops, *End = Ops + NumOps; Op != End; ++Op) {
-    Value R;
-    switch (Op->Kind) {
-    case FusedOpKind::Copy:
-      R = read(Op->A);
-      break;
-    case FusedOpKind::Swap: {
-      const Value Tmp = Stack[Op->A.Index];
-      Stack[Op->A.Index] = Stack[Op->B.Index];
-      Stack[Op->B.Index] = Tmp;
-      break;
-    }
-    case FusedOpKind::Add:
-      R = binary(*Op, [](int64_t A, int64_t B) {
-        return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                                    static_cast<uint64_t>(B));
-      });
-      break;
-    case FusedOpKind::Sub:
-      R = binary(*Op, [](int64_t A, int64_t B) {
-        return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                                    static_cast<uint64_t>(B));
-      });
-      break;
-    case FusedOpKind::Mul:
-      R = binary(*Op, [](int64_t A, int64_t B) {
-        return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                                    static_cast<uint64_t>(B));
-      });
-      break;
-    case FusedOpKind::Div:
-      R = binary(*Op, [](int64_t A, int64_t B) {
-        if (B == 0)
-          return static_cast<int64_t>(0);
-        if (A == INT64_MIN && B == -1)
-          return A;
-        return A / B;
-      });
-      break;
-    case FusedOpKind::Rem:
-      R = binary(*Op, [](int64_t A, int64_t B) {
-        if (B == 0)
-          return static_cast<int64_t>(0);
-        if (A == INT64_MIN && B == -1)
-          return static_cast<int64_t>(0);
-        return A % B;
-      });
-      break;
-    case FusedOpKind::And:
-      R = binary(*Op, [](int64_t A, int64_t B) { return A & B; });
-      break;
-    case FusedOpKind::Or:
-      R = binary(*Op, [](int64_t A, int64_t B) { return A | B; });
-      break;
-    case FusedOpKind::Xor:
-      R = binary(*Op, [](int64_t A, int64_t B) { return A ^ B; });
-      break;
-    case FusedOpKind::Shl:
-      R = binary(*Op, [](int64_t A, int64_t B) {
-        return static_cast<int64_t>(static_cast<uint64_t>(A) << (B & 63));
-      });
-      break;
-    case FusedOpKind::Shr:
-      R = binary(*Op, [](int64_t A, int64_t B) { return A >> (B & 63); });
-      break;
-    case FusedOpKind::Neg:
-      R = Value::makeInt(static_cast<int64_t>(
-          0 - static_cast<uint64_t>(read(Op->A).asInt())));
-      break;
-    case FusedOpKind::CmpEq:
-      R = Value::makeInt(read(Op->A).equals(read(Op->B)) ? 1 : 0);
-      break;
-    case FusedOpKind::CmpNe:
-      R = Value::makeInt(read(Op->A).equals(read(Op->B)) ? 0 : 1);
-      break;
-    case FusedOpKind::CmpLt:
-      R = binary(*Op, [](int64_t A, int64_t B) { return A < B ? 1 : 0; });
-      break;
-    case FusedOpKind::CmpLe:
-      R = binary(*Op, [](int64_t A, int64_t B) { return A <= B ? 1 : 0; });
-      break;
-    case FusedOpKind::CmpGt:
-      R = binary(*Op, [](int64_t A, int64_t B) { return A > B ? 1 : 0; });
-      break;
-    case FusedOpKind::CmpGe:
-      R = binary(*Op, [](int64_t A, int64_t B) { return A >= B ? 1 : 0; });
-      break;
-    case FusedOpKind::GetField: {
-      const Value Ref = read(Op->A);
-      assert(Ref.isRef() && "getfield on non-reference");
-      HeapObject &Obj = TheHeap.object(Ref.asRef());
-      assert(static_cast<size_t>(Op->Imm) < Obj.Slots.size());
-      R = Obj.Slots[static_cast<size_t>(Op->Imm)];
-      break;
-    }
-    case FusedOpKind::PutField: {
-      const Value Ref = read(Op->A);
-      const Value V = read(Op->B);
-      assert(Ref.isRef() && "putfield on non-reference");
-      HeapObject &Obj = TheHeap.object(Ref.asRef());
-      assert(static_cast<size_t>(Op->Imm) < Obj.Slots.size());
-      Obj.Slots[static_cast<size_t>(Op->Imm)] = V;
-      break;
-    }
-    case FusedOpKind::ArrayLoad: {
-      const Value Ref = read(Op->A);
-      const int64_t Index = read(Op->B).asInt();
-      assert(Ref.isRef() && "arrayload on non-reference");
-      HeapObject &Arr = TheHeap.object(Ref.asRef());
-      assert(Arr.IsArray && Index >= 0 &&
-             static_cast<size_t>(Index) < Arr.Slots.size());
-      R = Arr.Slots[static_cast<size_t>(Index)];
-      break;
-    }
-    case FusedOpKind::ArrayStore: {
-      const Value Ref = read(Op->A);
-      const int64_t Index = read(Op->B).asInt();
-      const Value V = read(Op->C);
-      assert(Ref.isRef() && "arraystore on non-reference");
-      HeapObject &Arr = TheHeap.object(Ref.asRef());
-      assert(Arr.IsArray && Index >= 0 &&
-             static_cast<size_t>(Index) < Arr.Slots.size());
-      Arr.Slots[static_cast<size_t>(Index)] = V;
-      break;
-    }
-    case FusedOpKind::ArrayLength: {
-      const Value Ref = read(Op->A);
-      assert(Ref.isRef() && "arraylength on non-reference");
-      R = Value::makeInt(
-          static_cast<int64_t>(TheHeap.object(Ref.asRef()).Slots.size()));
-      break;
-    }
-    case FusedOpKind::InstanceOf: {
-      const Value Ref = read(Op->A);
-      int64_t Result = 0;
-      if (Ref.isRef()) {
-        const HeapObject &Obj = TheHeap.object(Ref.asRef());
-        if (!Obj.IsArray)
-          Result = Hierarchy.isSubtypeOf(Obj.Klass,
-                                         static_cast<ClassId>(Op->Imm))
-                       ? 1
-                       : 0;
-      }
-      R = Value::makeInt(Result);
-      break;
-    }
-    }
-    if (Op->Dst == FusedDst::Slot)
-      Stack[Op->DstIndex] = R;
-    else if (Op->Dst == FusedDst::Local)
-      Locals[Op->DstIndex] = R;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // CodeEvictionDelegate: the bounded code cache's engine hooks.
 //===----------------------------------------------------------------------===//
@@ -1050,13 +836,6 @@ void VirtualMachine::auditState(const char *Where) const {
       audit::check(F.Hot != nullptr && F.Body == F.Hot->Body, "vm",
                    std::string(Where) + ": thread " + std::to_string(TPtr->Id) +
                        " frame body pointer diverged from hot data of method " +
-                       std::to_string(F.Method));
-      audit::check(F.Fuse == nullptr ||
-                       (!F.Inlined && F.Variant != nullptr &&
-                        F.Fuse == F.Variant->Fused.get()),
-                   "vm",
-                   std::string(Where) + ": thread " + std::to_string(TPtr->Id) +
-                       " frame holds a stale fused-handler map of method " +
                        std::to_string(F.Method));
     }
   }

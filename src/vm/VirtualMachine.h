@@ -110,12 +110,6 @@ struct Frame {
   uint32_t StackBase = 0;
   /// True when this source frame was inlined into the frame below it.
   bool Inlined = false;
-  /// The variant's fused straight-line handlers, or null (fusion off, no
-  /// runs, or an inlined frame — inlined bodies charge scope-bonus cost
-  /// tables a physical-frame batch charge would not match). Cached at
-  /// frame entry like Body/Cost and refreshed by the OSR retarget, so the
-  /// interpreter pays one null test per dispatch.
-  const FusedProgram *Fuse = nullptr;
   /// True when this frame was transferred onto a replacement variant by
   /// an on-stack replacement; handleReturn then notifies the OSR driver
   /// so it can account the time spent in the new code.
@@ -159,10 +153,6 @@ struct ExecutionCounters {
   uint64_t GcCycles = 0;
   uint64_t SamplesTaken = 0;
   uint64_t PrologueSamples = 0;
-  /// Fused-handler batches dispatched (host-side bookkeeping: the batch
-  /// is charge-equivalent to its covered instructions, so this counter
-  /// never influences simulated state).
-  uint64_t FusedRunsExecuted = 0;
 };
 
 /// The virtual machine. Privately implements the code manager's eviction
@@ -301,12 +291,6 @@ private:
   /// in place — no copy). Enforces Model.MaxFrameDepth.
   void pushFrame(ThreadState &T, MethodId Callee, const CodeVariant *Variant,
                  const InlineNode *Plan, bool Inlined);
-  /// Executes one fused run's op program against the frame's locals and
-  /// operand-stack slab window. Value semantics are replicated from the
-  /// interpreter's switch cases exactly (wrapping arithmetic, division
-  /// guards, tag-aware equality, heap asserts); see fuse/FusedProgram.h.
-  void executeFusedOps(const FusedOp *Ops, uint32_t NumOps, Value *Locals,
-                       Value *Stack);
   /// Lazily-built hot data for \p M (see MethodHotData).
   MethodHotData &hotData(MethodId M);
   /// The per-PC charge table for (\p L, \p Inlined), building it on first

@@ -56,15 +56,13 @@ std::string fingerprintLine(const std::string &Workload, PolicyKind Policy,
   return Out.str();
 }
 
-std::string fingerprintAll(FuseConfig Fuse = FuseConfig{}) {
+std::string fingerprintAll() {
   std::ostringstream Out;
   for (const std::string &Name : workloadNames()) {
     for (PolicyKind Policy : allPolicyKinds()) {
       WorkloadParams Params;
       Workload W = makeWorkload(Name, Params);
-      CostModel Model;
-      Model.Fuse = Fuse;
-      VirtualMachine VM(W.Prog, Model);
+      VirtualMachine VM(W.Prog);
       std::unique_ptr<ContextPolicy> P = makePolicy(Policy, 3);
       AdaptiveSystem Aos(VM, *P);
       Aos.attach();
@@ -82,7 +80,6 @@ std::string fingerprintAll(FuseConfig Fuse = FuseConfig{}) {
     WorkloadParams Params;
     Workload W = makeWorkload(Name, Params);
     CostModel Model;
-    Model.Fuse = Fuse;
     Model.GcTriggerBytes = 50000;
     VirtualMachine VM(W.Prog, Model);
     std::unique_ptr<ContextPolicy> P = makePolicy(PolicyKind::Fixed, 3);
@@ -121,16 +118,6 @@ void expectMatchesGolden(const std::string &Name, const std::string &Actual) {
 
 TEST(CycleFingerprintTest, AllWorkloadsAllPolicies) {
   expectMatchesGolden("cycle_fingerprint.golden", fingerprintAll());
-}
-
-TEST(CycleFingerprintTest, SuperinstructionFusionIsClockNeutral) {
-  // The fusion bit-identity contract at matrix scale: the whole workload
-  // x policy fingerprint, with every variant down to baseline fused into
-  // batched handlers, must match the fusion-off golden byte for byte.
-  FuseConfig Fuse;
-  Fuse.Enabled = true;
-  Fuse.MinLevel = 0;
-  expectMatchesGolden("cycle_fingerprint.golden", fingerprintAll(Fuse));
 }
 
 } // namespace

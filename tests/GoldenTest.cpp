@@ -123,9 +123,6 @@ TEST(GoldenTest, MetricsCsvFormat) {
   M.SteadyReached = true;
   M.WarmupCycles = 120000;
   M.SteadyCycles = 860000;
-  M.FusedRuns = 12;
-  M.FusedOps = 87;
-  M.FusedBytes = 4176;
   M.WarmStarted = true;
   M.WarmApplied = 57;
   M.WarmDropped = 3;
@@ -139,9 +136,6 @@ TEST(GoldenTest, MetricsCsvFormat) {
   M.SteadyReached = false;
   M.WarmupCycles = 990000;
   M.SteadyCycles = 0;
-  M.FusedRuns = 0;
-  M.FusedOps = 0;
-  M.FusedBytes = 0;
   M.WarmStarted = false;
   M.WarmApplied = 0;
   M.WarmDropped = 0;

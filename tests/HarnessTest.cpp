@@ -8,6 +8,7 @@
 #include "harness/CsvExport.h"
 #include "harness/Experiment.h"
 #include "harness/Reporters.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -72,11 +73,11 @@ TEST(GridTest, GridComputesRelativeMetrics) {
   Config.Policies = {PolicyKind::Fixed, PolicyKind::Parameterless};
   Config.Depths = {2, 3};
   Config.Params.Scale = 0.15;
-  unsigned ProgressLines = 0;
-  GridResults Results =
-      runGrid(Config, [&](const std::string &) { ++ProgressLines; });
+  std::vector<std::string> Progress;
+  GridResults Results = runGrid(
+      Config, [&](const std::string &Line) { Progress.push_back(Line); });
   // One baseline + 4 cells per workload.
-  EXPECT_EQ(ProgressLines, 2u * (1 + 2 * 2));
+  EXPECT_EQ(Progress.size(), 2u * (1 + 2 * 2));
   ASSERT_EQ(Results.workloads().size(), 2u);
 
   for (const std::string &W : Config.Workloads) {
@@ -90,6 +91,19 @@ TEST(GridTest, GridComputesRelativeMetrics) {
         double S = Results.speedupPercent(W, Policy, D);
         EXPECT_GT(S, -80.0);
         EXPECT_LT(S, 80.0);
+        // The cell's progress line reports Figure 5's quantity.
+        const std::string Prefix = formatString(
+            "%-12s %-10s max=%u:", W.c_str(), policyKindName(Policy), D);
+        auto Line = std::find_if(
+            Progress.begin(), Progress.end(),
+            [&](const std::string &L) { return L.rfind(Prefix, 0) == 0; });
+        ASSERT_NE(Line, Progress.end()) << Prefix;
+        const size_t Code = Line->rfind(", code ");
+        ASSERT_NE(Code, std::string::npos) << *Line;
+        EXPECT_EQ(Line->substr(Code),
+                  ", code " +
+                      formatPercent(Results.codeSizePercent(W, Policy, D)))
+            << *Line;
       }
     }
   }

@@ -5,8 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "profile/CallingContextTree.h"
-#include "support/Rng.h"
 #include "profile/DynamicCallGraph.h"
 #include "profile/InlineRules.h"
 #include "profile/Listeners.h"
@@ -249,52 +247,6 @@ TEST(InlineRuleSetTest, ClearEmpties) {
   Rules.clear();
   EXPECT_TRUE(Rules.empty());
   EXPECT_TRUE(Rules.applicableRules({{7, 4}}).empty());
-}
-
-//===----------------------------------------------------------------------===//
-// CallingContextTree
-//===----------------------------------------------------------------------===//
-
-TEST(CctTest, ExactAndPrefixWeights) {
-  CallingContextTree Cct;
-  Trace Short = makeTrace({{7, 4}}, 100);
-  Trace Long = makeTrace({{7, 4}, {1, 0}}, 100);
-  Cct.addSample(Short, 2.0);
-  Cct.addSample(Long, 3.0);
-  EXPECT_DOUBLE_EQ(Cct.exactWeight(Short), 2.0);
-  EXPECT_DOUBLE_EQ(Cct.exactWeight(Long), 3.0);
-  EXPECT_DOUBLE_EQ(Cct.prefixWeight(Short), 5.0)
-      << "the longer trace extends through the shorter's node";
-  EXPECT_DOUBLE_EQ(Cct.prefixWeight(Long), 3.0);
-  EXPECT_EQ(Cct.maxDepth(), 3u);
-}
-
-TEST(CctTest, CrossValidatesWithDcg) {
-  // The same sample stream must be recoverable from both representations.
-  Rng R(77);
-  DynamicCallGraph Dcg;
-  CallingContextTree Cct;
-  std::vector<Trace> Distinct;
-  for (int I = 0; I != 20; ++I)
-    Distinct.push_back(makeTrace(
-        {{static_cast<MethodId>(R.nextBelow(4)),
-          static_cast<BytecodeIndex>(R.nextBelow(3))},
-         {static_cast<MethodId>(R.nextBelow(4) + 10), 0}},
-        static_cast<MethodId>(R.nextBelow(5) + 100)));
-  for (int I = 0; I != 500; ++I) {
-    const Trace &T = Distinct[R.nextBelow(Distinct.size())];
-    Dcg.addSample(T);
-    Cct.addSample(T);
-  }
-  for (const Trace &T : Distinct)
-    EXPECT_DOUBLE_EQ(Dcg.weight(T), Cct.exactWeight(T));
-}
-
-TEST(CctTest, MissingTraceHasZeroWeight) {
-  CallingContextTree Cct;
-  Cct.addSample(makeTrace({{7, 4}}, 100));
-  EXPECT_DOUBLE_EQ(Cct.exactWeight(makeTrace({{7, 5}}, 100)), 0.0);
-  EXPECT_DOUBLE_EQ(Cct.prefixWeight(makeTrace({{7, 4}}, 101)), 0.0);
 }
 
 //===----------------------------------------------------------------------===//

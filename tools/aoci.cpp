@@ -8,7 +8,7 @@
 //   aoci list
 //   aoci table1
 //   aoci run <workload> [--policy P] [--depth N] [--scale X] [--seed N]
-//            [--plans] [--trace-stats] [--save-profile F] [--load-profile F]
+//            [--plans] [--trace-stats] [--profile-out F] [--warm-start F]
 //   aoci grid [--workloads a,b] [--policies p,q] [--depths 2,3]
 //             [--scale X] [--trials N] [--jobs N] [--csv FILE]
 //             [--metrics-csv FILE] [--metrics]
@@ -59,13 +59,12 @@ int usage() {
       "  aoci table1\n"
       "  aoci run <workload> [--policy P] [--depth N] [--scale X]\n"
       "           [--seed N] [--osr on|off] [--code-cache BYTES]\n"
-      "           [--fuse on|off|level=N] [--plans] [--trace-stats]\n"
+      "           [--plans] [--trace-stats]\n"
       "           [--organizer threshold|budget] [budget knobs]\n"
       "           [--profile-out FILE] [--warm-start FILE]\n"
-      "           [--save-profile FILE] [--load-profile FILE]\n"
       "  aoci grid [--workloads a,b] [--policies p,q] [--depths 2,3]\n"
       "            [--scale X] [--trials N] [--jobs N] [--osr on|off]\n"
-      "            [--code-cache BYTES] [--fuse on|off|level=N]\n"
+      "            [--code-cache BYTES]\n"
       "            [--organizer threshold|budget] [budget knobs]\n"
       "            [--csv FILE] [--metrics-csv FILE] [--metrics]\n"
       "            [--trace-out FILE] [--trace-filter kinds]\n"
@@ -74,24 +73,23 @@ int usage() {
       "  aoci trace <workload> [--trace-out FILE] [--trace-filter kinds]\n"
       "             [--policy P] [--depth N] [--scale X] [--seed N]\n"
       "             [--trials N] [--max-events N] [--osr on|off]\n"
-      "             [--code-cache BYTES] [--fuse on|off|level=N]\n"
+      "             [--code-cache BYTES]\n"
       "             [--organizer threshold|budget] [budget knobs]\n"
       "             [--profile-out FILE] [--warm-start FILE]\n"
       "  aoci disasm <workload> [method]\n"
       "  aoci fuzz [--seed N] [--budget N] [--policy-a P] [--depth-a N]\n"
       "            [--policy-b P] [--depth-b N] [--threshold PCT]\n"
       "            [--scale X] [--workload-seed N] [--code-cache BYTES]\n"
-      "            [--osr on|off] [--fuse on|off|level=N] [--max-diffs N]\n"
+      "            [--osr on|off] [--max-diffs N]\n"
       "            [--out DIR] [--known DIR]\n"
       "  aoci replay <file.scn>\n"
       "  aoci steady [--workloads a,b] [--policy P] [--depth N]\n"
       "              [--scale X] [--seed N] [--trials N] [--osr on|off]\n"
-      "              [--code-cache BYTES] [--fuse on|off|level=N]\n"
-      "              [--json FILE]\n"
+      "              [--code-cache BYTES] [--json FILE]\n"
       "  aoci serve --tenants a[:N],b[:N] [--policy P] [--depth N]\n"
       "             [--scale X] [--seed N] [--slice CYCLES] [--stagger N]\n"
       "             [--share-cache BYTES|off] [--code-cache BYTES]\n"
-      "             [--osr on|off] [--fuse on|off|level=N] [--jobs N]\n"
+      "             [--osr on|off] [--jobs N]\n"
       "             [--organizer threshold|budget] [budget knobs]\n"
       "             [--csv FILE] [--trace-out FILE] [--trace-filter kinds]\n"
       "             [--warm-start FILE]\n"
@@ -135,12 +133,6 @@ int usage() {
       "  receives one .prof per run\n"
       "--warm-start: re-seed the adaptive system from a v2 profile before\n"
       "  the run; stale entries are dropped and counted, never fatal.\n"
-      "  (--save-profile/--load-profile are the legacy bare-DCG v1 pair)\n"
-      "--fuse: superinstruction fusion — lower straight-line runs of hot\n"
-      "  method bodies into batched handlers at install time. Host-side\n"
-      "  only: simulated cycles are bit-identical on or off. 'on' fuses\n"
-      "  optimized code (opt level >= 1), 'level=N' fuses at opt level >= N\n"
-      "  (level=0 includes baseline code); default off\n"
       "trace kinds: comma-separated event names (see OBSERVABILITY.md), "
       "e.g.\n"
       "  --trace-filter sample,controller-decision,compile-complete\n");
@@ -195,6 +187,38 @@ bool parseUnsigned32(const char *Flag, const std::string &Value,
   return true;
 }
 
+/// Checked decimal parse for floating-point flag values, the counterpart
+/// of parseUnsigned. The whole value must be one finite number: an empty
+/// value, leading whitespace, trailing junk (as in "0.05abc"), NaN,
+/// infinity and out-of-range exponents are rejected with an error naming
+/// the flag, as is any value below \p Min, or equal to it unless
+/// \p MinAllowed.
+bool parseDouble(const char *Flag, const std::string &Value, double Min,
+                 bool MinAllowed, double &Out) {
+  errno = 0;
+  char *End = nullptr;
+  const double V = Value.empty() ? 0 : std::strtod(Value.c_str(), &End);
+  const bool Valid =
+      !Value.empty() && !std::isspace(static_cast<unsigned char>(Value[0])) &&
+      End == Value.c_str() + Value.size() && errno != ERANGE &&
+      std::isfinite(V) && (V > Min || (MinAllowed && V == Min));
+  if (!Valid) {
+    std::fprintf(stderr, "%s expects a finite number %s %g, got '%s'\n",
+                 Flag, MinAllowed ? "of at least" : "above", Min,
+                 Value.c_str());
+    return false;
+  }
+  Out = V;
+  return true;
+}
+
+/// The `--scale` flag: a workload size multiplier, which must be above 0
+/// (a negative count would start the workloads' countdown loops below
+/// zero).
+bool parseScale(const std::string &Value, double &Scale) {
+  return parseDouble("--scale", Value, 0, /*MinAllowed=*/false, Scale);
+}
+
 /// Parses an `--osr on|off` value.
 bool parseOsr(const std::string &Value, bool &Enabled) {
   if (Value == "on")
@@ -207,32 +231,6 @@ bool parseOsr(const std::string &Value, bool &Enabled) {
     return false;
   }
   return true;
-}
-
-/// Parses a `--fuse on|off|level=N` value into the cost model's fusion
-/// knobs. level=N reuses the checked integer parser, so garbage, signs
-/// and out-of-range opt levels are rejected with an error, not cast.
-bool parseFuse(const std::string &Value, FuseConfig &Fuse) {
-  if (Value == "on") {
-    Fuse.Enabled = true;
-    return true;
-  }
-  if (Value == "off") {
-    Fuse.Enabled = false;
-    return true;
-  }
-  if (Value.rfind("level=", 0) == 0) {
-    uint64_t Level = 0;
-    if (!parseUnsigned("--fuse level", Value.substr(6), NumOptLevels - 1,
-                       Level))
-      return false;
-    Fuse.Enabled = true;
-    Fuse.MinLevel = static_cast<uint8_t>(Level);
-    return true;
-  }
-  std::fprintf(stderr, "--fuse takes 'on', 'off' or 'level=N', not '%s'\n",
-               Value.c_str());
-  return false;
 }
 
 std::vector<std::string> splitList(const std::string &Text) {
@@ -294,17 +292,11 @@ int tryOrganizerFlags(Args &A, AosSystemConfig &Aos) {
   std::string Value;
   if (A.flag("--organizer", Value))
     return parseOrganizer(Value, Aos.Organizer) ? 1 : -1;
-  if (A.flag("--budget-inflation", Value)) {
-    const double X = std::atof(Value.c_str());
-    if (X <= 0) {
-      std::fprintf(stderr,
-                   "--budget-inflation takes a positive factor, not '%s'\n",
-                   Value.c_str());
-      return -1;
-    }
-    Aos.Budget.InflationFactor = X;
-    return 1;
-  }
+  if (A.flag("--budget-inflation", Value))
+    return parseDouble("--budget-inflation", Value, 0, /*MinAllowed=*/false,
+                       Aos.Budget.InflationFactor)
+               ? 1
+               : -1;
   if (A.flag("--budget-slack", Value))
     return parseUnsigned("--budget-slack", Value,
                          std::numeric_limits<uint64_t>::max(),
@@ -317,18 +309,11 @@ int tryOrganizerFlags(Args &A, AosSystemConfig &Aos) {
                          Aos.Budget.ExplorationUnits)
                ? 1
                : -1;
-  if (A.flag("--budget-min-weight", Value)) {
-    const double X = std::atof(Value.c_str());
-    if (X < 0) {
-      std::fprintf(stderr,
-                   "--budget-min-weight takes a non-negative weight, "
-                   "not '%s'\n",
-                   Value.c_str());
-      return -1;
-    }
-    Aos.Budget.MinCandidateWeight = X;
-    return 1;
-  }
+  if (A.flag("--budget-min-weight", Value))
+    return parseDouble("--budget-min-weight", Value, 0, /*MinAllowed=*/true,
+                       Aos.Budget.MinCandidateWeight)
+               ? 1
+               : -1;
   return 0;
 }
 
@@ -405,7 +390,6 @@ int cmdRun(int Argc, char **Argv) {
   AosSystemConfig AosConfig;
   CostModel Model;
   bool ShowPlans = false, TraceStats = false;
-  std::string SaveProfile, LoadProfile;
   std::string ProfileOut, WarmStartPath;
 
   Args A{Argc, Argv};
@@ -423,7 +407,8 @@ int cmdRun(int Argc, char **Argv) {
       if (!parseUnsigned32("--depth", Value, Depth))
         return 1;
     } else if (A.flag("--scale", Value)) {
-      Params.Scale = std::atof(Value.c_str());
+      if (!parseScale(Value, Params.Scale))
+        return 1;
     } else if (A.flag("--seed", Value)) {
       if (!parseUnsigned("--seed", Value,
                          std::numeric_limits<uint64_t>::max(), Params.Seed))
@@ -433,19 +418,12 @@ int cmdRun(int Argc, char **Argv) {
                          std::numeric_limits<uint64_t>::max(),
                          Model.CodeCache.CapacityBytes))
         return 1;
-    } else if (A.flag("--save-profile", Value)) {
-      SaveProfile = Value;
-    } else if (A.flag("--load-profile", Value)) {
-      LoadProfile = Value;
     } else if (A.flag("--profile-out", Value)) {
       ProfileOut = Value;
     } else if (A.flag("--warm-start", Value)) {
       WarmStartPath = Value;
     } else if (A.flag("--osr", Value)) {
       if (!parseOsr(Value, AosConfig.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--fuse", Value)) {
-      if (!parseFuse(Value, Model.Fuse))
         return 1;
     } else if (int R = tryOrganizerFlags(A, AosConfig)) {
       if (R < 0)
@@ -466,23 +444,6 @@ int cmdRun(int Argc, char **Argv) {
   AdaptiveSystem Aos(VM, *Policy, AosConfig);
   if (TraceStats)
     Aos.traceListener().enableStatistics();
-  if (!LoadProfile.empty()) {
-    std::ifstream In(LoadProfile);
-    if (!In) {
-      std::fprintf(stderr, "cannot read '%s'\n", LoadProfile.c_str());
-      return 1;
-    }
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    DynamicCallGraph Training;
-    std::string Error;
-    if (!deserializeProfile(W.Prog, Buffer.str(), Training, Error)) {
-      std::fprintf(stderr, "profile parse error: %s\n", Error.c_str());
-      return 1;
-    }
-    Aos.seedProfile(Training);
-    std::printf("seeded %zu training traces\n", Training.numTraces());
-  }
   Aos.attach();
   if (!WarmStartPath.empty()) {
     std::shared_ptr<const ProfileData> Profile =
@@ -564,16 +525,6 @@ int cmdRun(int Argc, char **Argv) {
                 static_cast<unsigned long long>(
                     Code.recompilesAfterEvict()));
   }
-  if (Model.Fuse.Enabled) {
-    const CodeManager &Code = VM.codeManager();
-    std::printf("fusion         %llu runs (%llu instrs) installed, "
-                "%llu host bytes; %llu batches executed\n",
-                static_cast<unsigned long long>(Code.fusedRunsInstalled()),
-                static_cast<unsigned long long>(Code.fusedOpsTotal()),
-                static_cast<unsigned long long>(Code.fusedBytesTotal()),
-                static_cast<unsigned long long>(
-                    VM.counters().FusedRunsExecuted));
-  }
   for (unsigned C = 0; C != NumAosComponents; ++C)
     std::printf("aos %-21s %8.4f%%\n",
                 aosComponentName(static_cast<AosComponent>(C)),
@@ -599,15 +550,6 @@ int cmdRun(int Argc, char **Argv) {
         std::printf("%s", describeVariant(W.Prog, *V).c_str());
   }
 
-  if (!SaveProfile.empty()) {
-    std::ofstream Out(SaveProfile);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", SaveProfile.c_str());
-      return 1;
-    }
-    Out << serializeProfile(W.Prog, Aos.dcg());
-    std::printf("profile saved to %s\n", SaveProfile.c_str());
-  }
   if (!ProfileOut.empty()) {
     if (!writeProfileFile(
             ProfileOut, serializeProfileData(Aos.snapshotProfile(W.Name))))
@@ -647,7 +589,8 @@ int cmdTrace(int Argc, char **Argv) {
       if (!parseUnsigned32("--depth", Value, Config.MaxDepth))
         return 1;
     } else if (A.flag("--scale", Value)) {
-      Config.Params.Scale = std::atof(Value.c_str());
+      if (!parseScale(Value, Config.Params.Scale))
+        return 1;
     } else if (A.flag("--seed", Value)) {
       if (!parseUnsigned("--seed", Value,
                          std::numeric_limits<uint64_t>::max(),
@@ -667,9 +610,6 @@ int cmdTrace(int Argc, char **Argv) {
         return 1;
     } else if (A.flag("--osr", Value)) {
       if (!parseOsr(Value, Config.Aos.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--fuse", Value)) {
-      if (!parseFuse(Value, Config.Model.Fuse))
         return 1;
     } else if (int R = tryOrganizerFlags(A, Config.Aos)) {
       if (R < 0)
@@ -781,7 +721,8 @@ int cmdGrid(int Argc, char **Argv) {
         Config.Depths.push_back(Depth);
       }
     } else if (A.flag("--scale", Value)) {
-      Config.Params.Scale = std::atof(Value.c_str());
+      if (!parseScale(Value, Config.Params.Scale))
+        return 1;
     } else if (A.flag("--trials", Value)) {
       if (!parseUnsigned32("--trials", Value, Config.Trials))
         return 1;
@@ -795,9 +736,6 @@ int cmdGrid(int Argc, char **Argv) {
         return 1;
     } else if (A.flag("--osr", Value)) {
       if (!parseOsr(Value, Config.Aos.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--fuse", Value)) {
-      if (!parseFuse(Value, Config.Model.Fuse))
         return 1;
     } else if (int R = tryOrganizerFlags(A, Config.Aos)) {
       if (R < 0)
@@ -824,6 +762,11 @@ int cmdGrid(int Argc, char **Argv) {
     }
   }
 
+  for (const std::string &W : Config.Workloads)
+    if (!knownWorkload(W)) {
+      std::fprintf(stderr, "unknown workload '%s'\n", W.c_str());
+      return 1;
+    }
   if (!TraceOut.empty() || !TraceFilter.empty()) {
     Config.Trace = true;
     std::string Error;
@@ -992,9 +935,12 @@ int cmdFuzz(int Argc, char **Argv) {
       if (!parseUnsigned32("--depth-b", Value, Config.DepthB))
         return 1;
     } else if (A.flag("--threshold", Value)) {
-      Config.ThresholdPct = std::atof(Value.c_str());
+      if (!parseDouble("--threshold", Value, 0, /*MinAllowed=*/true,
+                       Config.ThresholdPct))
+        return 1;
     } else if (A.flag("--scale", Value)) {
-      Config.Params.Scale = std::atof(Value.c_str());
+      if (!parseScale(Value, Config.Params.Scale))
+        return 1;
     } else if (A.flag("--workload-seed", Value)) {
       if (!parseUnsigned("--workload-seed", Value,
                          std::numeric_limits<uint64_t>::max(),
@@ -1007,9 +953,6 @@ int cmdFuzz(int Argc, char **Argv) {
         return 1;
     } else if (A.flag("--osr", Value)) {
       if (!parseOsr(Value, Config.Aos.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--fuse", Value)) {
-      if (!parseFuse(Value, Config.Model.Fuse))
         return 1;
     } else if (A.flag("--max-diffs", Value)) {
       if (!parseUnsigned32("--max-diffs", Value, Config.MaxDifferentials))
@@ -1130,7 +1073,8 @@ int cmdSteady(int Argc, char **Argv) {
       if (!parseUnsigned32("--depth", Value, Base.MaxDepth))
         return 1;
     } else if (A.flag("--scale", Value)) {
-      Base.Params.Scale = std::atof(Value.c_str());
+      if (!parseScale(Value, Base.Params.Scale))
+        return 1;
     } else if (A.flag("--seed", Value)) {
       if (!parseUnsigned("--seed", Value,
                          std::numeric_limits<uint64_t>::max(),
@@ -1146,9 +1090,6 @@ int cmdSteady(int Argc, char **Argv) {
         return 1;
     } else if (A.flag("--osr", Value)) {
       if (!parseOsr(Value, Base.Aos.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--fuse", Value)) {
-      if (!parseFuse(Value, Base.Model.Fuse))
         return 1;
     } else if (A.flag("--json", Value)) {
       JsonOut = Value;
@@ -1225,7 +1166,8 @@ int cmdServe(int Argc, char **Argv) {
       if (!parseUnsigned32("--depth", Value, Config.MaxDepth))
         return 1;
     } else if (A.flag("--scale", Value)) {
-      Config.Params.Scale = std::atof(Value.c_str());
+      if (!parseScale(Value, Config.Params.Scale))
+        return 1;
     } else if (A.flag("--seed", Value)) {
       if (!parseUnsigned("--seed", Value,
                          std::numeric_limits<uint64_t>::max(),
@@ -1258,9 +1200,6 @@ int cmdServe(int Argc, char **Argv) {
         return 1;
     } else if (A.flag("--osr", Value)) {
       if (!parseOsr(Value, Config.Aos.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--fuse", Value)) {
-      if (!parseFuse(Value, Config.Model.Fuse))
         return 1;
     } else if (int R = tryOrganizerFlags(A, Config.Aos)) {
       if (R < 0)
@@ -1335,6 +1274,10 @@ int cmdServe(int Argc, char **Argv) {
 int cmdDisasm(int Argc, char **Argv) {
   if (Argc < 3)
     return usage();
+  if (!knownWorkload(Argv[2])) {
+    std::fprintf(stderr, "unknown workload '%s'\n", Argv[2]);
+    return 1;
+  }
   Workload W = makeWorkload(Argv[2], WorkloadParams{1, 0.01});
   if (Argc >= 4) {
     MethodId M = W.Prog.findMethod(Argv[3]);
