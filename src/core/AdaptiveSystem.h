@@ -227,6 +227,7 @@ public:
   const OsrStats &osrStats() const { return OsrMgr.stats(); }
   ContextPolicy &policy() { return Policy; }
   TraceListener &traceListener() { return TraceL; }
+  const TraceListener &traceListener() const { return TraceL; }
   const AosSystemConfig &config() const { return Config; }
 
 private:

@@ -53,7 +53,7 @@ struct BudgetOrganizerConfig {
   double MinCandidateWeight = 1.5;
 };
 
-/// Outcome of one rebuild, for overhead accounting and RunMetrics.
+/// Outcome of one rebuild, for overhead accounting and RunResult.
 struct BudgetRebuildStats {
   size_t Scanned = 0;           ///< DCG traces examined.
   uint64_t UnitsSpent = 0;      ///< Priced units of accepted candidates.

@@ -67,7 +67,8 @@ std::string aoci::exportMetricsCsv(const GridResults &Results) {
       "warm_dropped,opt_compile_cycles,share_hits,share_publishes,"
       "share_saved_cycles,shared_bytes,private_bytes,budget_spent,"
       "budget_pruned,estimate_err_pct\n";
-  for (const RunMetrics &M : Results.metrics())
+  for (const RunMetrics &M : Results.metrics()) {
+    const RunResult &R = Results.result(M);
     Out += formatString(
         "%s,%s,%u,%s,%u,%llu,%llu,%llu,%s,%llu,%llu,%s,%llu,%llu,%llu,"
         "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.4f\n",
@@ -76,20 +77,22 @@ std::string aoci::exportMetricsCsv(const GridResults &Results) {
         M.IsBaseline ? "baseline" : "cell", M.Worker,
         static_cast<unsigned long long>(M.QueueLatencyNs),
         static_cast<unsigned long long>(M.HostNs),
-        static_cast<unsigned long long>(M.RunCycles),
+        static_cast<unsigned long long>(R.WallCycles),
         !M.SteadyKnown ? "n/a" : M.SteadyReached ? "yes" : "no",
         static_cast<unsigned long long>(M.WarmupCycles),
         static_cast<unsigned long long>(M.SteadyCycles),
-        M.WarmStarted ? "yes" : "no",
-        static_cast<unsigned long long>(M.WarmApplied),
-        static_cast<unsigned long long>(M.WarmDropped),
-        static_cast<unsigned long long>(M.OptCompileCycles),
-        static_cast<unsigned long long>(M.ShareHits),
-        static_cast<unsigned long long>(M.SharePublishes),
-        static_cast<unsigned long long>(M.ShareCyclesSaved),
-        static_cast<unsigned long long>(M.SharedBytes),
-        static_cast<unsigned long long>(M.PrivateBytes),
-        static_cast<unsigned long long>(M.BudgetSpent),
-        static_cast<unsigned long long>(M.BudgetPruned), M.EstimateErrPct);
+        R.WarmStarted ? "yes" : "no",
+        static_cast<unsigned long long>(R.WarmStartApplied),
+        static_cast<unsigned long long>(R.WarmStartDropped),
+        static_cast<unsigned long long>(R.OptCompileCycles),
+        static_cast<unsigned long long>(R.ShareHits),
+        static_cast<unsigned long long>(R.SharePublishes),
+        static_cast<unsigned long long>(R.ShareCyclesSaved),
+        static_cast<unsigned long long>(R.SharedCodeBytes),
+        static_cast<unsigned long long>(R.PrivateCodeBytes),
+        static_cast<unsigned long long>(R.BudgetUnitsSpent),
+        static_cast<unsigned long long>(R.BudgetCandidatesPruned),
+        R.EstimateErrorPct);
+  }
   return Out;
 }

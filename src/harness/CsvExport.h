@@ -34,8 +34,9 @@ std::string exportCsv(const GridResults &Results,
                       const std::vector<PolicyKind> &Policies,
                       const std::vector<unsigned> &Depths);
 
-/// Renders the harness-side execution record (GridResults::metrics())
-/// as CSV, one row per run in grid order. Columns:
+/// Renders the harness-side execution record (GridResults::metrics()),
+/// each row joined with its run's RunResult counters, as CSV, one row per
+/// run in grid order. Columns:
 ///   workload,policy,max_depth,kind,worker,queue_ns,host_ns,run_cycles,
 ///   steady,warmup_cycles,steady_cycles,warm_start,warm_applied,
 ///   warm_dropped,opt_compile_cycles,share_hits,share_publishes,

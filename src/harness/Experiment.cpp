@@ -22,28 +22,44 @@
 
 using namespace aoci;
 
-RunResult aoci::runExperiment(const RunConfig &Config) {
-  Workload W = Config.Scenario
-                   ? makeScenarioWorkload(*Config.Scenario, Config.Params)
-                   : makeWorkload(Config.WorkloadName, Config.Params);
-  VirtualMachine VM(W.Prog, Config.Model);
-  // Attach the trace sink before the first addThread() so lazy baseline
-  // compilations of the entry methods are captured too.
+namespace {
+
+Workload buildWorkload(const RunConfig &Config) {
+  return Config.Scenario
+             ? makeScenarioWorkload(*Config.Scenario, Config.Params)
+             : makeWorkload(Config.WorkloadName, Config.Params);
+}
+
+} // namespace
+
+Session::Session(const RunConfig &Config, SharedCodeCache *Share,
+                 unsigned SessionId)
+    : Config(Config), W(buildWorkload(Config)), VM(W.Prog, Config.Model),
+      Policy(makePolicy(Config.Policy, Config.MaxDepth)),
+      Aos(VM, *Policy, Config.Aos) {
   if (Config.Trace)
     VM.setTraceSink(Config.Trace);
-  std::unique_ptr<ContextPolicy> Policy =
-      makePolicy(Config.Policy, Config.MaxDepth);
-  AdaptiveSystem Aos(VM, *Policy, Config.Aos);
   if (Config.CollectTraceStats)
     Aos.traceListener().enableStatistics();
+  if (Share) {
+    Bridge = std::make_unique<ShareSession>(*Share, SessionId, VM);
+    Aos.setShareClient(Bridge.get());
+  }
   Aos.attach();
-  WarmStartStats Warm;
   if (Config.WarmStart)
     Warm = Aos.warmStart(*Config.WarmStart);
   for (MethodId Entry : W.Entries)
     VM.addThread(Entry);
-  VM.run();
+}
 
+bool Session::finished() const {
+  for (const auto &T : VM.threads())
+    if (!T->Finished)
+      return false;
+  return true;
+}
+
+RunResult Session::result() const {
   RunResult R;
   R.WorkloadName = W.Name;
   R.Policy = Config.Policy;
@@ -98,6 +114,12 @@ RunResult aoci::runExperiment(const RunConfig &Config) {
   if (Config.CollectTraceStats)
     R.TraceStats = Aos.traceListener().statistics();
   return R;
+}
+
+RunResult aoci::runExperiment(const RunConfig &Config) {
+  Session S(Config);
+  S.run();
+  return S.result();
 }
 
 uint64_t aoci::deriveRunSeed(const RunConfig &Config, unsigned Trial) {
@@ -279,22 +301,6 @@ RunMetrics makeMetrics(const PlannedRun &Run, const RunResult &Result,
   M.Worker = Worker;
   M.QueueLatencyNs = QueueLatencyNs;
   M.HostNs = HostNs;
-  M.RunCycles = Result.WallCycles;
-  M.OsrEntries = Result.OsrEntries;
-  M.Deopts = Result.Deopts;
-  M.Evictions = Result.Evictions;
-  M.WarmStarted = Result.WarmStarted;
-  M.WarmApplied = Result.WarmStartApplied;
-  M.WarmDropped = Result.WarmStartDropped;
-  M.OptCompileCycles = Result.OptCompileCycles;
-  M.ShareHits = Result.ShareHits;
-  M.SharePublishes = Result.SharePublishes;
-  M.ShareCyclesSaved = Result.ShareCyclesSaved;
-  M.SharedBytes = Result.SharedCodeBytes;
-  M.PrivateBytes = Result.PrivateCodeBytes;
-  M.BudgetSpent = Result.BudgetUnitsSpent;
-  M.BudgetPruned = Result.BudgetCandidatesPruned;
-  M.EstimateErrPct = Result.EstimateErrorPct;
   // The steady/warmup split comes from the run's own trace stream; a
   // grid without tracing (or with a filter missing the needed kinds)
   // reports the verdict as unknown rather than guessing.

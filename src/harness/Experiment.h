@@ -8,9 +8,10 @@
 /// \file
 /// The measurement harness behind every table and figure: one "run" is a
 /// workload executed to completion inside a fresh VM with a fresh
-/// adaptive system under one context-sensitivity policy; a "grid" is the
-/// benchmark x policy x depth sweep the paper's Figures 4-6 plot, with
-/// the context-insensitive run of each workload as the baseline.
+/// adaptive system under one context-sensitivity policy (a Session); a
+/// "grid" is the benchmark x policy x depth sweep the paper's Figures 4-6
+/// plot, with the context-insensitive run of each workload as the
+/// baseline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 
 #include "core/AdaptiveSystem.h"
 #include "profile/TraceStatistics.h"
+#include "share/SharedCodeCache.h"
 #include "trace/TraceSink.h"
 #include "workload/Workload.h"
 #include "workload/scenario/ScenarioSpec.h"
@@ -183,6 +185,50 @@ struct RunResult {
   }
 };
 
+/// One run, assembled the one way every run is: the workload, the VM, the
+/// policy and the adaptive system, wired in a fixed order. The trace sink
+/// goes on before the first thread, so lazy baseline compilations of the
+/// entry methods are traced; trace statistics and the share client are set
+/// before attach(); the warm start comes after attach(); the entry threads
+/// are added last. runExperiment, every serve session and `aoci run` are a
+/// Session.
+class Session {
+public:
+  /// Builds the run \p Config describes, ready to run. With \p Share, the
+  /// run's optimizing compiles go through a ShareSession bridge to that
+  /// shared code cache as serve-schedule position \p SessionId.
+  explicit Session(const RunConfig &Config, SharedCodeCache *Share = nullptr,
+                   unsigned SessionId = 0);
+  Session(const Session &) = delete;
+  Session &operator=(const Session &) = delete;
+
+  /// Runs until every thread finishes or the clock passes \p CycleLimit
+  /// (serve advances a session one slice at a time).
+  void run(uint64_t CycleLimit = UINT64_MAX) { VM.run(CycleLimit); }
+  /// True once every thread has finished.
+  bool finished() const;
+
+  /// The run's counters as they stand (see RunResult).
+  RunResult result() const;
+
+  /// The live objects, for callers that report more than RunResult holds.
+  const Workload &workload() const { return W; }
+  VirtualMachine &vm() { return VM; }
+  AdaptiveSystem &aos() { return Aos; }
+  const WarmStartStats &warmStart() const { return Warm; }
+  /// The serve bridge; null without a shared cache.
+  ShareSession *share() { return Bridge.get(); }
+
+private:
+  const RunConfig Config;
+  Workload W;
+  VirtualMachine VM;
+  std::unique_ptr<ContextPolicy> Policy;
+  AdaptiveSystem Aos;
+  std::unique_ptr<ShareSession> Bridge;
+  WarmStartStats Warm;
+};
+
 /// Runs one experiment to completion.
 RunResult runExperiment(const RunConfig &Config);
 
@@ -201,12 +247,12 @@ uint64_t deriveRunSeed(const RunConfig &Config, unsigned Trial);
 /// down. Trials must be at least 1.
 RunResult runBestOf(const RunConfig &Config, unsigned Trials);
 
-/// Host-side execution record of one grid run. Everything in here is
-/// about the *harness* (host wall time, queue latency, which worker ran
-/// the cell) and is deliberately kept out of RunResult and the
-/// deterministic grid CSV: simulated results are bit-identical across
-/// thread counts, host timings never are. Exported separately via
-/// exportMetricsCsv() / reportRunMetrics().
+/// Host-side execution record of one grid run: which run it was, the
+/// worker that ran it, how long it queued and ran, and the steady-state
+/// verdict of its trace. The run's counters are its RunResult
+/// (GridResults::result()); simulated results are bit-identical across
+/// thread counts, host timings never are. Exported with the RunResult
+/// counters via exportMetricsCsv() / reportRunMetrics().
 struct RunMetrics {
   std::string WorkloadName;
   PolicyKind Policy = PolicyKind::ContextInsensitive;
@@ -219,37 +265,6 @@ struct RunMetrics {
   uint64_t QueueLatencyNs = 0;
   /// Host ns spent executing the run (all trials).
   uint64_t HostNs = 0;
-  /// The run's simulated wall cycles (copied from the best trial).
-  uint64_t RunCycles = 0;
-  /// OSR activity of the best trial (zero with OSR disabled). Reported
-  /// by reportRunMetrics(); not part of the frozen metrics CSV.
-  uint64_t OsrEntries = 0;
-  uint64_t Deopts = 0;
-  /// Code-cache evictions of the best trial (zero with the cache off).
-  uint64_t Evictions = 0;
-  /// Warm-start provenance of the best trial (see RunResult), appended
-  /// to the metrics CSV as `warm_start,warm_applied,warm_dropped`, and
-  /// the optimizing-compiler cycles (`opt_compile_cycles`) whose cold-
-  /// vs-warm delta is the "compile cycles saved" a warm start buys.
-  bool WarmStarted = false;
-  uint64_t WarmApplied = 0;
-  uint64_t WarmDropped = 0;
-  uint64_t OptCompileCycles = 0;
-  /// Shared-code-cache activity of the best trial (zero outside serve
-  /// mode; see RunResult). Appended to the metrics CSV as
-  /// `share_hits,share_publishes,share_saved_cycles,shared_bytes,
-  /// private_bytes`.
-  uint64_t ShareHits = 0;
-  uint64_t SharePublishes = 0;
-  uint64_t ShareCyclesSaved = 0;
-  uint64_t SharedBytes = 0;
-  uint64_t PrivateBytes = 0;
-  /// Budget-organizer activity of the best trial (zero under the
-  /// threshold organizer; see RunResult). Appended to the metrics CSV as
-  /// `budget_spent,budget_pruned,estimate_err_pct`.
-  uint64_t BudgetSpent = 0;
-  uint64_t BudgetPruned = 0;
-  double EstimateErrPct = 0.0;
   /// Steady-state verdict for the best trial (see SteadyState.h). Known
   /// only when the run traced the kinds detection needs
   /// (steadyStateKindMask()); SteadyReached/Warmup/Steady are meaningful
@@ -322,6 +337,12 @@ public:
   /// Optimizing-compile-time change % over baseline.
   double compileTimePercent(const std::string &Workload, PolicyKind Policy,
                             unsigned Depth) const;
+
+  /// The run \p M records: its workload's baseline or its cell.
+  const RunResult &result(const RunMetrics &M) const {
+    return M.IsBaseline ? baseline(M.WorkloadName)
+                        : cell(M.WorkloadName, M.Policy, M.MaxDepth);
+  }
 
   const std::vector<std::string> &workloads() const { return Workloads; }
 

@@ -23,9 +23,20 @@ std::string aoci::reportTable1(const std::vector<RunResult> &Runs) {
                     formatString("%u", R.MethodsCompiled),
                     formatString("%llu", static_cast<unsigned long long>(
                                              R.BytecodesCompiled))});
+  // Table 1 of the paper, for comparison.
+  const std::vector<std::vector<std::string>> Paper = {
+      {"compress", "48", "489", "19480"},
+      {"jess", "176", "1101", "35316"},
+      {"db", "41", "510", "20495"},
+      {"javac", "176", "1496", "56282"},
+      {"mpegaudio", "85", "712", "51308"},
+      {"mtrt", "62", "629", "24435"},
+      {"jack", "86", "743", "36253"},
+      {"SPECjbb2000", "132", "1778", "73608"}};
   return "Table 1: benchmark characteristics (classes loaded, methods and "
          "bytecodes dynamically compiled)\n" +
-         renderTable(Header, Rows);
+         renderTable(Header, Rows) + "\nPaper reference values:\n" +
+         renderTable(Header, Paper);
 }
 
 namespace {
@@ -79,10 +90,21 @@ std::string aoci::reportFigure4(const GridResults &Results,
 std::string aoci::reportFigure5(const GridResults &Results,
                                 const std::vector<PolicyKind> &Policies,
                                 const std::vector<unsigned> &Depths) {
-  return reportMetricGrid(
+  std::string Out = reportMetricGrid(
       "Figure 5: optimized code size change over context-insensitive "
       "inlining (negative = smaller, desirable)",
       Results, Policies, Depths, &GridResults::codeSizePercent);
+  // Absolute anchors for the relative panels: "code space" is the
+  // resident optimized code; the cumulative-generated figure also counts
+  // code obsoleted by recompilation and tracks compile time.
+  Out += "\ncontext-insensitive baseline code size (bytes):\n";
+  for (const std::string &W : Results.workloads()) {
+    const RunResult &B = Results.baseline(W);
+    Out += formatString("  %-12s %llu resident / %llu generated\n", W.c_str(),
+                        static_cast<unsigned long long>(B.OptBytesResident),
+                        static_cast<unsigned long long>(B.OptBytesGenerated));
+  }
+  return Out;
 }
 
 std::string
@@ -106,16 +128,18 @@ std::string aoci::reportFigure6(const GridResults &Results,
     Header.push_back(aosComponentName(static_cast<AosComponent>(C)));
   Header.push_back("total");
 
-  auto averagedRow = [&](const std::string &Label,
-                         const std::function<const RunResult &(
-                             const std::string &)> &Select) {
+  using SelectFn = std::function<const RunResult &(const std::string &)>;
+  auto meanFraction = [&](const SelectFn &Select, AosComponent C) {
+    double Sum = 0;
+    for (const std::string &W : Results.workloads())
+      Sum += Select(W).componentFraction(C);
+    return Sum / static_cast<double>(Results.workloads().size());
+  };
+  auto averagedRow = [&](const std::string &Label, const SelectFn &Select) {
     std::vector<std::string> Row = {Label};
     double Total = 0;
     for (unsigned C = 0; C != NumAosComponents; ++C) {
-      double Sum = 0;
-      for (const std::string &W : Results.workloads())
-        Sum += Select(W).componentFraction(static_cast<AosComponent>(C));
-      double Avg = Sum / static_cast<double>(Results.workloads().size());
+      double Avg = meanFraction(Select, static_cast<AosComponent>(C));
       Total += Avg;
       Row.push_back(formatString("%.4f%%", Avg * 100.0));
     }
@@ -123,19 +147,29 @@ std::string aoci::reportFigure6(const GridResults &Results,
     return Row;
   };
 
+  const SelectFn Cins = [&](const std::string &W) -> const RunResult & {
+    return Results.baseline(W);
+  };
+  const double CinsCompileShare =
+      meanFraction(Cins, AosComponent::Compilation);
   std::vector<std::vector<std::string>> Rows;
-  Rows.push_back(averagedRow(
-      "cins", [&](const std::string &W) -> const RunResult & {
-        return Results.baseline(W);
-      }));
+  Rows.push_back(averagedRow("cins", Cins));
+  std::string ShareChange =
+      "\nRelative change of the compilation-thread share vs cins "
+      "(paper: 8-33% reductions):\n";
   for (PolicyKind Policy : Policies)
-    for (unsigned D : Depths)
+    for (unsigned D : Depths) {
+      const SelectFn Cell = [&](const std::string &W) -> const RunResult & {
+        return Results.cell(W, Policy, D);
+      };
       Rows.push_back(averagedRow(
-          formatString("%s max=%u", policyKindName(Policy), D),
-          [&](const std::string &W) -> const RunResult & {
-            return Results.cell(W, Policy, D);
-          }));
-  Out += renderTable(Header, Rows);
+          formatString("%s max=%u", policyKindName(Policy), D), Cell));
+      ShareChange += formatString(
+          "  %-10s max=%u: %+.1f%%\n", policyKindName(Policy), D,
+          percentChange(CinsCompileShare,
+                        meanFraction(Cell, AosComponent::Compilation)));
+    }
+  Out += renderTable(Header, Rows) + ShareChange;
   return Out;
 }
 
@@ -224,13 +258,14 @@ std::string aoci::reportRunMetrics(const GridResults &Results) {
   unsigned MaxWorker = 0;
   unsigned SteadyKnown = 0, SteadyReached = 0;
   for (const RunMetrics &M : Metrics) {
+    const RunResult &R = Results.result(M);
     Rows.push_back(
         {M.WorkloadName,
          M.IsBaseline ? "cins" : policyKindName(M.Policy),
          formatString("%u", M.MaxDepth), formatString("%u", M.Worker),
          formatString("%.1f", static_cast<double>(M.QueueLatencyNs) / 1e3),
          formatString("%.2f", static_cast<double>(M.HostNs) / 1e6),
-         formatString("%.2f", static_cast<double>(M.RunCycles) / 1e6),
+         formatString("%.2f", static_cast<double>(R.WallCycles) / 1e6),
          !M.SteadyKnown    ? "n/a"
          : !M.SteadyReached ? "no"
                             : formatString(
@@ -238,18 +273,18 @@ std::string aoci::reportRunMetrics(const GridResults &Results) {
                                   static_cast<double>(M.WarmupCycles) / 1e6)});
     TotalHostNs += M.HostNs;
     TotalQueueNs += M.QueueLatencyNs;
-    TotalCycles += M.RunCycles;
-    TotalOsrEntries += M.OsrEntries;
-    TotalDeopts += M.Deopts;
-    TotalEvictions += M.Evictions;
-    TotalShareHits += M.ShareHits;
-    TotalSharePublishes += M.SharePublishes;
-    TotalShareSaved += M.ShareCyclesSaved;
-    TotalBudgetSpent += M.BudgetSpent;
-    TotalBudgetPruned += M.BudgetPruned;
-    WarmRuns += M.WarmStarted;
-    TotalWarmApplied += M.WarmApplied;
-    TotalWarmDropped += M.WarmDropped;
+    TotalCycles += R.WallCycles;
+    TotalOsrEntries += R.OsrEntries;
+    TotalDeopts += R.Deopts;
+    TotalEvictions += R.Evictions;
+    TotalShareHits += R.ShareHits;
+    TotalSharePublishes += R.SharePublishes;
+    TotalShareSaved += R.ShareCyclesSaved;
+    TotalBudgetSpent += R.BudgetUnitsSpent;
+    TotalBudgetPruned += R.BudgetCandidatesPruned;
+    WarmRuns += R.WarmStarted;
+    TotalWarmApplied += R.WarmStartApplied;
+    TotalWarmDropped += R.WarmStartDropped;
     SteadyKnown += M.SteadyKnown;
     SteadyReached += M.SteadyReached;
     MaxWorker = std::max(MaxWorker, M.Worker);

@@ -13,6 +13,7 @@
 #include "trace/TraceJson.h"
 #include "workload/scenario/ScenarioSpec.h"
 
+#include <algorithm>
 #include <thread>
 
 using namespace aoci;
@@ -37,17 +38,14 @@ bool aoci::parseTenantList(const std::string &List,
     const size_t Colon = Item.find(':');
     Spec.Name = Item.substr(0, Colon);
     if (Colon != std::string::npos) {
-      const std::string Count = Item.substr(Colon + 1);
-      bool Digits = !Count.empty();
-      for (char C : Count)
-        Digits &= C >= '0' && C <= '9';
+      uint64_t Count = 0;
       // The cap keeps a typo'd count from silently scheduling thousands
       // of sessions; raise it here if a real mix ever needs more.
-      if (!Digits || Count.size() > 3) {
+      if (!parseUnsigned(Item.substr(Colon + 1), 999, Count)) {
         Error = "tenant '" + Item + "': count must be 1..999";
         return false;
       }
-      Spec.Count = static_cast<unsigned>(std::stoul(Count));
+      Spec.Count = static_cast<unsigned>(Count);
       if (Spec.Count == 0) {
         Error = "tenant '" + Item + "': count must be at least 1";
         return false;
@@ -71,20 +69,15 @@ bool aoci::parseTenantList(const std::string &List,
 
 namespace {
 
-/// One live session of the serve schedule. Heap-allocated so Workload's
-/// Program (which the VM holds by reference) never moves.
+/// One session of the serve schedule and where it stands in it.
+/// Heap-allocated so the Session (which the pool's tasks point at) and
+/// the trace sink (which its VM records into) never move.
 struct LiveSession {
   unsigned Id = 0;
   std::string TenantName;
-  bool IsScenario = false;
-  unsigned StartRound = 0;
-  Workload W;
+  uint64_t StartRound = 0;
   TraceSink Trace;
-  std::unique_ptr<VirtualMachine> VM;
-  std::unique_ptr<ContextPolicy> Policy;
-  std::unique_ptr<AdaptiveSystem> Aos;
-  std::unique_ptr<ShareSession> Bridge;
-  WarmStartStats Warm;
+  std::unique_ptr<Session> Run;
   /// Absolute clock bound of the next slice (advances by SliceCycles per
   /// round; a session whose clock overshot a slice — one long compile —
   /// simply idles until the bound catches up, deterministically).
@@ -92,13 +85,6 @@ struct LiveSession {
   uint64_t RoundsRun = 0;
   bool Started = false;
   bool Done = false;
-
-  bool finished() const {
-    for (const auto &T : VM->threads())
-      if (!T->Finished)
-        return false;
-    return true;
-  }
 };
 
 } // namespace
@@ -122,26 +108,21 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
       auto S = std::make_unique<LiveSession>();
       S->Id = static_cast<unsigned>(Sessions.size());
       S->TenantName = T.Name;
-      S->IsScenario = findBuiltinScenario(T.Name) != nullptr;
-      S->StartRound = S->Id * Config.StaggerRounds;
-      S->W = makeWorkload(T.Name, Config.Params);
-      S->VM = std::make_unique<VirtualMachine>(S->W.Prog, Config.Model);
+      S->StartRound = uint64_t{S->Id} * Config.StaggerRounds;
+      RunConfig Run;
+      Run.WorkloadName = T.Name;
+      Run.Params = Config.Params;
+      Run.Policy = Config.Policy;
+      Run.MaxDepth = Config.MaxDepth;
+      Run.Aos = Config.Aos;
+      Run.Model = Config.Model;
+      Run.WarmStart = Config.WarmStart;
       if (Config.Trace) {
         S->Trace.enable(Config.TraceKindMask);
-        S->VM->setTraceSink(&S->Trace);
+        Run.Trace = &S->Trace;
       }
-      S->Policy = makePolicy(Config.Policy, Config.MaxDepth);
-      S->Aos =
-          std::make_unique<AdaptiveSystem>(*S->VM, *S->Policy, Config.Aos);
-      if (Config.ShareEnabled) {
-        S->Bridge = std::make_unique<ShareSession>(Cache, S->Id, *S->VM);
-        S->Aos->setShareClient(S->Bridge.get());
-      }
-      S->Aos->attach();
-      if (Config.WarmStart)
-        S->Warm = S->Aos->warmStart(*Config.WarmStart);
-      for (MethodId Entry : S->W.Entries)
-        S->VM->addThread(Entry);
+      S->Run = std::make_unique<Session>(
+          Run, Config.ShareEnabled ? &Cache : nullptr, S->Id);
       Sessions.push_back(std::move(S));
     }
   }
@@ -151,6 +132,7 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
     ThreadPool Pool(Jobs);
     while (true) {
       bool AnyAlive = false;
+      uint64_t NextStart = UINT64_MAX;
       std::vector<LiveSession *> Active;
       for (auto &S : Sessions) {
         if (S->Done)
@@ -160,52 +142,58 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
           S->Started = true;
         if (S->Started)
           Active.push_back(S.get());
+        else
+          NextStart = std::min(NextStart, S->StartRound);
       }
       if (!AnyAlive)
         break;
+      // Nothing started is still live: skip the idle rounds up to the
+      // next start. An idle round changes nothing simulated (no session
+      // runs or publishes, so the shared bound already holds).
+      if (Active.empty()) {
+        Round = NextStart;
+        continue;
+      }
 
       // One slice of every active session, in parallel. The shared index
       // is frozen for the duration: sessions only read it (lookups) and
       // append to their own pending logs, so the interleaving cannot
       // influence any simulated outcome.
-      if (!Active.empty()) {
-        std::vector<std::future<void>> Futures;
-        Futures.reserve(Active.size());
-        for (LiveSession *S : Active) {
-          S->NextLimit += Config.SliceCycles;
-          Futures.push_back(Pool.submit([S] { S->VM->run(S->NextLimit); }));
-        }
-        // get() rather than wait(): a session that threw re-throws here.
-        for (std::future<void> &F : Futures)
-          F.get();
+      std::vector<std::future<void>> Futures;
+      Futures.reserve(Active.size());
+      for (LiveSession *S : Active) {
+        S->NextLimit += Config.SliceCycles;
+        Futures.push_back(Pool.submit([S] { S->Run->run(S->NextLimit); }));
       }
+      // get() rather than wait(): a session that threw re-throws here.
+      for (std::future<void> &F : Futures)
+        F.get();
 
       // Single-threaded barrier, in session-id order: merge share
       // activity, retire finished sessions, enforce the shared bound.
       for (LiveSession *S : Active) {
         ++S->RoundsRun;
-        if (S->Bridge)
-          S->Bridge->commitRound(Round);
+        if (ShareSession *Bridge = S->Run->share())
+          Bridge->commitRound(Round);
       }
       for (LiveSession *S : Active) {
-        if (!S->finished())
+        if (!S->Run->finished())
           continue;
-        if (S->Bridge)
-          S->Bridge->sessionEnded();
+        if (ShareSession *Bridge = S->Run->share())
+          Bridge->sessionEnded();
         S->Done = true;
       }
       if (Config.ShareEnabled) {
         for (size_t Victim : Cache.enforceCapacity(Round))
           for (auto &S : Sessions)
-            if (S->Bridge && S->Started && !S->Done)
-              S->Bridge->applySharedEviction(Victim);
+            if (S->Started && !S->Done)
+              S->Run->share()->applySharedEviction(Victim);
         if (audit::enabled()) {
           size_t Registered = 0;
-          for (auto &S : Sessions)
-            if (S->Bridge) {
-              S->Bridge->auditRegistry("serve-barrier");
-              Registered += S->Bridge->numRegistered();
-            }
+          for (auto &S : Sessions) {
+            S->Run->share()->auditRegistry("serve-barrier");
+            Registered += S->Run->share()->numRegistered();
+          }
           Cache.audit("serve-barrier");
           size_t Installed = 0;
           for (size_t I = 0; I != Cache.numEntries(); ++I)
@@ -234,30 +222,16 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
   R.Rounds = Round;
   for (auto &S : Sessions) {
     ServeSessionResult Row;
+    static_cast<RunResult &>(Row) = S->Run->result();
     Row.SessionId = S->Id;
     Row.TenantName = S->TenantName;
-    Row.IsScenario = S->IsScenario;
+    Row.IsScenario = findBuiltinScenario(S->TenantName) != nullptr;
     Row.StartRound = S->StartRound;
     Row.RoundsRun = S->RoundsRun;
-    Row.WallCycles = S->VM->cycles();
-    Row.ProgramResult = S->VM->threads().front()->Result.asInt();
-    Row.OptCompilations = S->Aos->stats().OptCompilations;
-    Row.OptCompileCycles = S->VM->codeManager().optCompileCycles();
-    Row.ShareHits = S->Aos->stats().ShareHits;
-    Row.SharePublishes = S->Aos->stats().SharePublishes;
-    Row.ShareCyclesSaved = S->Aos->stats().ShareCyclesSaved;
-    if (S->Bridge) {
-      Row.SharedEvictionsApplied = S->Bridge->sharedEvictionsApplied();
-      Row.PinnedSharedEvicts = S->Bridge->pinnedSharedEvicts();
+    if (const ShareSession *Bridge = S->Run->share()) {
+      Row.SharedEvictionsApplied = Bridge->sharedEvictionsApplied();
+      Row.PinnedSharedEvicts = Bridge->pinnedSharedEvicts();
     }
-    Row.SharedCodeBytes = S->VM->codeManager().sharedInBytesLive();
-    Row.PrivateCodeBytes =
-        S->VM->codeManager().liveCodeBytes() - Row.SharedCodeBytes;
-    Row.Evictions = S->VM->codeManager().numEvictions();
-    Row.Deopts = S->Aos->osrStats().Deopts;
-    Row.OsrEntries = S->Aos->osrStats().OsrEntries;
-    Row.WarmStartApplied = S->Warm.applied();
-    Row.WarmStartDropped = S->Warm.dropped();
     R.Sessions.push_back(std::move(Row));
     if (Config.Trace) {
       R.Traces.push_back(std::move(S->Trace));
@@ -308,10 +282,11 @@ std::string aoci::exportServeCsv(const ServeResults &Results) {
       "shared_bytes,private_bytes,evictions,deopts,osr_entries\n";
   for (const ServeSessionResult &S : Results.Sessions)
     Out += formatString(
-        "%u,%s,%s,%u,%llu,%llu,%lld,%u,%llu,%llu,%llu,%llu,%llu,%llu,"
+        "%u,%s,%s,%llu,%llu,%llu,%lld,%u,%llu,%llu,%llu,%llu,%llu,%llu,"
         "%llu,%llu,%llu,%llu,%llu\n",
         S.SessionId, S.TenantName.c_str(),
-        S.IsScenario ? "scenario" : "workload", S.StartRound,
+        S.IsScenario ? "scenario" : "workload",
+        static_cast<unsigned long long>(S.StartRound),
         static_cast<unsigned long long>(S.RoundsRun),
         static_cast<unsigned long long>(S.WallCycles),
         static_cast<long long>(S.ProgramResult), S.OptCompilations,

@@ -21,10 +21,7 @@
 #ifndef AOCI_HARNESS_SERVE_H
 #define AOCI_HARNESS_SERVE_H
 
-#include "core/AdaptiveSystem.h"
-#include "share/SharedCodeCache.h"
-#include "trace/TraceSink.h"
-#include "workload/Workload.h"
+#include "harness/Experiment.h"
 
 #include <functional>
 #include <iosfwd>
@@ -66,9 +63,11 @@ struct ServeConfig {
   /// Simulated cycles each session advances per round.
   uint64_t SliceCycles = 2000000;
   /// Rounds between consecutive session starts (session i starts at
-  /// round i * StaggerRounds). The default 1 lets each session's first
-  /// compilations find what its predecessors already published; 0
-  /// starts everyone together (maximizing same-round duplicates).
+  /// round i * StaggerRounds, computed in 64 bits). The default 1 lets
+  /// each session's first compilations find what its predecessors
+  /// already published; 0 starts everyone together (maximizing
+  /// same-round duplicates). Rounds in which no started session is live
+  /// are skipped, not run.
   unsigned StaggerRounds = 1;
   /// Master switch for the shared code cache (`--share-cache off`).
   /// Off, every session runs exactly as a solo runExperiment() would.
@@ -85,33 +84,20 @@ struct ServeConfig {
   ServeConfig() { Aos.Osr.Enabled = true; }
 };
 
-/// What one session did, harvested after its last round.
-struct ServeSessionResult {
+/// What one session did: its run's counters (a session is a Session, so
+/// they are exactly a solo run's RunResult fields) plus its place in the
+/// schedule.
+struct ServeSessionResult : RunResult {
   unsigned SessionId = 0;
   std::string TenantName;
   bool IsScenario = false;
-  unsigned StartRound = 0;
+  uint64_t StartRound = 0;
   uint64_t RoundsRun = 0;
-  uint64_t WallCycles = 0;
-  int64_t ProgramResult = 0;
-  unsigned OptCompilations = 0;
-  uint64_t OptCompileCycles = 0;
-  /// Share activity (AosStats and the session bridge; all zero with
+  /// Shared-index evictions this session applied to its own code, and
+  /// those it could not because the variant was pinned (zero with
   /// sharing off).
-  uint64_t ShareHits = 0;
-  uint64_t SharePublishes = 0;
-  uint64_t ShareCyclesSaved = 0;
   uint64_t SharedEvictionsApplied = 0;
   uint64_t PinnedSharedEvicts = 0;
-  /// Live code bytes at session end, split by CodeVariant::SharedIn.
-  uint64_t SharedCodeBytes = 0;
-  uint64_t PrivateCodeBytes = 0;
-  /// Private bounded-cache and OSR activity, for the serve report.
-  uint64_t Evictions = 0;
-  uint64_t Deopts = 0;
-  uint64_t OsrEntries = 0;
-  uint64_t WarmStartApplied = 0;
-  uint64_t WarmStartDropped = 0;
 };
 
 /// Results of one serve invocation: per-session rows plus the shared

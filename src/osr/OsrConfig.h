@@ -35,7 +35,7 @@ struct OsrConfig {
   bool AllowDeopt = true;
 };
 
-/// Activity counters, surfaced on RunResult/RunMetrics and the `aoci
+/// Activity counters, surfaced on RunResult and the `aoci
 /// run` report.
 struct OsrStats {
   /// Activations transferred onto a replacement variant at a backedge.

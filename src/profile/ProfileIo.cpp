@@ -15,7 +15,6 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 using namespace aoci;
@@ -102,28 +101,6 @@ struct ParseCursor {
 
 } // namespace
 
-/// Strictly parses a non-negative decimal integer bytecode index (no
-/// sign, no trailing junk).
-static bool parseSiteIndex(const std::string &Tok, uint32_t &Out) {
-  if (Tok.empty() || Tok.size() > 9)
-    return false;
-  uint32_t V = 0;
-  for (char C : Tok) {
-    if (C < '0' || C > '9')
-      return false;
-    V = V * 10 + static_cast<uint32_t>(C - '0');
-  }
-  Out = V;
-  return true;
-}
-
-/// Strictly parses a finite double (no trailing junk).
-static bool parseDouble(const std::string &Tok, double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(Tok.c_str(), &End);
-  return End != Tok.c_str() && *End == '\0';
-}
-
 /// Splits "name:site" with strict site parsing. On failure, \p Error is
 /// set using \p Cur and the offending token.
 static bool parseContextPairToken(const ParseCursor &Cur,
@@ -135,7 +112,7 @@ static bool parseContextPairToken(const ParseCursor &Cur,
                          Cur.where().c_str(), Tok.c_str());
     return false;
   }
-  if (!parseSiteIndex(Tok.substr(Colon + 1), Site)) {
+  if (!parseUnsigned(Tok.substr(Colon + 1), Site)) {
     Error = formatString("%s: bad site index in pair '%s'",
                          Cur.where().c_str(), Tok.c_str());
     return false;
@@ -150,7 +127,7 @@ static bool parseTraceLineV2(const ParseCursor &Cur, const std::string &Line,
   std::istringstream Fields(Line);
   std::string Tok;
   Fields >> Tok;
-  if (!parseDouble(Tok, Out.Weight) || Out.Weight <= 0) {
+  if (!parseFinite(Tok, Out.Weight) || Out.Weight <= 0) {
     Error = formatString("%s: bad weight '%s'", Cur.where().c_str(),
                          Tok.c_str());
     return false;
@@ -236,7 +213,7 @@ bool aoci::parseProfile(const std::string &Text, ProfileData &Data,
       unsigned Version = 0;
       if (Magic != "AOCI-PROFILE" || VersionTok.size() < 2 ||
           VersionTok[0] != 'v' ||
-          !parseSiteIndex(VersionTok.substr(1), Version)) {
+          !parseUnsigned(VersionTok.substr(1), Version)) {
         Error = formatString(
             "%s: expected 'AOCI-PROFILE v<N>' header, got '%s'",
             Cur.where().c_str(), Line.c_str());
@@ -285,9 +262,7 @@ bool aoci::parseProfile(const std::string &Text, ProfileData &Data,
       std::string Key, Value;
       Fields >> Key >> Value;
       if (Key == "saved-at-cycle") {
-        char *End = nullptr;
-        Data.SavedAtCycle = std::strtoull(Value.c_str(), &End, 10);
-        if (End == Value.c_str() || *End != '\0') {
+        if (!parseUnsigned(Value, Data.SavedAtCycle)) {
           Error = formatString("%s: bad cycle count '%s'",
                                Cur.where().c_str(), Value.c_str());
           return false;
@@ -314,7 +289,7 @@ bool aoci::parseProfile(const std::string &Text, ProfileData &Data,
                          Cur.LineNo, Key.c_str()));
         continue;
       }
-      if (!parseDouble(Value, *Dest)) {
+      if (!parseFinite(Value, *Dest)) {
         Error = formatString("%s: bad value '%s' for threshold '%s'",
                              Cur.where().c_str(), Value.c_str(), Key.c_str());
         return false;
@@ -331,7 +306,7 @@ bool aoci::parseProfile(const std::string &Text, ProfileData &Data,
       std::string SamplesTok;
       ProfileHotMethod H;
       Fields >> SamplesTok >> H.Method;
-      if (!parseDouble(SamplesTok, H.Samples) || H.Samples <= 0) {
+      if (!parseFinite(SamplesTok, H.Samples) || H.Samples <= 0) {
         Error = formatString("%s: bad sample count '%s'",
                              Cur.where().c_str(), SamplesTok.c_str());
         return false;

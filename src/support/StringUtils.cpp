@@ -8,8 +8,12 @@
 #include "support/StringUtils.h"
 
 #include <cassert>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace aoci;
 
@@ -71,4 +75,33 @@ aoci::renderTable(const std::vector<std::string> &Header,
 
 std::string aoci::formatPercent(double Percent) {
   return formatString("%+.1f%%", Percent);
+}
+
+bool aoci::parseUnsigned(const std::string &Text, uint64_t Max,
+                         uint64_t &Out) {
+  if (Text.empty())
+    return false;
+  for (char C : Text)
+    if (C < '0' || C > '9')
+      return false;
+  errno = 0;
+  const unsigned long long V = std::strtoull(Text.c_str(), nullptr, 10);
+  if (errno == ERANGE || V > Max)
+    return false;
+  Out = V;
+  return true;
+}
+
+bool aoci::parseFinite(const std::string &Text, double &Out) {
+  // strtod would skip leading whitespace.
+  if (Text.empty() || std::isspace(static_cast<unsigned char>(Text[0])))
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  const double V = std::strtod(Text.c_str(), &End);
+  if (End != Text.c_str() + Text.size() || errno == ERANGE ||
+      !std::isfinite(V))
+    return false;
+  Out = V;
+  return true;
 }

@@ -7,13 +7,17 @@
 ///
 /// \file
 /// printf-style std::string formatting and simple table rendering used by
-/// the reporters that regenerate the paper's tables and figures as text.
+/// the reporters that regenerate the paper's tables and figures as text,
+/// and the strict number parsers every text input (CLI flags, v2
+/// profiles, scenario files, tenant lists) reads numbers with.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef AOCI_SUPPORT_STRINGUTILS_H
 #define AOCI_SUPPORT_STRINGUTILS_H
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -31,6 +35,25 @@ std::string renderTable(const std::vector<std::string> &Header,
 
 /// Formats a signed percentage with one decimal, e.g. "+5.3%" / "-4.2%".
 std::string formatPercent(double Percent);
+
+/// Strictly parses one unsigned decimal integer no larger than \p Max: the
+/// whole of \p Text must be digits, so an empty value, a sign, whitespace
+/// and trailing junk are rejected, as is a value that overflows.
+bool parseUnsigned(const std::string &Text, uint64_t Max, uint64_t &Out);
+
+/// parseUnsigned() bounded by the maximum of \p Out's type.
+template <typename T> bool parseUnsigned(const std::string &Text, T &Out) {
+  uint64_t V = 0;
+  if (!parseUnsigned(Text, std::numeric_limits<T>::max(), V))
+    return false;
+  Out = static_cast<T>(V);
+  return true;
+}
+
+/// Strictly parses one finite decimal number: the whole of \p Text, with
+/// no leading whitespace or trailing junk. NaN, infinity and values out of
+/// double's range are rejected.
+bool parseFinite(const std::string &Text, double &Out);
 
 } // namespace aoci
 

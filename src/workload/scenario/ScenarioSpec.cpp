@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 using namespace aoci;
@@ -93,37 +92,6 @@ std::string aoci::printScenario(const ScenarioSpec &S) {
 
 namespace {
 
-bool parseU64(const std::string &V, uint64_t &Out) {
-  if (V.empty())
-    return false;
-  for (char C : V)
-    if (C < '0' || C > '9')
-      return false;
-  errno = 0;
-  char *End = nullptr;
-  const unsigned long long Parsed = std::strtoull(V.c_str(), &End, 10);
-  if (errno == ERANGE)
-    return false;
-  Out = Parsed;
-  return true;
-}
-
-bool parseU32(const std::string &V, unsigned &Out) {
-  uint64_t U = 0;
-  if (!parseU64(V, U) || U > 0xffffffffull)
-    return false;
-  Out = static_cast<unsigned>(U);
-  return true;
-}
-
-bool parseF64(const std::string &V, double &Out) {
-  if (V.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtod(V.c_str(), &End);
-  return End == V.c_str() + V.size();
-}
-
 /// Splits "key=value" tokens of one directive line.
 bool splitKeyValues(std::stringstream &In,
                     std::vector<std::pair<std::string, std::string>> &Out,
@@ -197,19 +165,19 @@ bool aoci::parseScenario(const std::string &Text, ScenarioSpec &Spec,
         if (Key == "policy-a")
           E.PolicyA = Value;
         else if (Key == "depth-a")
-          Ok = parseU32(Value, E.DepthA);
+          Ok = parseUnsigned(Value, E.DepthA);
         else if (Key == "policy-b")
           E.PolicyB = Value;
         else if (Key == "depth-b")
-          Ok = parseU32(Value, E.DepthB);
+          Ok = parseUnsigned(Value, E.DepthB);
         else if (Key == "min-delta")
-          Ok = parseF64(Value, E.MinDeltaPct);
-        else if (Key == "scale")
-          Ok = parseF64(Value, E.Scale);
+          Ok = parseFinite(Value, E.MinDeltaPct);
+        else if (Key == "scale") // a size multiplier, as `--scale` is
+          Ok = parseFinite(Value, E.Scale) && E.Scale > 0;
         else if (Key == "seed")
-          Ok = parseU64(Value, E.Seed);
+          Ok = parseUnsigned(Value, E.Seed);
         else if (Key == "code-cache")
-          Ok = parseU64(Value, E.CodeCacheBytes);
+          Ok = parseUnsigned(Value, E.CodeCacheBytes);
         else if (Key == "osr") {
           if (Value == "on")
             E.Osr = true;
@@ -234,19 +202,19 @@ bool aoci::parseScenario(const std::string &Text, ScenarioSpec &Spec,
       for (const auto &[Key, Value] : KVs) {
         bool Ok = true;
         if (Key == "iterations")
-          Ok = parseU64(Value, P.Iterations);
+          Ok = parseUnsigned(Value, P.Iterations);
         else if (Key == "shape")
           Ok = parsePhaseShape(Value, P.Shape);
         else if (Key == "depth")
-          Ok = parseU32(Value, P.Depth);
+          Ok = parseUnsigned(Value, P.Depth);
         else if (Key == "mega")
-          Ok = parseU32(Value, P.Megamorphism);
+          Ok = parseUnsigned(Value, P.Megamorphism);
         else if (Key == "alloc")
-          Ok = parseU32(Value, P.AllocBurst);
+          Ok = parseUnsigned(Value, P.AllocBurst);
         else if (Key == "churn")
-          Ok = parseU32(Value, P.MethodChurn);
+          Ok = parseUnsigned(Value, P.MethodChurn);
         else if (Key == "work")
-          Ok = parseU64(Value, P.WorkUnits);
+          Ok = parseUnsigned(Value, P.WorkUnits);
         else
           return Fail("unknown phase key '" + Key + "'");
         if (!Ok)

@@ -542,11 +542,11 @@ TEST(CodeCacheGridTest, ParallelGridCsvMatchesSerialWithEvictionOn) {
       << "victim selection must be deterministic across job counts";
 
   // The sweep must actually evict, and the per-run eviction counts (kept
-  // out of the frozen CSV, reported via metrics) must agree too.
+  // out of the frozen CSV) must agree too.
   auto totalEvictions = [](const GridResults &R) {
     uint64_t Total = 0;
     for (const RunMetrics &M : R.metrics())
-      Total += M.Evictions;
+      Total += R.result(M).Evictions;
     return Total;
   };
   EXPECT_GT(totalEvictions(Serial), 0u);

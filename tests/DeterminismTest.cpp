@@ -190,7 +190,7 @@ TEST(DeterminismTest, MetricsCoverEveryRunInGridOrder) {
     const RunMetrics &Base = Parallel.metrics()[I++];
     EXPECT_EQ(Base.WorkloadName, W);
     EXPECT_TRUE(Base.IsBaseline);
-    EXPECT_EQ(Base.RunCycles, Parallel.baseline(W).WallCycles);
+    EXPECT_EQ(&Parallel.result(Base), &Parallel.baseline(W));
     for (PolicyKind Policy : Config.Policies) {
       for (unsigned D : Config.Depths) {
         const RunMetrics &M = Parallel.metrics()[I++];
@@ -198,7 +198,7 @@ TEST(DeterminismTest, MetricsCoverEveryRunInGridOrder) {
         EXPECT_FALSE(M.IsBaseline);
         EXPECT_EQ(M.Policy, Policy);
         EXPECT_EQ(M.MaxDepth, D);
-        EXPECT_EQ(M.RunCycles, Parallel.cell(W, Policy, D).WallCycles);
+        EXPECT_EQ(&Parallel.result(M), &Parallel.cell(W, Policy, D));
       }
     }
   }

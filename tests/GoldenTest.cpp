@@ -101,7 +101,28 @@ TEST(GoldenTest, CsvExportFormat) {
 }
 
 TEST(GoldenTest, MetricsCsvFormat) {
+  // Each row joins a run's host-side record with its RunResult counters.
   GridResults Results;
+  RunResult R;
+  R.WorkloadName = "alpha";
+  R.WallCycles = 1000000;
+  Results.addBaseline(R);
+  R.Policy = PolicyKind::Fixed;
+  R.MaxDepth = 3;
+  R.WallCycles = 980000;
+  R.WarmStarted = true;
+  R.WarmStartApplied = 57;
+  R.WarmStartDropped = 3;
+  R.OptCompileCycles = 180000;
+  Results.addCell(R);
+  R.MaxDepth = 4;
+  R.WallCycles = 990000;
+  R.WarmStarted = false;
+  R.WarmStartApplied = 0;
+  R.WarmStartDropped = 0;
+  R.OptCompileCycles = 0;
+  Results.addCell(R);
+
   RunMetrics M;
   M.WorkloadName = "alpha";
   M.Policy = PolicyKind::ContextInsensitive;
@@ -110,7 +131,6 @@ TEST(GoldenTest, MetricsCsvFormat) {
   M.Worker = 0;
   M.QueueLatencyNs = 1200;
   M.HostNs = 4500000;
-  M.RunCycles = 1000000;
   Results.addMetrics(M);
   M.Policy = PolicyKind::Fixed;
   M.MaxDepth = 3;
@@ -118,28 +138,18 @@ TEST(GoldenTest, MetricsCsvFormat) {
   M.Worker = 2;
   M.QueueLatencyNs = 800;
   M.HostNs = 3900000;
-  M.RunCycles = 980000;
   M.SteadyKnown = true;
   M.SteadyReached = true;
   M.WarmupCycles = 120000;
   M.SteadyCycles = 860000;
-  M.WarmStarted = true;
-  M.WarmApplied = 57;
-  M.WarmDropped = 3;
-  M.OptCompileCycles = 180000;
   Results.addMetrics(M);
   M.MaxDepth = 4;
   M.Worker = 1;
   M.QueueLatencyNs = 950;
   M.HostNs = 4100000;
-  M.RunCycles = 990000;
   M.SteadyReached = false;
   M.WarmupCycles = 990000;
   M.SteadyCycles = 0;
-  M.WarmStarted = false;
-  M.WarmApplied = 0;
-  M.WarmDropped = 0;
-  M.OptCompileCycles = 0;
   Results.addMetrics(M);
   expectMatchesGolden("metrics_csv.golden", exportMetricsCsv(Results));
 }

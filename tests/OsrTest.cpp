@@ -544,11 +544,11 @@ TEST(OsrGridTest, ParallelGridCsvMatchesSerialWithOsrOn) {
       << "OSR transfers must be deterministic across job counts";
 
   // The sweep must actually exercise OSR, and the per-run activity (kept
-  // out of the frozen CSV, reported via metrics) must agree too.
+  // out of the frozen CSV) must agree too.
   auto totalEntries = [](const GridResults &R) {
     uint64_t Total = 0;
     for (const RunMetrics &M : R.metrics())
-      Total += M.OsrEntries;
+      Total += R.result(M).OsrEntries;
     return Total;
   };
   EXPECT_GT(totalEntries(Serial), 0u);

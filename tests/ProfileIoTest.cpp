@@ -221,6 +221,19 @@ TEST(ProfileIoTest, V2DiagnosticsNameLineSectionAndToken) {
   EXPECT_FALSE(parseProfile(
       "AOCI-PROFILE v2\n[hot-methods]\n-3.0 Main.runTest\n", D, Error));
   EXPECT_NE(Error.find("'-3.0'"), std::string::npos) << Error;
+  // Numbers must be finite, and counts unsigned.
+  EXPECT_FALSE(parseProfile(
+      "AOCI-PROFILE v2\n[dcg]\nnan HashMap.get:4 => MyKey.hashCode\n", D,
+      Error));
+  EXPECT_NE(Error.find("'nan'"), std::string::npos) << Error;
+  EXPECT_FALSE(parseProfile(
+      "AOCI-PROFILE v2\n[thresholds]\ndecay-factor inf\n", D, Error));
+  EXPECT_NE(Error.find("[thresholds]"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("'inf'"), std::string::npos) << Error;
+  EXPECT_FALSE(parseProfile("AOCI-PROFILE v2\n[meta]\nsaved-at-cycle -5\n",
+                            D, Error));
+  EXPECT_NE(Error.find("line 3 in [meta]"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("'-5'"), std::string::npos) << Error;
 }
 
 TEST(ProfileIoTest, V2ToleratesCommentsBlanksAndCrlf) {

@@ -91,6 +91,16 @@ TEST(ScenarioSpecTest, ParseRejectsGarbageWithLineNumbers) {
   EXPECT_NE(Error.find("line 1"), std::string::npos) << Error;
   EXPECT_FALSE(
       parseScenario("scenario x\nphase shape=helix\n", S, Error));
+  // An expect block's scale is a size multiplier: above 0 and finite.
+  for (const char *Scale : {"-4", "0", "nan", "inf"}) {
+    EXPECT_FALSE(parseScenario(std::string("scenario x\nexpect scale=") +
+                                   Scale + "\nphase\n",
+                               S, Error))
+        << Scale;
+    EXPECT_NE(Error.find("line 2"), std::string::npos) << Error;
+  }
+  EXPECT_FALSE(
+      parseScenario("scenario x\nexpect min-delta=nan\nphase\n", S, Error));
   // A spec without phases is not a runnable reproducer.
   EXPECT_FALSE(parseScenario("scenario empty\n", S, Error));
   EXPECT_NE(Error.find("no phases"), std::string::npos) << Error;

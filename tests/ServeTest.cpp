@@ -255,6 +255,29 @@ TEST(ServeTest, ByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(Serial.SharePeakBytes, Parallel.SharePeakBytes);
 }
 
+TEST(ServeTest, HugeStaggerStartsLateAndSkipsIdleRounds) {
+  // Start rounds are 64-bit: session 2 starts at round 2^32 rather than
+  // wrapping to round 0. Each session finishes long before the next one
+  // starts, and the rounds in between, with nothing live, are skipped
+  // rather than stepped through one by one.
+  ServeConfig Config;
+  Config.Tenants = {{"compress", 2}, {"jess", 1}};
+  Config.Params.Scale = 0.02;
+  Config.StaggerRounds = 1u << 31;
+  uint64_t ProgressLines = 0;
+  const ServeResults R =
+      runServe(Config, 1, [&](const std::string &) { ++ProgressLines; });
+
+  ASSERT_EQ(R.Sessions.size(), 3u);
+  EXPECT_EQ(R.Sessions[0].StartRound, 0u);
+  EXPECT_EQ(R.Sessions[1].StartRound, uint64_t{1} << 31);
+  EXPECT_EQ(R.Sessions[2].StartRound, uint64_t{1} << 32);
+  EXPECT_EQ(R.Rounds, R.Sessions[2].StartRound + R.Sessions[2].RoundsRun);
+  EXPECT_EQ(ProgressLines, R.Sessions[0].RoundsRun + R.Sessions[1].RoundsRun +
+                               R.Sessions[2].RoundsRun);
+  EXPECT_NE(exportServeCsv(R).find(",4294967296,"), std::string::npos);
+}
+
 //===----------------------------------------------------------------------===//
 // (5) Sharing is an accounting optimization, never a semantic one.
 //===----------------------------------------------------------------------===//

@@ -229,6 +229,27 @@ TEST(StringUtilsTest, RenderTableAlignsColumns) {
   EXPECT_NE(Out.find("22"), std::string::npos);
 }
 
+TEST(StringUtilsTest, StrictNumberParsers) {
+  uint64_t U = 7;
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", UINT64_MAX, U));
+  EXPECT_EQ(U, UINT64_MAX);
+  for (const char *Bad : {"", " 1", "1 ", "+1", "-1", "1x", "0x10",
+                          "18446744073709551616", "11"})
+    EXPECT_FALSE(parseUnsigned(Bad, 10, U)) << Bad;
+  EXPECT_EQ(U, UINT64_MAX) << "a rejected value leaves the output alone";
+  unsigned Narrow = 0;
+  EXPECT_TRUE(parseUnsigned("4294967295", Narrow));
+  EXPECT_FALSE(parseUnsigned("4294967296", Narrow));
+
+  double D = 0;
+  EXPECT_TRUE(parseFinite("-2.5e3", D));
+  EXPECT_EQ(D, -2500.0);
+  for (const char *Bad : {"", " 1", "1 ", "1x", "nan", "inf", "-inf",
+                          "1e999", "."})
+    EXPECT_FALSE(parseFinite(Bad, D)) << Bad;
+  EXPECT_EQ(D, -2500.0);
+}
+
 //===----------------------------------------------------------------------===//
 // ThreadPool
 //===----------------------------------------------------------------------===//

@@ -3,21 +3,9 @@
 // Part of the AOCI project: a reproduction of "Adaptive Online
 // Context-Sensitive Inlining" (Hazelwood & Grove, CGO 2003).
 //
-// A single driver over the whole library:
-//
-//   aoci list
-//   aoci table1
-//   aoci run <workload> [--policy P] [--depth N] [--scale X] [--seed N]
-//            [--plans] [--trace-stats] [--profile-out F] [--warm-start F]
-//   aoci grid [--workloads a,b] [--policies p,q] [--depths 2,3]
-//             [--scale X] [--trials N] [--jobs N] [--csv FILE]
-//             [--metrics-csv FILE] [--metrics]
-//             [--trace-out FILE] [--trace-filter kinds]
-//             [--report fig4|fig5|fig6|compile|summary|all]
-//   aoci trace <workload> [--trace-out FILE] [--trace-filter kinds]
-//              [--policy P] [--depth N] [--scale X] [--seed N]
-//              [--trials N] [--max-events N]
-//   aoci disasm <workload> [method-qualified-name]
+// A single driver over the whole library. Every subcommand and every flag
+// is declared once, in the Commands and Flags tables below; one parser
+// reads argv against them and `aoci` with no arguments prints them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,202 +23,349 @@
 #include "workload/scenario/ScenarioSpec.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
-#include <limits>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <variant>
 
 using namespace aoci;
 
 namespace {
 
+/// The configs a subcommand runs under.
+enum class Target { None, Run, Grid, Fuzz, Serve };
+
+/// Where a subcommand's flags land. The subcommand configs live here; the
+/// shared knob groups write through pointers that bind() aims at the
+/// running subcommand's config, so its defaults stand until a flag
+/// overrides them.
+struct Options {
+  RunConfig Run; ///< run, trace, steady
+  GridConfig Grid;
+  FuzzConfig Fuzz;
+  ServeConfig Serve;
+
+  WorkloadParams *Params = nullptr;
+  uint64_t *Seed = nullptr;
+  CostModel *Model = nullptr;
+  AosSystemConfig *Aos = nullptr;
+  PolicyKind *Policy = nullptr;
+  unsigned *MaxDepth = nullptr;
+  /// The depth flag's value; 0 until given (its minimum is 1). See
+  /// parseArgs().
+  unsigned Depth = 0;
+
+  std::vector<std::string> Operands;
+  std::vector<std::string> Workloads = workloadNames();
+  unsigned Trials = 1;
+  /// 0 lets runGridParallel pick hardware_concurrency; results are
+  /// byte-identical for every job count (see DESIGN.md).
+  unsigned Jobs = 0;
+  uint64_t MaxEvents = 0;
+  /// The shared index's capacity (0 = unbounded), or empty for `off`.
+  std::optional<uint64_t> ShareCache = 0;
+  bool Plans = false, TraceStats = false, Metrics = false;
+  std::string WarmStart, ProfileOut, TraceOut, TraceFilter, Csv, MetricsCsv;
+  std::string Report = "all", Json, OutDir, KnownDir, Tenants;
+
+  Options() = default;
+  // The knob pointers point into this object.
+  Options(const Options &) = delete;
+  Options &operator=(const Options &) = delete;
+
+  void bind(Target T) {
+    switch (T) {
+    case Target::None:
+      break;
+    case Target::Run:
+      bindKnobs(Run);
+      Policy = &Run.Policy;
+      MaxDepth = &Run.MaxDepth;
+      break;
+    case Target::Grid:
+      bindKnobs(Grid);
+      break;
+    case Target::Fuzz:
+      bindKnobs(Fuzz);
+      Seed = &Fuzz.Seed; // fuzz's seed flag seeds the search
+      break;
+    case Target::Serve:
+      bindKnobs(Serve);
+      Policy = &Serve.Policy;
+      MaxDepth = &Serve.MaxDepth;
+      Jobs = 1; // serve runs its sessions serially unless asked
+      break;
+    }
+  }
+
+private:
+  template <typename ConfigT> void bindKnobs(ConfigT &Config) {
+    Params = &Config.Params;
+    Seed = &Config.Params.Seed;
+    Model = &Config.Model;
+    Aos = &Config.Aos;
+  }
+};
+
+/// Flag groups; each subcommand takes the union of its groups.
+enum Group : unsigned {
+  VmKnobs = 1u << 0,        ///< workload scale, code cache bound, OSR
+  PolicyKnobs = 1u << 1,    ///< context policy and depth
+  SeedKnob = 1u << 2,
+  OrganizerKnobs = 1u << 3, ///< the inlining organizer and its budgets
+  WarmStartFlag = 1u << 4,
+  ProfileOutFlag = 1u << 5,
+  TraceOutFlags = 1u << 6, ///< trace file and kind filter
+  JobsFlag = 1u << 7,
+  TrialsFlag = 1u << 8,
+  CsvFlag = 1u << 9,
+  WorkloadsFlag = 1u << 10,
+  RunFlags = 1u << 11,
+  TraceFlags = 1u << 12,
+  GridFlags = 1u << 13,
+  FuzzFlags = 1u << 14,
+  SteadyFlags = 1u << 15,
+  ServeFlags = 1u << 16,
+};
+
+/// The field a flag sets; its type decides how the value parses.
+template <typename T> using Field = T &(*)(Options &);
+using AnyField =
+    std::variant<Field<bool>, Field<unsigned>, Field<uint64_t>,
+                 Field<std::optional<uint64_t>>, Field<double>,
+                 Field<std::string>, Field<PolicyKind>,
+                 Field<InlineOrganizerKind>, Field<std::vector<std::string>>,
+                 Field<std::vector<PolicyKind>>, Field<std::vector<unsigned>>>;
+
+struct Flag {
+  const char *Name;
+  /// The value's placeholder in the usage text; null for a switch.
+  const char *Value;
+  unsigned Groups;
+  const char *Help;
+  AnyField Set;
+  /// Lower bound of a number (of each item of a list), inclusive unless
+  /// !MinAllowed.
+  double Min = 0;
+  bool MinAllowed = true;
+};
+
+const Flag Flags[] = {
+    {"--scale", "X", VmKnobs, "workload size multiplier",
+     [](Options &O) -> double & { return O.Params->Scale; }, 0, false},
+    {"--code-cache", "BYTES", VmKnobs,
+     "bound installed code bytes; victims are least recently invoked and "
+     "live activations deoptimize first (0 = unbounded)",
+     [](Options &O) -> uint64_t & {
+       return O.Model->CodeCache.CapacityBytes;
+     }},
+    {"--osr", "on|off", VmKnobs,
+     "transfer live activations onto replacement code at loop backedges "
+     "(on-stack replacement + deoptimization)",
+     [](Options &O) -> bool & { return O.Aos->Osr.Enabled; }},
+    {"--policy", "P", PolicyKnobs,
+     "cins fixed paramLess class large hybrid1 hybrid2 imprecision",
+     [](Options &O) -> PolicyKind & { return *O.Policy; }},
+    {"--depth", "N", PolicyKnobs,
+     "maximum context depth (default 4 for a policy other than cins)",
+     [](Options &O) -> unsigned & { return O.Depth; }, 1},
+    {"--seed", "N", SeedKnob, "workload seed (fuzz: the search seed)",
+     [](Options &O) -> uint64_t & { return *O.Seed; }},
+    {"--organizer", "threshold|budget", OrganizerKnobs,
+     "how inlining rules are codified: the paper's 1.5% hot-trace "
+     "threshold, or candidates priced by measured sizes under budgets",
+     [](Options &O) -> InlineOrganizerKind & { return O.Aos->Organizer; }},
+    {"--budget-inflation", "F", OrganizerKnobs,
+     "per-caller budget = caller units x F + slack",
+     [](Options &O) -> double & { return O.Aos->Budget.InflationFactor; }, 0,
+     false},
+    {"--budget-slack", "U", OrganizerKnobs, "per-caller budget slack units",
+     [](Options &O) -> uint64_t & { return O.Aos->Budget.SlackUnits; }},
+    {"--budget-explore", "U", OrganizerKnobs,
+     "per-wakeup pool for estimate-priced candidates",
+     [](Options &O) -> uint64_t & { return O.Aos->Budget.ExplorationUnits; }},
+    {"--budget-min-weight", "W", OrganizerKnobs, "candidate noise floor",
+     [](Options &O) -> double & {
+       return O.Aos->Budget.MinCandidateWeight;
+     }},
+    {"--warm-start", "FILE", WarmStartFlag,
+     "re-seed the adaptive system from a v2 profile; stale entries are "
+     "dropped and counted",
+     [](Options &O) -> std::string & { return O.WarmStart; }},
+    {"--profile-out", "FILE", ProfileOutFlag,
+     "save the AOS decision state as a v2 profile (grid: a directory, one "
+     ".prof per run); see docs/profile-format.md",
+     [](Options &O) -> std::string & { return O.ProfileOut; }},
+    {"--trace-out", "FILE", TraceOutFlags,
+     "write the event stream as Chrome trace JSON (ui.perfetto.dev)",
+     [](Options &O) -> std::string & { return O.TraceOut; }},
+    {"--trace-filter", "KINDS", TraceOutFlags,
+     "comma-separated event kinds to record (see OBSERVABILITY.md)",
+     [](Options &O) -> std::string & { return O.TraceFilter; }},
+    {"--jobs", "N", JobsFlag, "worker threads (0 = all hardware threads)",
+     [](Options &O) -> unsigned & { return O.Jobs; }},
+    {"--trials", "N", TrialsFlag, "runs per configuration, keeping the fastest",
+     [](Options &O) -> unsigned & { return O.Trials; }, 1},
+    {"--csv", "FILE", CsvFlag, "write the results as CSV",
+     [](Options &O) -> std::string & { return O.Csv; }},
+    {"--workloads", "a,b", WorkloadsFlag,
+     "Table 1 workloads or built-in scenarios (default: all of Table 1)",
+     [](Options &O) -> std::vector<std::string> & { return O.Workloads; }},
+    {"--plans", nullptr, RunFlags, "print the installed optimized code",
+     [](Options &O) -> bool & { return O.Plans; }},
+    {"--trace-stats", nullptr, RunFlags,
+     "print the Section 4 trace statistics",
+     [](Options &O) -> bool & { return O.TraceStats; }},
+    {"--max-events", "N", TraceFlags, "cap on recorded events (0 = no cap)",
+     [](Options &O) -> uint64_t & { return O.MaxEvents; }},
+    {"--policies", "p,q", GridFlags, "policies of the sweep",
+     [](Options &O) -> std::vector<PolicyKind> & { return O.Grid.Policies; }},
+    {"--depths", "2,3", GridFlags, "maximum depths of the sweep",
+     [](Options &O) -> std::vector<unsigned> & { return O.Grid.Depths; }, 1},
+    {"--metrics-csv", "FILE", GridFlags, "write host-side run metrics as CSV",
+     [](Options &O) -> std::string & { return O.MetricsCsv; }},
+    {"--metrics", nullptr, GridFlags, "print host-side run metrics",
+     [](Options &O) -> bool & { return O.Metrics; }},
+    {"--report", "fig4|fig5|fig6|compile|summary|all", GridFlags,
+     "which reports to print",
+     [](Options &O) -> std::string & { return O.Report; }},
+    {"--budget", "N", FuzzFlags, "scenario executions to spend",
+     [](Options &O) -> unsigned & { return O.Fuzz.Budget; }},
+    {"--policy-a", "P", FuzzFlags, "policy A of the differential",
+     [](Options &O) -> PolicyKind & { return O.Fuzz.PolicyA; }},
+    {"--depth-a", "N", FuzzFlags, "policy A's maximum depth",
+     [](Options &O) -> unsigned & { return O.Fuzz.DepthA; }, 1},
+    {"--policy-b", "P", FuzzFlags, "policy B, the baseline",
+     [](Options &O) -> PolicyKind & { return O.Fuzz.PolicyB; }},
+    {"--depth-b", "N", FuzzFlags, "policy B's maximum depth",
+     [](Options &O) -> unsigned & { return O.Fuzz.DepthB; }, 1},
+    {"--threshold", "PCT", FuzzFlags,
+     "minimum |speedup %| of A over B that counts as a differential",
+     [](Options &O) -> double & { return O.Fuzz.ThresholdPct; }},
+    {"--workload-seed", "N", FuzzFlags, "seed of every candidate's workload",
+     [](Options &O) -> uint64_t & { return O.Fuzz.Params.Seed; }},
+    {"--max-diffs", "N", FuzzFlags, "stop after this many differentials",
+     [](Options &O) -> unsigned & { return O.Fuzz.MaxDifferentials; }},
+    {"--out", "DIR", FuzzFlags, "write each shrunk reproducer as DIR/NAME.scn",
+     [](Options &O) -> std::string & { return O.OutDir; }},
+    {"--known", "DIR", FuzzFlags,
+     "exit 1 iff a differential not among DIR's .scn files is found",
+     [](Options &O) -> std::string & { return O.KnownDir; }},
+    {"--json", "FILE", SteadyFlags, "write the verdicts as JSON",
+     [](Options &O) -> std::string & { return O.Json; }},
+    {"--tenants", "a[:N],b[:N]", ServeFlags,
+     "the sessions: N of each workload or scenario (required)",
+     [](Options &O) -> std::string & { return O.Tenants; }},
+    {"--slice", "CYCLES", ServeFlags, "simulated cycles per session per round",
+     [](Options &O) -> uint64_t & { return O.Serve.SliceCycles; }, 1},
+    {"--stagger", "N", ServeFlags, "rounds between session starts",
+     [](Options &O) -> unsigned & { return O.Serve.StaggerRounds; }},
+    {"--share-cache", "BYTES|off", ServeFlags,
+     "bound the shared index (0 = unbounded), or turn sharing off",
+     [](Options &O) -> std::optional<uint64_t> & { return O.ShareCache; }},
+};
+
+int cmdList(Options &O);
+int cmdTable1(Options &O);
+int cmdRun(Options &O);
+int cmdGrid(Options &O);
+int cmdTrace(Options &O);
+int cmdDisasm(Options &O);
+int cmdFuzz(Options &O);
+int cmdReplay(Options &O);
+int cmdSteady(Options &O);
+int cmdServe(Options &O);
+
+struct Command {
+  const char *Name;
+  /// The operands' placeholder in the usage text.
+  const char *Operands;
+  unsigned MinOperands, MaxOperands;
+  Target Configs;
+  unsigned Groups;
+  int (*Main)(Options &);
+  const char *Help;
+};
+
+const Command Commands[] = {
+    {"list", "", 0, 0, Target::None, 0, cmdList,
+     "the workloads and built-in adversarial scenarios"},
+    {"table1", "", 0, 0, Target::None, 0, cmdTable1,
+     "Table 1: benchmark characteristics"},
+    {"run", "<workload>", 1, 1, Target::Run,
+     VmKnobs | PolicyKnobs | SeedKnob | OrganizerKnobs | WarmStartFlag |
+         ProfileOutFlag | RunFlags,
+     cmdRun, "one run and its report"},
+    {"grid", "", 0, 0, Target::Grid,
+     VmKnobs | OrganizerKnobs | WarmStartFlag | ProfileOutFlag | TraceOutFlags |
+         JobsFlag | TrialsFlag | CsvFlag | WorkloadsFlag | GridFlags,
+     cmdGrid,
+     "the workload x policy x depth sweep behind Figures 4-6"},
+    {"trace", "<workload>", 1, 1, Target::Run,
+     VmKnobs | PolicyKnobs | SeedKnob | OrganizerKnobs | WarmStartFlag |
+         ProfileOutFlag | TraceOutFlags | TrialsFlag | TraceFlags,
+     cmdTrace, "one run's event stream as Chrome trace JSON (default stdout)"},
+    {"disasm", "<workload> [method]", 1, 2, Target::None, 0, cmdDisasm,
+     "a workload's bytecode"},
+    {"fuzz", "", 0, 0, Target::Fuzz, VmKnobs | SeedKnob | FuzzFlags, cmdFuzz,
+     "search scenario mutations for runs where policy A beats policy B by "
+     "more than the threshold; shrink each finding to a reproducer"},
+    {"replay", "<file.scn>", 1, 1, Target::None, 0, cmdReplay,
+     "re-run a reproducer's expect block"},
+    {"steady", "", 0, 0, Target::Run,
+     VmKnobs | PolicyKnobs | SeedKnob | TrialsFlag | WorkloadsFlag |
+         SteadyFlags,
+     cmdSteady,
+     "each workload's warmup/steady split; exit 1 unless every run settled"},
+    {"serve", "", 0, 0, Target::Serve,
+     VmKnobs | PolicyKnobs | SeedKnob | OrganizerKnobs | WarmStartFlag |
+         TraceOutFlags | JobsFlag | CsvFlag | ServeFlags,
+     cmdServe,
+     "tenant sessions against one shared code cache; by default policy "
+     "fixed at depth 4, with OSR on so shared evictions can deoptimize"},
+};
+
+std::string describe(const Flag &F) {
+  return F.Value ? std::string(F.Name) + " " + F.Value : F.Name;
+}
+
 int usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  aoci list\n"
-      "  aoci table1\n"
-      "  aoci run <workload> [--policy P] [--depth N] [--scale X]\n"
-      "           [--seed N] [--osr on|off] [--code-cache BYTES]\n"
-      "           [--plans] [--trace-stats]\n"
-      "           [--organizer threshold|budget] [budget knobs]\n"
-      "           [--profile-out FILE] [--warm-start FILE]\n"
-      "  aoci grid [--workloads a,b] [--policies p,q] [--depths 2,3]\n"
-      "            [--scale X] [--trials N] [--jobs N] [--osr on|off]\n"
-      "            [--code-cache BYTES]\n"
-      "            [--organizer threshold|budget] [budget knobs]\n"
-      "            [--csv FILE] [--metrics-csv FILE] [--metrics]\n"
-      "            [--trace-out FILE] [--trace-filter kinds]\n"
-      "            [--profile-out DIR] [--warm-start FILE]\n"
-      "            [--report fig4|fig5|fig6|compile|summary|all]\n"
-      "  aoci trace <workload> [--trace-out FILE] [--trace-filter kinds]\n"
-      "             [--policy P] [--depth N] [--scale X] [--seed N]\n"
-      "             [--trials N] [--max-events N] [--osr on|off]\n"
-      "             [--code-cache BYTES]\n"
-      "             [--organizer threshold|budget] [budget knobs]\n"
-      "             [--profile-out FILE] [--warm-start FILE]\n"
-      "  aoci disasm <workload> [method]\n"
-      "  aoci fuzz [--seed N] [--budget N] [--policy-a P] [--depth-a N]\n"
-      "            [--policy-b P] [--depth-b N] [--threshold PCT]\n"
-      "            [--scale X] [--workload-seed N] [--code-cache BYTES]\n"
-      "            [--osr on|off] [--max-diffs N]\n"
-      "            [--out DIR] [--known DIR]\n"
-      "  aoci replay <file.scn>\n"
-      "  aoci steady [--workloads a,b] [--policy P] [--depth N]\n"
-      "              [--scale X] [--seed N] [--trials N] [--osr on|off]\n"
-      "              [--code-cache BYTES] [--json FILE]\n"
-      "  aoci serve --tenants a[:N],b[:N] [--policy P] [--depth N]\n"
-      "             [--scale X] [--seed N] [--slice CYCLES] [--stagger N]\n"
-      "             [--share-cache BYTES|off] [--code-cache BYTES]\n"
-      "             [--osr on|off] [--jobs N]\n"
-      "             [--organizer threshold|budget] [budget knobs]\n"
-      "             [--csv FILE] [--trace-out FILE] [--trace-filter kinds]\n"
-      "             [--warm-start FILE]\n"
-      "policies: cins fixed paramLess class large hybrid1 hybrid2 "
-      "imprecision\n"
-      "workloads: Table 1 names plus the built-in adversarial scenarios\n"
-      "  (scn-megamorphic-storm, scn-phase-flip, scn-alloc-burst,\n"
-      "  scn-cache-churn)\n"
-      "fuzz: searches seeded scenario mutations for runs where policy A\n"
-      "  beats policy B by more than the threshold; shrinks each finding\n"
-      "  and writes replayable .scn reproducers (--out). With --known DIR\n"
-      "  the exit status is 1 iff a differential not in DIR was found.\n"
-      "steady: runs each workload traced and reports the warmup/steady\n"
-      "  split; exit status is 1 unless every run reached steady state.\n"
-      "serve: runs the tenant sessions concurrently against one\n"
-      "  process-wide shared code cache (variants keyed by method +\n"
-      "  inline-plan fingerprint + opt level); a hit charges only the\n"
-      "  link cost. Deterministic for any --jobs. --share-cache bounds\n"
-      "  the shared index (off disables sharing entirely); --stagger\n"
-      "  offsets session start rounds; --slice sets the per-round cycle\n"
-      "  slice. OSR defaults ON in serve so shared evictions can deopt\n"
-      "  live sessions.\n"
-      "--osr: transfer live activations onto replacement code at loop\n"
-      "  backedges (on-stack replacement + deoptimization); default off\n"
-      "--organizer: how inlining rules are codified from the DCG.\n"
-      "  'threshold' (default) is the paper's 1.5%% hot-trace organizer;\n"
-      "  'budget' prices candidates with measured compiled sizes (falling\n"
-      "  back to a self-calibrating estimate for never-compiled callees)\n"
-      "  under per-caller inflation and global exploration budgets.\n"
-      "  Budget knobs: --budget-inflation F (per-caller budget = caller\n"
-      "  units x F + slack; default 2.5), --budget-slack U (default 80),\n"
-      "  --budget-explore U (per-wakeup pool for estimate-priced\n"
-      "  candidates; default 600), --budget-min-weight W (candidate noise\n"
-      "  floor; default 1.5). Emits uncharged budget-decision trace events.\n"
-      "--code-cache: bound total installed code bytes; victims are chosen\n"
-      "  deterministically (least-recently-invoked by simulated cycle) and\n"
-      "  live activations deoptimize first; 0 (default) = unbounded\n"
-      "--profile-out: save the run's full AOS decision state (DCG trace\n"
-      "  weights, hot-method samples, inline decisions and refusals) as a\n"
-      "  versioned v2 profile; see docs/profile-format.md. On grid, DIR\n"
-      "  receives one .prof per run\n"
-      "--warm-start: re-seed the adaptive system from a v2 profile before\n"
-      "  the run; stale entries are dropped and counted, never fatal.\n"
-      "trace kinds: comma-separated event names (see OBSERVABILITY.md), "
-      "e.g.\n"
-      "  --trace-filter sample,controller-decision,compile-complete\n");
+  std::string Out = "usage: aoci <command> [operands] [flags]\n";
+  for (const Command &C : Commands) {
+    Out += std::string("\n  aoci ") + C.Name + (*C.Operands ? " " : "") +
+           C.Operands + "\n      " + C.Help + "\n";
+    size_t Column = 0;
+    for (const Flag &F : Flags) {
+      if (!(F.Groups & C.Groups))
+        continue;
+      const std::string Item = "[" + describe(F) + "]";
+      if (Column == 0 || Column + 1 + Item.size() > 78) {
+        Out += Column == 0 ? "     " : "\n     ";
+        Column = 5;
+      }
+      Out += " " + Item;
+      Column += 1 + Item.size();
+    }
+    if (Column != 0)
+      Out += "\n";
+  }
+  Out += "\nflags:\n";
+  for (const Flag &F : Flags) {
+    std::string Bound;
+    if (F.Min != 0 || !F.MinAllowed)
+      Bound = formatString(" (%s %g)", F.MinAllowed ? "at least" : "above",
+                           F.Min);
+    Out += formatString("  %s\n      %s%s\n", describe(F).c_str(), F.Help,
+                        Bound.c_str());
+  }
+  std::fprintf(stderr, "%s", Out.c_str());
   return 1;
-}
-
-bool parsePolicy(const std::string &Name, PolicyKind &Kind) {
-  return parsePolicyKind(Name, Kind);
-}
-
-/// True when \p Name is runnable: a Table 1 workload or a built-in
-/// adversarial scenario.
-bool knownWorkload(const std::string &Name) {
-  for (const std::string &W : workloadNames())
-    if (W == Name)
-      return true;
-  return findBuiltinScenario(Name) != nullptr;
-}
-
-/// Checked unsigned decimal parse for flag values. std::atoi silently
-/// turned garbage into 0, negatives into huge unsigneds after the cast,
-/// and overflow into undefined behavior; this rejects all three with an
-/// error naming the flag. Requires the whole value to be digits (no
-/// sign, no whitespace, no trailing junk) and at most \p Max.
-bool parseUnsigned(const char *Flag, const std::string &Value, uint64_t Max,
-                   uint64_t &Out) {
-  bool Valid = !Value.empty();
-  for (char C : Value)
-    Valid &= std::isdigit(static_cast<unsigned char>(C)) != 0;
-  errno = 0;
-  char *End = nullptr;
-  const unsigned long long V =
-      Valid ? std::strtoull(Value.c_str(), &End, 10) : 0;
-  if (!Valid || errno == ERANGE || V > Max) {
-    std::fprintf(stderr,
-                 "%s expects an unsigned integer no larger than %llu, "
-                 "got '%s'\n",
-                 Flag, static_cast<unsigned long long>(Max), Value.c_str());
-    return false;
-  }
-  Out = V;
-  return true;
-}
-
-/// parseUnsigned into an `unsigned`-typed destination.
-bool parseUnsigned32(const char *Flag, const std::string &Value,
-                     unsigned &Out) {
-  uint64_t V = 0;
-  if (!parseUnsigned(Flag, Value, std::numeric_limits<unsigned>::max(), V))
-    return false;
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-
-/// Checked decimal parse for floating-point flag values, the counterpart
-/// of parseUnsigned. The whole value must be one finite number: an empty
-/// value, leading whitespace, trailing junk (as in "0.05abc"), NaN,
-/// infinity and out-of-range exponents are rejected with an error naming
-/// the flag, as is any value below \p Min, or equal to it unless
-/// \p MinAllowed.
-bool parseDouble(const char *Flag, const std::string &Value, double Min,
-                 bool MinAllowed, double &Out) {
-  errno = 0;
-  char *End = nullptr;
-  const double V = Value.empty() ? 0 : std::strtod(Value.c_str(), &End);
-  const bool Valid =
-      !Value.empty() && !std::isspace(static_cast<unsigned char>(Value[0])) &&
-      End == Value.c_str() + Value.size() && errno != ERANGE &&
-      std::isfinite(V) && (V > Min || (MinAllowed && V == Min));
-  if (!Valid) {
-    std::fprintf(stderr, "%s expects a finite number %s %g, got '%s'\n",
-                 Flag, MinAllowed ? "of at least" : "above", Min,
-                 Value.c_str());
-    return false;
-  }
-  Out = V;
-  return true;
-}
-
-/// The `--scale` flag: a workload size multiplier, which must be above 0
-/// (a negative count would start the workloads' countdown loops below
-/// zero).
-bool parseScale(const std::string &Value, double &Scale) {
-  return parseDouble("--scale", Value, 0, /*MinAllowed=*/false, Scale);
-}
-
-/// Parses an `--osr on|off` value.
-bool parseOsr(const std::string &Value, bool &Enabled) {
-  if (Value == "on")
-    Enabled = true;
-  else if (Value == "off")
-    Enabled = false;
-  else {
-    std::fprintf(stderr, "--osr takes 'on' or 'off', not '%s'\n",
-                 Value.c_str());
-    return false;
-  }
-  return true;
 }
 
 std::vector<std::string> splitList(const std::string &Text) {
@@ -243,89 +378,186 @@ std::vector<std::string> splitList(const std::string &Text) {
   return Out;
 }
 
-/// Simple flag cursor over argv.
-struct Args {
-  int Argc;
-  char **Argv;
-  int Pos = 2;
+// One parse per field type. Each reports its own diagnostic, naming the
+// flag, and leaves the field untouched on failure.
 
-  /// Returns the value of --Flag when present at the cursor.
-  bool flag(const char *Flag, std::string &Value) {
-    if (Pos + 1 < Argc && std::strcmp(Argv[Pos], Flag) == 0) {
-      Value = Argv[Pos + 1];
-      Pos += 2;
-      return true;
-    }
-    return false;
-  }
-
-  bool boolFlag(const char *Flag) {
-    if (Pos < Argc && std::strcmp(Argv[Pos], Flag) == 0) {
-      ++Pos;
-      return true;
-    }
-    return false;
-  }
-
-  bool done() const { return Pos >= Argc; }
-};
-
-/// Parses an `--organizer threshold|budget` value.
-bool parseOrganizer(const std::string &Value, InlineOrganizerKind &Kind) {
-  if (Value == "threshold") {
-    Kind = InlineOrganizerKind::Threshold;
+bool parseCount(const Flag &F, const std::string &V, uint64_t Max,
+                uint64_t &Out) {
+  uint64_t N = 0;
+  if (parseUnsigned(V, Max, N) && static_cast<double>(N) >= F.Min) {
+    Out = N;
     return true;
   }
-  if (Value == "budget") {
-    Kind = InlineOrganizerKind::Budget;
-    return true;
-  }
-  std::fprintf(stderr, "--organizer takes 'threshold' or 'budget', not '%s'\n",
-               Value.c_str());
+  if (F.Min == 0)
+    std::fprintf(stderr,
+                 "%s expects an unsigned integer no larger than %llu, got "
+                 "'%s'\n",
+                 F.Name, static_cast<unsigned long long>(Max), V.c_str());
+  else
+    std::fprintf(stderr,
+                 "%s expects an unsigned integer from %g to %llu, got '%s'\n",
+                 F.Name, F.Min, static_cast<unsigned long long>(Max),
+                 V.c_str());
   return false;
 }
 
-/// Handles the organizer/budget flags shared by run, grid, trace, and
-/// serve. Returns 0 when the cursor is not at one of them, 1 when one
-/// parsed, -1 on a parse error (already reported to stderr).
-int tryOrganizerFlags(Args &A, AosSystemConfig &Aos) {
-  std::string Value;
-  if (A.flag("--organizer", Value))
-    return parseOrganizer(Value, Aos.Organizer) ? 1 : -1;
-  if (A.flag("--budget-inflation", Value))
-    return parseDouble("--budget-inflation", Value, 0, /*MinAllowed=*/false,
-                       Aos.Budget.InflationFactor)
-               ? 1
-               : -1;
-  if (A.flag("--budget-slack", Value))
-    return parseUnsigned("--budget-slack", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Aos.Budget.SlackUnits)
-               ? 1
-               : -1;
-  if (A.flag("--budget-explore", Value))
-    return parseUnsigned("--budget-explore", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Aos.Budget.ExplorationUnits)
-               ? 1
-               : -1;
-  if (A.flag("--budget-min-weight", Value))
-    return parseDouble("--budget-min-weight", Value, 0, /*MinAllowed=*/true,
-                       Aos.Budget.MinCandidateWeight)
-               ? 1
-               : -1;
-  return 0;
+bool parseInto(const Flag &F, const std::string &V, uint64_t &Out) {
+  return parseCount(F, V, UINT64_MAX, Out);
 }
 
-/// Reads and parses a `--warm-start` v2 profile file. Parse warnings
-/// (unknown sections/keys under the forward-compat rules) go to stderr;
-/// errors carry the line/section/token diagnostic from parseProfile().
-std::shared_ptr<const ProfileData>
-loadWarmStartProfile(const std::string &Path) {
+bool parseInto(const Flag &F, const std::string &V, unsigned &Out) {
+  uint64_t N = 0;
+  if (!parseCount(F, V, UINT_MAX, N))
+    return false;
+  Out = static_cast<unsigned>(N);
+  return true;
+}
+
+bool parseInto(const Flag &F, const std::string &V,
+               std::optional<uint64_t> &Out) {
+  if (V == "off") {
+    Out.reset();
+    return true;
+  }
+  uint64_t N = 0;
+  if (!parseInto(F, V, N))
+    return false;
+  Out = N;
+  return true;
+}
+
+bool parseInto(const Flag &F, const std::string &V, double &Out) {
+  double D = 0;
+  if (parseFinite(V, D) && (D > F.Min || (F.MinAllowed && D == F.Min))) {
+    Out = D;
+    return true;
+  }
+  std::fprintf(stderr, "%s expects a finite number %s %g, got '%s'\n", F.Name,
+               F.MinAllowed ? "of at least" : "above", F.Min, V.c_str());
+  return false;
+}
+
+bool parseInto(const Flag &F, const std::string &V, bool &Out) {
+  if (V != "on" && V != "off") {
+    std::fprintf(stderr, "%s takes 'on' or 'off', not '%s'\n", F.Name,
+                 V.c_str());
+    return false;
+  }
+  Out = V == "on";
+  return true;
+}
+
+bool parseInto(const Flag &, const std::string &V, std::string &Out) {
+  Out = V;
+  return true;
+}
+
+bool parseInto(const Flag &, const std::string &V, PolicyKind &Out) {
+  if (parsePolicyKind(V, Out))
+    return true;
+  std::fprintf(stderr, "unknown policy '%s'\n", V.c_str());
+  return false;
+}
+
+bool parseInto(const Flag &F, const std::string &V,
+               InlineOrganizerKind &Out) {
+  if (V == "threshold" || V == "budget") {
+    Out = V == "budget" ? InlineOrganizerKind::Budget
+                        : InlineOrganizerKind::Threshold;
+    return true;
+  }
+  std::fprintf(stderr, "%s takes 'threshold' or 'budget', not '%s'\n", F.Name,
+               V.c_str());
+  return false;
+}
+
+/// A comma-separated list; each item parses as a T.
+template <typename T>
+bool parseInto(const Flag &F, const std::string &V, std::vector<T> &Out) {
+  std::vector<T> Items;
+  for (const std::string &Item : splitList(V)) {
+    Items.emplace_back();
+    if (!parseInto(F, Item, Items.back()))
+      return false;
+  }
+  Out = std::move(Items);
+  return true;
+}
+
+const Flag *findFlag(std::string_view Name, unsigned Groups) {
+  for (const Flag &F : Flags)
+    if ((F.Groups & Groups) && Name == F.Name)
+      return &F;
+  return nullptr;
+}
+
+/// Reads argv[2...] into \p O against \p C's flags and operand count,
+/// reporting the first error to stderr.
+bool parseArgs(int Argc, char **Argv, const Command &C, Options &O) {
+  for (int I = 2; I < Argc; ++I) {
+    const std::string Arg = Argv[I];
+    const Flag *F = findFlag(Arg, C.Groups);
+    if (!F) {
+      if (Arg[0] != '-' && O.Operands.size() < C.MaxOperands) {
+        O.Operands.push_back(Arg);
+        continue;
+      }
+      std::fprintf(stderr, "unknown argument '%s'\n", Arg.c_str());
+      usage();
+      return false;
+    }
+    if (!F->Value) {
+      std::get<Field<bool>>(F->Set)(O) = true;
+      continue;
+    }
+    if (I + 1 == Argc) {
+      std::fprintf(stderr, "%s expects a value (%s)\n", F->Name, F->Value);
+      return false;
+    }
+    const std::string Value = Argv[++I];
+    if (!std::visit([&](auto Set) { return parseInto(*F, Value, Set(O)); },
+                    F->Set))
+      return false;
+  }
+  if (O.Operands.size() < C.MinOperands) {
+    std::fprintf(stderr, "%s: missing operand %s\n", C.Name, C.Operands);
+    usage();
+    return false;
+  }
+  // A policy other than cins defaults to depth 4. Applied once, here, so
+  // the order of the policy and depth flags cannot matter.
+  if (O.Policy) {
+    if (O.Depth != 0)
+      *O.MaxDepth = O.Depth;
+    else if (*O.Policy != PolicyKind::ContextInsensitive)
+      *O.MaxDepth = 4;
+  }
+  return true;
+}
+
+/// True when \p Name is runnable: a Table 1 workload or a built-in
+/// adversarial scenario. Reports the unknown name otherwise.
+bool knownWorkload(const std::string &Name) {
+  bool Known = findBuiltinScenario(Name) != nullptr;
+  for (const std::string &W : workloadNames())
+    Known |= W == Name;
+  if (!Known)
+    std::fprintf(stderr, "unknown workload '%s'\n", Name.c_str());
+  return Known;
+}
+
+/// Reads and parses the warm-start v2 profile at \p Path into \p Out
+/// (nothing to do when \p Path is empty). Parse warnings (unknown
+/// sections/keys under the forward-compat rules) go to stderr; errors
+/// carry the line/section/token diagnostic from parseProfile().
+bool loadWarmStart(const std::string &Path,
+                   std::shared_ptr<const ProfileData> &Out) {
+  if (Path.empty())
+    return true;
   std::ifstream In(Path);
   if (!In) {
     std::fprintf(stderr, "cannot read '%s'\n", Path.c_str());
-    return nullptr;
+    return false;
   }
   std::stringstream Buffer;
   Buffer << In.rdbuf();
@@ -333,15 +565,16 @@ loadWarmStartProfile(const std::string &Path) {
   std::string Error;
   if (!parseProfile(Buffer.str(), *Profile, Error)) {
     std::fprintf(stderr, "%s: %s\n", Path.c_str(), Error.c_str());
-    return nullptr;
+    return false;
   }
   for (const std::string &W : Profile->Warnings)
     std::fprintf(stderr, "%s: warning: %s\n", Path.c_str(), W.c_str());
-  return Profile;
+  Out = std::move(Profile);
+  return true;
 }
 
-/// Writes serialized profile bytes, reporting failures to stderr.
-bool writeProfileFile(const std::string &Path, const std::string &Bytes) {
+/// Writes \p Bytes to \p Path, reporting failures to stderr.
+bool writeFile(const std::string &Path, const std::string &Bytes) {
   std::ofstream Out(Path, std::ios::binary);
   if (!Out) {
     std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
@@ -351,7 +584,26 @@ bool writeProfileFile(const std::string &Path, const std::string &Bytes) {
   return true;
 }
 
-int cmdList() {
+/// Streams the Chrome trace JSON \p Render writes into \p Path (a grid's
+/// merged trace can be large, so it is never held as one string).
+bool writeTrace(const std::string &Path,
+                const std::function<void(std::ostream &)> &Render) {
+  std::ofstream Out(Path, std::ios::binary);
+  if (!Out) {
+    std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
+    return false;
+  }
+  Render(Out);
+  std::fprintf(stderr, "trace written to %s (load it at ui.perfetto.dev)\n",
+               Path.c_str());
+  return true;
+}
+
+void printLine(const std::string &Line) {
+  std::fprintf(stderr, "%s\n", Line.c_str());
+}
+
+int cmdList(Options &) {
   for (const std::string &Name : workloadNames()) {
     Workload W = makeWorkload(Name, WorkloadParams{1, 0.01});
     std::printf("%-12s %s\n", Name.c_str(), W.Description.c_str());
@@ -364,7 +616,7 @@ int cmdList() {
   return 0;
 }
 
-int cmdTable1() {
+int cmdTable1(Options &) {
   std::vector<RunResult> Runs;
   for (const std::string &Name : workloadNames()) {
     RunConfig Config;
@@ -375,289 +627,131 @@ int cmdTable1() {
   return 0;
 }
 
-int cmdRun(int Argc, char **Argv) {
-  if (Argc < 3)
-    return usage();
-  std::string WorkloadName = Argv[2];
-  if (!knownWorkload(WorkloadName)) {
-    std::fprintf(stderr, "unknown workload '%s'\n", WorkloadName.c_str());
+int cmdRun(Options &O) {
+  RunConfig &Config = O.Run;
+  Config.WorkloadName = O.Operands[0];
+  Config.CollectTraceStats = O.TraceStats;
+  Config.CaptureProfile = !O.ProfileOut.empty();
+  if (!knownWorkload(Config.WorkloadName) ||
+      !loadWarmStart(O.WarmStart, Config.WarmStart))
     return 1;
-  }
 
-  PolicyKind Kind = PolicyKind::ContextInsensitive;
-  unsigned Depth = 1;
-  WorkloadParams Params;
-  AosSystemConfig AosConfig;
-  CostModel Model;
-  bool ShowPlans = false, TraceStats = false;
-  std::string ProfileOut, WarmStartPath;
-
-  Args A{Argc, Argv};
-  A.Pos = 3;
-  while (!A.done()) {
-    std::string Value;
-    if (A.flag("--policy", Value)) {
-      if (!parsePolicy(Value, Kind)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", Value.c_str());
-        return 1;
-      }
-      if (Depth == 1 && Kind != PolicyKind::ContextInsensitive)
-        Depth = 4;
-    } else if (A.flag("--depth", Value)) {
-      if (!parseUnsigned32("--depth", Value, Depth))
-        return 1;
-    } else if (A.flag("--scale", Value)) {
-      if (!parseScale(Value, Params.Scale))
-        return 1;
-    } else if (A.flag("--seed", Value)) {
-      if (!parseUnsigned("--seed", Value,
-                         std::numeric_limits<uint64_t>::max(), Params.Seed))
-        return 1;
-    } else if (A.flag("--code-cache", Value)) {
-      if (!parseUnsigned("--code-cache", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Model.CodeCache.CapacityBytes))
-        return 1;
-    } else if (A.flag("--profile-out", Value)) {
-      ProfileOut = Value;
-    } else if (A.flag("--warm-start", Value)) {
-      WarmStartPath = Value;
-    } else if (A.flag("--osr", Value)) {
-      if (!parseOsr(Value, AosConfig.Osr.Enabled))
-        return 1;
-    } else if (int R = tryOrganizerFlags(A, AosConfig)) {
-      if (R < 0)
-        return 1;
-    } else if (A.boolFlag("--plans")) {
-      ShowPlans = true;
-    } else if (A.boolFlag("--trace-stats")) {
-      TraceStats = true;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", Argv[A.Pos]);
-      return usage();
-    }
-  }
-
-  Workload W = makeWorkload(WorkloadName, Params);
-  VirtualMachine VM(W.Prog, Model);
-  std::unique_ptr<ContextPolicy> Policy = makePolicy(Kind, Depth);
-  AdaptiveSystem Aos(VM, *Policy, AosConfig);
-  if (TraceStats)
-    Aos.traceListener().enableStatistics();
-  Aos.attach();
-  if (!WarmStartPath.empty()) {
-    std::shared_ptr<const ProfileData> Profile =
-        loadWarmStartProfile(WarmStartPath);
-    if (!Profile)
-      return 1;
-    const WarmStartStats S = Aos.warmStart(*Profile);
+  Session S(Config);
+  if (Config.WarmStart) {
+    const WarmStartStats &W = S.warmStart();
     std::printf("warm start     %llu entries applied, %llu dropped "
                 "(%llu traces, %llu decisions, %llu hot methods, "
                 "%llu refusals)\n",
-                static_cast<unsigned long long>(S.applied()),
-                static_cast<unsigned long long>(S.dropped()),
-                static_cast<unsigned long long>(S.TracesApplied),
-                static_cast<unsigned long long>(S.DecisionsApplied),
-                static_cast<unsigned long long>(S.HotMethodsApplied),
-                static_cast<unsigned long long>(S.RefusalsApplied));
-    if (S.ThresholdMismatches != 0)
+                static_cast<unsigned long long>(W.applied()),
+                static_cast<unsigned long long>(W.dropped()),
+                static_cast<unsigned long long>(W.TracesApplied),
+                static_cast<unsigned long long>(W.DecisionsApplied),
+                static_cast<unsigned long long>(W.HotMethodsApplied),
+                static_cast<unsigned long long>(W.RefusalsApplied));
+    if (W.ThresholdMismatches != 0)
       std::fprintf(stderr,
                    "warning: %llu saved threshold(s) differ from this "
                    "run's configuration (live values win)\n",
-                   static_cast<unsigned long long>(S.ThresholdMismatches));
+                   static_cast<unsigned long long>(W.ThresholdMismatches));
   }
-  for (MethodId Entry : W.Entries)
-    VM.addThread(Entry);
-  VM.run();
+  S.run();
+  const RunResult R = S.result();
 
-  std::printf("workload       %s (policy %s)\n", W.Name.c_str(),
-              Policy->name().c_str());
+  std::printf("workload       %s (policy %s)\n", R.WorkloadName.c_str(),
+              S.aos().policy().name().c_str());
   std::printf("wall cycles    %llu\n",
-              static_cast<unsigned long long>(VM.cycles()));
+              static_cast<unsigned long long>(R.WallCycles));
   std::printf("result         %lld\n",
-              static_cast<long long>(
-                  VM.threads().front()->Result.asInt()));
+              static_cast<long long>(R.ProgramResult));
   std::printf("samples        %llu\n",
-              static_cast<unsigned long long>(
-                  VM.counters().SamplesTaken));
+              static_cast<unsigned long long>(R.SamplesTaken));
   std::printf("opt compiles   %llu (%llu cycles)\n",
-              static_cast<unsigned long long>(Aos.stats().OptCompilations),
-              static_cast<unsigned long long>(
-                  VM.codeManager().optCompileCycles()));
+              static_cast<unsigned long long>(R.OptCompilations),
+              static_cast<unsigned long long>(R.OptCompileCycles));
   std::printf("opt code bytes %llu resident / %llu generated\n",
-              static_cast<unsigned long long>(
-                  VM.codeManager().optimizedBytesResident()),
-              static_cast<unsigned long long>(
-                  VM.codeManager().optimizedBytesGenerated()));
+              static_cast<unsigned long long>(R.OptBytesResident),
+              static_cast<unsigned long long>(R.OptBytesGenerated));
   std::printf("inlined calls  %llu (guard fallbacks %llu)\n",
-              static_cast<unsigned long long>(
-                  VM.counters().InlinedCallsEntered),
-              static_cast<unsigned long long>(
-                  VM.counters().GuardFallbacks));
-  if (AosConfig.Organizer == InlineOrganizerKind::Budget) {
-    const AosStats &S = Aos.stats();
+              static_cast<unsigned long long>(R.InlinedCalls),
+              static_cast<unsigned long long>(R.GuardFallbacks));
+  if (Config.Aos.Organizer == InlineOrganizerKind::Budget)
     std::printf("budget         %llu candidate units accepted "
                 "(%llu candidates), %llu pruned; estimator error %.1f%%\n",
-                static_cast<unsigned long long>(S.BudgetUnitsSpent),
-                static_cast<unsigned long long>(S.BudgetCandidatesAccepted),
-                static_cast<unsigned long long>(S.BudgetCandidatesPruned),
-                Aos.calibration().meanAbsErrorPct());
-  }
-  if (AosConfig.Osr.Enabled) {
-    const OsrStats &S = Aos.osrStats();
+                static_cast<unsigned long long>(R.BudgetUnitsSpent),
+                static_cast<unsigned long long>(R.BudgetCandidatesAccepted),
+                static_cast<unsigned long long>(R.BudgetCandidatesPruned),
+                R.EstimateErrorPct);
+  if (Config.Aos.Osr.Enabled)
     std::printf("osr            %llu entries, %llu deopts (%llu frames); "
                 "%llu cycles charged, ~%llu recovered\n",
-                static_cast<unsigned long long>(S.OsrEntries),
-                static_cast<unsigned long long>(S.Deopts),
-                static_cast<unsigned long long>(S.DeoptFramesRemapped),
-                static_cast<unsigned long long>(S.TransitionCyclesCharged),
-                static_cast<unsigned long long>(S.CyclesRecoveredEstimate));
-  }
-  if (Model.CodeCache.enabled()) {
-    const CodeManager &Code = VM.codeManager();
+                static_cast<unsigned long long>(R.OsrEntries),
+                static_cast<unsigned long long>(R.Deopts),
+                static_cast<unsigned long long>(
+                    S.aos().osrStats().DeoptFramesRemapped),
+                static_cast<unsigned long long>(R.OsrTransitionCycles),
+                static_cast<unsigned long long>(R.OsrCyclesRecovered));
+  if (Config.Model.CodeCache.enabled())
     std::printf("code cache     %llu live / %llu peak bytes (cap %llu); "
                 "%llu evictions, %llu recompiles after evict\n",
-                static_cast<unsigned long long>(Code.liveCodeBytes()),
-                static_cast<unsigned long long>(Code.peakCodeBytes()),
+                static_cast<unsigned long long>(R.LiveCodeBytes),
+                static_cast<unsigned long long>(R.PeakCodeBytes),
                 static_cast<unsigned long long>(
-                    Model.CodeCache.CapacityBytes),
-                static_cast<unsigned long long>(Code.numEvictions()),
-                static_cast<unsigned long long>(
-                    Code.recompilesAfterEvict()));
-  }
+                    Config.Model.CodeCache.CapacityBytes),
+                static_cast<unsigned long long>(R.Evictions),
+                static_cast<unsigned long long>(R.RecompilesAfterEvict));
   for (unsigned C = 0; C != NumAosComponents; ++C)
     std::printf("aos %-21s %8.4f%%\n",
                 aosComponentName(static_cast<AosComponent>(C)),
-                100.0 *
-                    static_cast<double>(VM.overheadMeter().cycles(
-                        static_cast<AosComponent>(C))) /
-                    static_cast<double>(VM.cycles()));
+                100.0 * static_cast<double>(R.ComponentCycles[C]) /
+                    static_cast<double>(R.WallCycles));
 
-  if (TraceStats) {
-    const TraceStatistics &S = Aos.traceListener().statistics();
+  if (O.TraceStats)
     std::printf("trace stats    %llu samples, %.0f%% parameterless "
                 "callees, mean depth %.2f\n",
-                static_cast<unsigned long long>(S.numSamples()),
-                S.calleeParameterlessFraction() * 100,
-                S.meanRecordedDepth());
-  }
+                static_cast<unsigned long long>(R.TraceStats.numSamples()),
+                R.TraceStats.calleeParameterlessFraction() * 100,
+                R.TraceStats.meanRecordedDepth());
 
-  if (ShowPlans) {
+  if (O.Plans) {
+    const CodeManager &Code = S.vm().codeManager();
     std::printf("\ninstalled optimized code:\n");
-    for (const auto &V : VM.codeManager().allVariants())
-      if (V->Level != OptLevel::Baseline &&
-          VM.codeManager().current(V->M) == V.get())
-        std::printf("%s", describeVariant(W.Prog, *V).c_str());
+    for (const auto &V : Code.allVariants())
+      if (V->Level != OptLevel::Baseline && Code.current(V->M) == V.get())
+        std::printf("%s", describeVariant(S.workload().Prog, *V).c_str());
   }
 
-  if (!ProfileOut.empty()) {
-    if (!writeProfileFile(
-            ProfileOut, serializeProfileData(Aos.snapshotProfile(W.Name))))
+  if (!O.ProfileOut.empty()) {
+    if (!writeFile(O.ProfileOut, R.CapturedProfile))
       return 1;
-    std::printf("v2 profile saved to %s\n", ProfileOut.c_str());
+    std::printf("v2 profile saved to %s\n", O.ProfileOut.c_str());
   }
   return 0;
 }
 
-int cmdTrace(int Argc, char **Argv) {
-  RunConfig Config;
-  Config.WorkloadName.clear();
-  std::string TraceOut, Filter;
-  std::string ProfileOut, WarmStartPath;
-  unsigned Trials = 1;
-  uint64_t MaxEvents = 0;
-
-  // Flags and the workload operand may come in any order:
-  //   aoci trace --trace-out t.json compress
-  //   aoci trace compress --trace-filter sample
-  Args A{Argc, Argv};
-  while (!A.done()) {
-    std::string Value;
-    if (A.flag("--trace-out", Value)) {
-      TraceOut = Value;
-    } else if (A.flag("--trace-filter", Value)) {
-      Filter = Value;
-    } else if (A.flag("--policy", Value)) {
-      if (!parsePolicy(Value, Config.Policy)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", Value.c_str());
-        return 1;
-      }
-      if (Config.MaxDepth == 1 &&
-          Config.Policy != PolicyKind::ContextInsensitive)
-        Config.MaxDepth = 4;
-    } else if (A.flag("--depth", Value)) {
-      if (!parseUnsigned32("--depth", Value, Config.MaxDepth))
-        return 1;
-    } else if (A.flag("--scale", Value)) {
-      if (!parseScale(Value, Config.Params.Scale))
-        return 1;
-    } else if (A.flag("--seed", Value)) {
-      if (!parseUnsigned("--seed", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Params.Seed))
-        return 1;
-    } else if (A.flag("--trials", Value)) {
-      if (!parseUnsigned32("--trials", Value, Trials))
-        return 1;
-    } else if (A.flag("--max-events", Value)) {
-      if (!parseUnsigned("--max-events", Value,
-                         std::numeric_limits<uint64_t>::max(), MaxEvents))
-        return 1;
-    } else if (A.flag("--code-cache", Value)) {
-      if (!parseUnsigned("--code-cache", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Model.CodeCache.CapacityBytes))
-        return 1;
-    } else if (A.flag("--osr", Value)) {
-      if (!parseOsr(Value, Config.Aos.Osr.Enabled))
-        return 1;
-    } else if (int R = tryOrganizerFlags(A, Config.Aos)) {
-      if (R < 0)
-        return 1;
-    } else if (A.flag("--profile-out", Value)) {
-      ProfileOut = Value;
-    } else if (A.flag("--warm-start", Value)) {
-      WarmStartPath = Value;
-    } else if (Argv[A.Pos][0] != '-' && Config.WorkloadName.empty()) {
-      Config.WorkloadName = Argv[A.Pos++];
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", Argv[A.Pos]);
-      return usage();
-    }
-  }
-  if (Config.WorkloadName.empty()) {
-    std::fprintf(stderr, "trace: missing workload operand\n");
-    return usage();
-  }
-  if (!knownWorkload(Config.WorkloadName)) {
-    std::fprintf(stderr, "unknown workload '%s'\n",
-                 Config.WorkloadName.c_str());
+int cmdTrace(Options &O) {
+  RunConfig &Config = O.Run;
+  Config.WorkloadName = O.Operands[0];
+  if (!knownWorkload(Config.WorkloadName))
     return 1;
-  }
-
   uint32_t Mask = TraceAllKinds;
   std::string Error;
-  if (!parseTraceFilter(Filter, Mask, Error)) {
+  if (!parseTraceFilter(O.TraceFilter, Mask, Error)) {
     std::fprintf(stderr, "trace: %s\n", Error.c_str());
     return 1;
   }
-
-  if (!WarmStartPath.empty()) {
-    Config.WarmStart = loadWarmStartProfile(WarmStartPath);
-    if (!Config.WarmStart)
-      return 1;
-  }
-  Config.CaptureProfile = !ProfileOut.empty();
+  if (!loadWarmStart(O.WarmStart, Config.WarmStart))
+    return 1;
+  Config.CaptureProfile = !O.ProfileOut.empty();
 
   TraceSink Sink;
   Sink.enable(Mask);
-  Sink.setCapacity(MaxEvents);
+  Sink.setCapacity(O.MaxEvents);
   Config.Trace = &Sink;
-  RunResult R = runBestOf(Config, Trials < 1 ? 1 : Trials);
-  if (!ProfileOut.empty()) {
-    if (!writeProfileFile(ProfileOut, R.CapturedProfile))
+  RunResult R = runBestOf(Config, O.Trials);
+  if (!O.ProfileOut.empty()) {
+    if (!writeFile(O.ProfileOut, R.CapturedProfile))
       return 1;
-    std::fprintf(stderr, "v2 profile saved to %s\n", ProfileOut.c_str());
+    std::fprintf(stderr, "v2 profile saved to %s\n", O.ProfileOut.c_str());
   }
 
   const std::string ProcessName =
@@ -672,178 +766,71 @@ int cmdTrace(int Argc, char **Argv) {
                static_cast<unsigned long long>(Sink.numEvents()),
                static_cast<unsigned long long>(Sink.droppedEvents()));
 
-  if (TraceOut.empty()) {
-    writeChromeTrace(std::cout, Sink, ProcessName);
+  auto Render = [&](std::ostream &OS) {
+    writeChromeTrace(OS, Sink, ProcessName);
+  };
+  if (O.TraceOut.empty()) {
+    Render(std::cout);
     return 0;
   }
-  std::ofstream Out(TraceOut, std::ios::binary);
-  if (!Out) {
-    std::fprintf(stderr, "cannot write '%s'\n", TraceOut.c_str());
-    return 1;
-  }
-  writeChromeTrace(Out, Sink, ProcessName);
-  std::fprintf(stderr, "trace written to %s (load it at ui.perfetto.dev)\n",
-               TraceOut.c_str());
-  return 0;
+  return writeTrace(O.TraceOut, Render) ? 0 : 1;
 }
 
-int cmdGrid(int Argc, char **Argv) {
-  GridConfig Config;
-  std::string Report = "all";
-  std::string Csv, MetricsCsv, TraceOut, TraceFilter;
-  std::string ProfileOutDir, WarmStartPath;
-  // 0 lets runGridParallel pick hardware_concurrency. Results are
-  // byte-identical for every job count; see DESIGN.md.
-  unsigned Jobs = 0;
-  bool ShowMetrics = false;
-
-  Args A{Argc, Argv};
-  while (!A.done()) {
-    std::string Value;
-    if (A.flag("--workloads", Value)) {
-      Config.Workloads = splitList(Value);
-    } else if (A.flag("--policies", Value)) {
-      Config.Policies.clear();
-      for (const std::string &Name : splitList(Value)) {
-        PolicyKind Kind;
-        if (!parsePolicy(Name, Kind)) {
-          std::fprintf(stderr, "unknown policy '%s'\n", Name.c_str());
-          return 1;
-        }
-        Config.Policies.push_back(Kind);
-      }
-    } else if (A.flag("--depths", Value)) {
-      Config.Depths.clear();
-      for (const std::string &D : splitList(Value)) {
-        unsigned Depth = 0;
-        if (!parseUnsigned32("--depths", D, Depth))
-          return 1;
-        Config.Depths.push_back(Depth);
-      }
-    } else if (A.flag("--scale", Value)) {
-      if (!parseScale(Value, Config.Params.Scale))
-        return 1;
-    } else if (A.flag("--trials", Value)) {
-      if (!parseUnsigned32("--trials", Value, Config.Trials))
-        return 1;
-    } else if (A.flag("--jobs", Value)) {
-      if (!parseUnsigned32("--jobs", Value, Jobs))
-        return 1;
-    } else if (A.flag("--code-cache", Value)) {
-      if (!parseUnsigned("--code-cache", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Model.CodeCache.CapacityBytes))
-        return 1;
-    } else if (A.flag("--osr", Value)) {
-      if (!parseOsr(Value, Config.Aos.Osr.Enabled))
-        return 1;
-    } else if (int R = tryOrganizerFlags(A, Config.Aos)) {
-      if (R < 0)
-        return 1;
-    } else if (A.flag("--csv", Value)) {
-      Csv = Value;
-    } else if (A.flag("--metrics-csv", Value)) {
-      MetricsCsv = Value;
-    } else if (A.boolFlag("--metrics")) {
-      ShowMetrics = true;
-    } else if (A.flag("--trace-out", Value)) {
-      TraceOut = Value;
-    } else if (A.flag("--trace-filter", Value)) {
-      TraceFilter = Value;
-    } else if (A.flag("--profile-out", Value)) {
-      ProfileOutDir = Value;
-    } else if (A.flag("--warm-start", Value)) {
-      WarmStartPath = Value;
-    } else if (A.flag("--report", Value)) {
-      Report = Value;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", Argv[A.Pos]);
-      return usage();
-    }
-  }
-
+int cmdGrid(Options &O) {
+  GridConfig &Config = O.Grid;
+  Config.Workloads = O.Workloads;
+  Config.Trials = O.Trials;
   for (const std::string &W : Config.Workloads)
-    if (!knownWorkload(W)) {
-      std::fprintf(stderr, "unknown workload '%s'\n", W.c_str());
+    if (!knownWorkload(W))
       return 1;
-    }
-  if (!TraceOut.empty() || !TraceFilter.empty()) {
+  if (!O.TraceOut.empty() || !O.TraceFilter.empty()) {
     Config.Trace = true;
     std::string Error;
-    if (!parseTraceFilter(TraceFilter, Config.TraceKindMask, Error)) {
+    if (!parseTraceFilter(O.TraceFilter, Config.TraceKindMask, Error)) {
       std::fprintf(stderr, "grid: %s\n", Error.c_str());
       return 1;
     }
   }
-  if (!WarmStartPath.empty()) {
-    Config.WarmStart = loadWarmStartProfile(WarmStartPath);
-    if (!Config.WarmStart)
-      return 1;
-  }
-  Config.CaptureProfile = !ProfileOutDir.empty();
+  if (!loadWarmStart(O.WarmStart, Config.WarmStart))
+    return 1;
+  Config.CaptureProfile = !O.ProfileOut.empty();
 
-  GridResults Results =
-      runGridParallel(Config, Jobs, [](const std::string &Line) {
-        std::fprintf(stderr, "%s\n", Line.c_str());
-      });
-  if (Report == "fig4" || Report == "all")
-    std::printf("%s\n",
-                reportFigure4(Results, Config.Policies, Config.Depths)
-                    .c_str());
-  if (Report == "fig5" || Report == "all")
-    std::printf("%s\n",
-                reportFigure5(Results, Config.Policies, Config.Depths)
-                    .c_str());
-  if (Report == "compile" || Report == "all")
-    std::printf("%s\n",
-                reportCompileTime(Results, Config.Policies, Config.Depths)
-                    .c_str());
-  if (Report == "fig6" || Report == "all")
-    std::printf("%s\n",
-                reportFigure6(Results, Config.Policies, Config.Depths)
-                    .c_str());
-  if (Report == "summary" || Report == "all")
-    std::printf("%s\n",
-                reportSummary(Results, Config.Policies, Config.Depths)
-                    .c_str());
-  if (ShowMetrics)
+  GridResults Results = runGridParallel(Config, O.Jobs, printLine);
+  using GridReport = std::string (*)(const GridResults &,
+                                     const std::vector<PolicyKind> &,
+                                     const std::vector<unsigned> &);
+  const std::pair<const char *, GridReport> Reports[] = {
+      {"fig4", reportFigure4},     {"fig5", reportFigure5},
+      {"compile", reportCompileTime}, {"fig6", reportFigure6},
+      {"summary", reportSummary}};
+  for (const auto &[Name, Report] : Reports)
+    if (O.Report == Name || O.Report == "all")
+      std::printf("%s\n",
+                  Report(Results, Config.Policies, Config.Depths).c_str());
+  if (O.Metrics)
     std::printf("%s\n", reportRunMetrics(Results).c_str());
-  if (!Csv.empty()) {
-    std::ofstream Out(Csv);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", Csv.c_str());
+  if (!O.Csv.empty()) {
+    if (!writeFile(O.Csv, exportCsv(Results, Config.Policies, Config.Depths)))
       return 1;
-    }
-    Out << exportCsv(Results, Config.Policies, Config.Depths);
-    std::fprintf(stderr, "csv written to %s\n", Csv.c_str());
+    std::fprintf(stderr, "csv written to %s\n", O.Csv.c_str());
   }
-  if (!MetricsCsv.empty()) {
-    std::ofstream Out(MetricsCsv);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", MetricsCsv.c_str());
+  if (!O.MetricsCsv.empty()) {
+    if (!writeFile(O.MetricsCsv, exportMetricsCsv(Results)))
       return 1;
-    }
-    Out << exportMetricsCsv(Results);
-    std::fprintf(stderr, "metrics csv written to %s\n",
-                 MetricsCsv.c_str());
+    std::fprintf(stderr, "metrics csv written to %s\n", O.MetricsCsv.c_str());
   }
-  if (!TraceOut.empty()) {
-    std::ofstream Out(TraceOut, std::ios::binary);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", TraceOut.c_str());
-      return 1;
-    }
-    exportGridTrace(Out, Results);
-    std::fprintf(stderr, "trace written to %s (load it at ui.perfetto.dev)\n",
-                 TraceOut.c_str());
-  }
-  if (!ProfileOutDir.empty()) {
-    std::filesystem::create_directories(ProfileOutDir);
+  if (!O.TraceOut.empty() &&
+      !writeTrace(O.TraceOut, [&](std::ostream &OS) {
+        exportGridTrace(OS, Results);
+      }))
+    return 1;
+  if (!O.ProfileOut.empty()) {
+    std::filesystem::create_directories(O.ProfileOut);
     size_t Written = 0;
     auto save = [&](const RunResult &R, const std::string &Stem) {
       const std::filesystem::path Path =
-          std::filesystem::path(ProfileOutDir) / (Stem + ".prof");
-      if (!writeProfileFile(Path.string(), R.CapturedProfile))
+          std::filesystem::path(O.ProfileOut) / (Stem + ".prof");
+      if (!writeFile(Path.string(), R.CapturedProfile))
         return false;
       ++Written;
       return true;
@@ -859,7 +846,7 @@ int cmdGrid(int Argc, char **Argv) {
             return 1;
     }
     std::fprintf(stderr, "%zu v2 profile(s) written to %s\n", Written,
-                 ProfileOutDir.c_str());
+                 O.ProfileOut.c_str());
   }
   return 0;
 }
@@ -905,84 +892,21 @@ bool loadScenarioDir(const std::string &Dir,
   return true;
 }
 
-int cmdFuzz(int Argc, char **Argv) {
-  FuzzConfig Config;
-  std::string OutDir, KnownDir;
-  Args A{Argc, Argv};
-  while (!A.done()) {
-    std::string Value;
-    if (A.flag("--seed", Value)) {
-      if (!parseUnsigned("--seed", Value,
-                         std::numeric_limits<uint64_t>::max(), Config.Seed))
-        return 1;
-    } else if (A.flag("--budget", Value)) {
-      if (!parseUnsigned32("--budget", Value, Config.Budget))
-        return 1;
-    } else if (A.flag("--policy-a", Value)) {
-      if (!parsePolicy(Value, Config.PolicyA)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", Value.c_str());
-        return 1;
-      }
-    } else if (A.flag("--depth-a", Value)) {
-      if (!parseUnsigned32("--depth-a", Value, Config.DepthA))
-        return 1;
-    } else if (A.flag("--policy-b", Value)) {
-      if (!parsePolicy(Value, Config.PolicyB)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", Value.c_str());
-        return 1;
-      }
-    } else if (A.flag("--depth-b", Value)) {
-      if (!parseUnsigned32("--depth-b", Value, Config.DepthB))
-        return 1;
-    } else if (A.flag("--threshold", Value)) {
-      if (!parseDouble("--threshold", Value, 0, /*MinAllowed=*/true,
-                       Config.ThresholdPct))
-        return 1;
-    } else if (A.flag("--scale", Value)) {
-      if (!parseScale(Value, Config.Params.Scale))
-        return 1;
-    } else if (A.flag("--workload-seed", Value)) {
-      if (!parseUnsigned("--workload-seed", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Params.Seed))
-        return 1;
-    } else if (A.flag("--code-cache", Value)) {
-      if (!parseUnsigned("--code-cache", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Model.CodeCache.CapacityBytes))
-        return 1;
-    } else if (A.flag("--osr", Value)) {
-      if (!parseOsr(Value, Config.Aos.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--max-diffs", Value)) {
-      if (!parseUnsigned32("--max-diffs", Value, Config.MaxDifferentials))
-        return 1;
-    } else if (A.flag("--out", Value)) {
-      OutDir = Value;
-    } else if (A.flag("--known", Value)) {
-      KnownDir = Value;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", Argv[A.Pos]);
-      return usage();
-    }
-  }
-
+int cmdFuzz(Options &O) {
   // The corpus of already-known findings, keyed on the canonical spec
   // (name and expect block stripped), so a rename is not "new".
   std::vector<std::string> KnownKeys;
-  if (!KnownDir.empty()) {
+  if (!O.KnownDir.empty()) {
     std::vector<ScenarioSpec> Corpus;
-    if (!loadScenarioDir(KnownDir, Corpus))
+    if (!loadScenarioDir(O.KnownDir, Corpus))
       return 1;
     for (const ScenarioSpec &S : Corpus)
       KnownKeys.push_back(scenarioSearchKey(S));
     std::fprintf(stderr, "loaded %zu known reproducer(s) from %s\n",
-                 KnownKeys.size(), KnownDir.c_str());
+                 KnownKeys.size(), O.KnownDir.c_str());
   }
 
-  FuzzResults Results = runFuzz(Config, [](const std::string &Line) {
-    std::fprintf(stderr, "%s\n", Line.c_str());
-  });
+  FuzzResults Results = runFuzz(O.Fuzz, printLine);
   std::fprintf(stderr,
                "fuzz: %u candidate(s), %llu run(s), %zu differential(s)\n",
                Results.CandidatesTried,
@@ -995,50 +919,43 @@ int cmdFuzz(int Argc, char **Argv) {
     const bool Known =
         std::find(KnownKeys.begin(), KnownKeys.end(),
                   scenarioSearchKey(D.Spec)) != KnownKeys.end();
-    if (!KnownDir.empty() && !Known)
+    if (!O.KnownDir.empty() && !Known)
       FoundNew = true;
     std::printf("# %s: %s %+.2f%% over %s (shrunk from %+.2f%%)%s\n%s\n",
                 D.Spec.Name.c_str(), D.Spec.Expect.PolicyA.c_str(),
                 D.DeltaPct, D.Spec.Expect.PolicyB.c_str(),
-                D.OriginalDeltaPct,
-                Known ? " [known]" : "", Text.c_str());
-    if (!OutDir.empty()) {
-      std::filesystem::create_directories(OutDir);
+                D.OriginalDeltaPct, Known ? " [known]" : "", Text.c_str());
+    if (!O.OutDir.empty()) {
+      std::filesystem::create_directories(O.OutDir);
       const std::filesystem::path Path =
-          std::filesystem::path(OutDir) / (D.Spec.Name + ".scn");
-      std::ofstream Out(Path, std::ios::binary);
-      if (!Out) {
-        std::fprintf(stderr, "cannot write '%s'\n", Path.string().c_str());
+          std::filesystem::path(O.OutDir) / (D.Spec.Name + ".scn");
+      if (!writeFile(Path.string(), Text))
         return 1;
-      }
-      Out << Text;
       std::fprintf(stderr, "reproducer written to %s\n",
                    Path.string().c_str());
     }
   }
   if (FoundNew) {
     std::fprintf(stderr, "fuzz: NEW differential(s) not in %s\n",
-                 KnownDir.c_str());
+                 O.KnownDir.c_str());
     return 1;
   }
   return 0;
 }
 
-int cmdReplay(int Argc, char **Argv) {
-  if (Argc < 3)
-    return usage();
+int cmdReplay(Options &O) {
+  const char *File = O.Operands[0].c_str();
   ScenarioSpec Spec;
-  if (!loadScenarioFile(Argv[2], Spec))
+  if (!loadScenarioFile(File, Spec))
     return 1;
   if (!Spec.HasExpectation) {
-    std::fprintf(stderr, "%s has no expect block; nothing to replay\n",
-                 Argv[2]);
+    std::fprintf(stderr, "%s has no expect block; nothing to replay\n", File);
     return 1;
   }
   PolicyKind Check;
   if (!parsePolicyKind(Spec.Expect.PolicyA, Check) ||
       !parsePolicyKind(Spec.Expect.PolicyB, Check)) {
-    std::fprintf(stderr, "%s: unknown policy in expect block\n", Argv[2]);
+    std::fprintf(stderr, "%s: unknown policy in expect block\n", File);
     return 1;
   }
   const double Delta = replayScenario(Spec);
@@ -1052,73 +969,26 @@ int cmdReplay(int Argc, char **Argv) {
   return SameSign ? 0 : 1;
 }
 
-int cmdSteady(int Argc, char **Argv) {
-  std::vector<std::string> Workloads = workloadNames();
-  RunConfig Base;
-  unsigned Trials = 1;
-  std::string JsonOut;
-  Args A{Argc, Argv};
-  while (!A.done()) {
-    std::string Value;
-    if (A.flag("--workloads", Value)) {
-      Workloads = splitList(Value);
-    } else if (A.flag("--policy", Value)) {
-      if (!parsePolicy(Value, Base.Policy)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", Value.c_str());
-        return 1;
-      }
-      if (Base.MaxDepth == 1 && Base.Policy != PolicyKind::ContextInsensitive)
-        Base.MaxDepth = 4;
-    } else if (A.flag("--depth", Value)) {
-      if (!parseUnsigned32("--depth", Value, Base.MaxDepth))
-        return 1;
-    } else if (A.flag("--scale", Value)) {
-      if (!parseScale(Value, Base.Params.Scale))
-        return 1;
-    } else if (A.flag("--seed", Value)) {
-      if (!parseUnsigned("--seed", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Base.Params.Seed))
-        return 1;
-    } else if (A.flag("--trials", Value)) {
-      if (!parseUnsigned32("--trials", Value, Trials))
-        return 1;
-    } else if (A.flag("--code-cache", Value)) {
-      if (!parseUnsigned("--code-cache", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Base.Model.CodeCache.CapacityBytes))
-        return 1;
-    } else if (A.flag("--osr", Value)) {
-      if (!parseOsr(Value, Base.Aos.Osr.Enabled))
-        return 1;
-    } else if (A.flag("--json", Value)) {
-      JsonOut = Value;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", Argv[A.Pos]);
-      return usage();
-    }
-  }
-  for (const std::string &W : Workloads)
-    if (!knownWorkload(W)) {
-      std::fprintf(stderr, "unknown workload '%s'\n", W.c_str());
+int cmdSteady(Options &O) {
+  for (const std::string &W : O.Workloads)
+    if (!knownWorkload(W))
       return 1;
-    }
 
   bool AllReached = true;
   std::string Json = "{\"workloads\":[";
   std::printf("%-22s %12s %12s %12s  %s\n", "workload", "wall Mcy",
               "warmup Mcy", "steady Mcy", "verdict");
-  for (size_t I = 0; I != Workloads.size(); ++I) {
-    RunConfig Config = Base;
-    Config.WorkloadName = Workloads[I];
+  for (size_t I = 0; I != O.Workloads.size(); ++I) {
+    RunConfig Config = O.Run;
+    Config.WorkloadName = O.Workloads[I];
     TraceSink Sink;
     Sink.enable(steadyStateKindMask());
     Config.Trace = &Sink;
-    const RunResult R = runBestOf(Config, Trials < 1 ? 1 : Trials);
+    const RunResult R = runBestOf(Config, O.Trials);
     const SteadyStateResult S = detectSteadyState(Sink, R.WallCycles);
     AllReached &= S.Reached;
     std::printf("%-22s %12.2f %12.2f %12.2f  %s (%s)\n",
-                Workloads[I].c_str(),
+                O.Workloads[I].c_str(),
                 static_cast<double>(R.WallCycles) / 1e6,
                 static_cast<double>(S.WarmupCycles) / 1e6,
                 static_cast<double>(S.SteadyCycles) / 1e6,
@@ -1126,7 +996,7 @@ int cmdSteady(int Argc, char **Argv) {
     Json += formatString(
         "%s{\"name\":\"%s\",\"reached\":%s,\"wallCycles\":%llu,"
         "\"warmupCycles\":%llu,\"steadyCycles\":%llu,\"why\":\"%s\"}",
-        I == 0 ? "" : ",", jsonEscape(Workloads[I]).c_str(),
+        I == 0 ? "" : ",", jsonEscape(O.Workloads[I]).c_str(),
         S.Reached ? "true" : "false",
         static_cast<unsigned long long>(R.WallCycles),
         static_cast<unsigned long long>(S.WarmupCycles),
@@ -1135,154 +1005,58 @@ int cmdSteady(int Argc, char **Argv) {
   }
   Json += formatString("],\"allReached\":%s}\n",
                        AllReached ? "true" : "false");
-  if (!JsonOut.empty()) {
-    std::ofstream Out(JsonOut, std::ios::binary);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", JsonOut.c_str());
+  if (!O.Json.empty()) {
+    if (!writeFile(O.Json, Json))
       return 1;
-    }
-    Out << Json;
-    std::fprintf(stderr, "verdict written to %s\n", JsonOut.c_str());
+    std::fprintf(stderr, "verdict written to %s\n", O.Json.c_str());
   }
   return AllReached ? 0 : 1;
 }
 
-int cmdServe(int Argc, char **Argv) {
-  ServeConfig Config;
-  std::string TenantList, Csv, TraceOut, TraceFilter, WarmStartPath;
-  unsigned Jobs = 1;
-
-  Args A{Argc, Argv};
-  while (!A.done()) {
-    std::string Value;
-    if (A.flag("--tenants", Value)) {
-      TenantList = Value;
-    } else if (A.flag("--policy", Value)) {
-      if (!parsePolicy(Value, Config.Policy)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", Value.c_str());
-        return 1;
-      }
-    } else if (A.flag("--depth", Value)) {
-      if (!parseUnsigned32("--depth", Value, Config.MaxDepth))
-        return 1;
-    } else if (A.flag("--scale", Value)) {
-      if (!parseScale(Value, Config.Params.Scale))
-        return 1;
-    } else if (A.flag("--seed", Value)) {
-      if (!parseUnsigned("--seed", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Params.Seed))
-        return 1;
-    } else if (A.flag("--slice", Value)) {
-      if (!parseUnsigned("--slice", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.SliceCycles))
-        return 1;
-      if (Config.SliceCycles == 0) {
-        std::fprintf(stderr, "--slice must be at least 1 cycle\n");
-        return 1;
-      }
-    } else if (A.flag("--stagger", Value)) {
-      if (!parseUnsigned32("--stagger", Value, Config.StaggerRounds))
-        return 1;
-    } else if (A.flag("--share-cache", Value)) {
-      if (Value == "off") {
-        Config.ShareEnabled = false;
-        Config.ShareCapacityBytes = 0;
-      } else if (!parseUnsigned("--share-cache", Value,
-                                std::numeric_limits<uint64_t>::max(),
-                                Config.ShareCapacityBytes))
-        return 1;
-    } else if (A.flag("--code-cache", Value)) {
-      if (!parseUnsigned("--code-cache", Value,
-                         std::numeric_limits<uint64_t>::max(),
-                         Config.Model.CodeCache.CapacityBytes))
-        return 1;
-    } else if (A.flag("--osr", Value)) {
-      if (!parseOsr(Value, Config.Aos.Osr.Enabled))
-        return 1;
-    } else if (int R = tryOrganizerFlags(A, Config.Aos)) {
-      if (R < 0)
-        return 1;
-    } else if (A.flag("--jobs", Value)) {
-      if (!parseUnsigned32("--jobs", Value, Jobs))
-        return 1;
-    } else if (A.flag("--csv", Value)) {
-      Csv = Value;
-    } else if (A.flag("--trace-out", Value)) {
-      TraceOut = Value;
-    } else if (A.flag("--trace-filter", Value)) {
-      TraceFilter = Value;
-    } else if (A.flag("--warm-start", Value)) {
-      WarmStartPath = Value;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", Argv[A.Pos]);
-      return usage();
-    }
-  }
-  if (TenantList.empty()) {
-    std::fprintf(stderr, "serve: --tenants is required\n");
+int cmdServe(Options &O) {
+  ServeConfig &Config = O.Serve;
+  if (O.Tenants.empty()) {
+    std::fprintf(stderr, "serve: the tenant list is required\n");
     return usage();
   }
   std::string Error;
-  if (!parseTenantList(TenantList, Config.Tenants, Error)) {
+  if (!parseTenantList(O.Tenants, Config.Tenants, Error) ||
+      !parseTraceFilter(O.TraceFilter, Config.TraceKindMask, Error)) {
     std::fprintf(stderr, "serve: %s\n", Error.c_str());
     return 1;
   }
-  uint32_t Mask = TraceAllKinds;
-  if (!parseTraceFilter(TraceFilter, Mask, Error)) {
-    std::fprintf(stderr, "serve: %s\n", Error.c_str());
+  Config.Trace = !O.TraceOut.empty();
+  Config.ShareEnabled = O.ShareCache.has_value();
+  Config.ShareCapacityBytes = O.ShareCache.value_or(0);
+  if (!loadWarmStart(O.WarmStart, Config.WarmStart))
     return 1;
-  }
-  Config.Trace = !TraceOut.empty();
-  Config.TraceKindMask = Mask;
-  if (!WarmStartPath.empty()) {
-    Config.WarmStart = loadWarmStartProfile(WarmStartPath);
-    if (!Config.WarmStart)
-      return 1;
-  }
 
-  const ServeResults Results = runServe(
-      Config, Jobs, [](const std::string &Line) {
-        std::fprintf(stderr, "%s\n", Line.c_str());
-      });
-
+  const ServeResults Results = runServe(Config, O.Jobs, printLine);
   std::printf("%s", reportServe(Results).c_str());
-  if (!Csv.empty()) {
-    std::ofstream Out(Csv, std::ios::binary);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", Csv.c_str());
+  if (!O.Csv.empty()) {
+    if (!writeFile(O.Csv, exportServeCsv(Results)))
       return 1;
-    }
-    Out << exportServeCsv(Results);
-    std::fprintf(stderr, "serve csv written to %s\n", Csv.c_str());
+    std::fprintf(stderr, "serve csv written to %s\n", O.Csv.c_str());
   }
-  if (!TraceOut.empty()) {
-    std::ofstream Out(TraceOut, std::ios::binary);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write '%s'\n", TraceOut.c_str());
-      return 1;
-    }
-    exportServeTrace(Out, Results);
-    std::fprintf(stderr,
-                 "trace written to %s (load it at ui.perfetto.dev)\n",
-                 TraceOut.c_str());
-  }
+  if (!O.TraceOut.empty() &&
+      !writeTrace(O.TraceOut, [&](std::ostream &OS) {
+        exportServeTrace(OS, Results);
+      }))
+    return 1;
   return 0;
 }
 
-int cmdDisasm(int Argc, char **Argv) {
-  if (Argc < 3)
-    return usage();
-  if (!knownWorkload(Argv[2])) {
-    std::fprintf(stderr, "unknown workload '%s'\n", Argv[2]);
+int cmdDisasm(Options &O) {
+  const std::string &Name = O.Operands[0];
+  if (!knownWorkload(Name))
     return 1;
-  }
-  Workload W = makeWorkload(Argv[2], WorkloadParams{1, 0.01});
-  if (Argc >= 4) {
-    MethodId M = W.Prog.findMethod(Argv[3]);
+  Workload W = makeWorkload(Name, WorkloadParams{1, 0.01});
+  if (O.Operands.size() == 2) {
+    const std::string &Method = O.Operands[1];
+    MethodId M = W.Prog.findMethod(Method);
     if (M == InvalidMethodId) {
-      std::fprintf(stderr, "no method '%s' in %s\n", Argv[3], Argv[2]);
+      std::fprintf(stderr, "no method '%s' in %s\n", Method.c_str(),
+                   Name.c_str());
       return 1;
     }
     std::printf("%s", disassembleMethod(W.Prog, M).c_str());
@@ -1295,28 +1069,14 @@ int cmdDisasm(int Argc, char **Argv) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  if (Argc < 2)
-    return usage();
-  const std::string Command = Argv[1];
-  if (Command == "list")
-    return cmdList();
-  if (Command == "table1")
-    return cmdTable1();
-  if (Command == "run")
-    return cmdRun(Argc, Argv);
-  if (Command == "grid")
-    return cmdGrid(Argc, Argv);
-  if (Command == "trace")
-    return cmdTrace(Argc, Argv);
-  if (Command == "disasm")
-    return cmdDisasm(Argc, Argv);
-  if (Command == "fuzz")
-    return cmdFuzz(Argc, Argv);
-  if (Command == "replay")
-    return cmdReplay(Argc, Argv);
-  if (Command == "steady")
-    return cmdSteady(Argc, Argv);
-  if (Command == "serve")
-    return cmdServe(Argc, Argv);
+  for (const Command &C : Commands) {
+    if (Argc < 2 || std::string_view(Argv[1]) != C.Name)
+      continue;
+    Options O;
+    O.bind(C.Configs);
+    if (!parseArgs(Argc, Argv, C, O))
+      return 1;
+    return C.Main(O);
+  }
   return usage();
 }
