@@ -20,12 +20,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchScale.h"
 #include "harness/Experiment.h"
 #include "support/StringUtils.h"
 #include "trace/TraceSink.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace aoci;
 
@@ -123,9 +123,7 @@ void ablateOsr(double Scale) {
 } // namespace
 
 int main() {
-  double Scale = 1.0;
-  if (const char *S = std::getenv("AOCI_SCALE"))
-    Scale = std::atof(S);
+  const double Scale = benchScale();
 
   for (const char *W : Benchmarks) {
     std::printf("== %s (fixed, max depth 3; deltas are speedup vs the "

@@ -25,12 +25,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchScale.h"
 #include "harness/Experiment.h"
 #include "harness/SteadyState.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -96,9 +96,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  double Scale = 1.0;
-  if (const char *S = std::getenv("AOCI_SCALE"))
-    Scale = std::atof(S);
+  const double Scale = benchScale();
 
   std::vector<Entry> Benchmarks;
   for (const std::string &W : workloadNames())

@@ -12,18 +12,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchScale.h"
 #include "harness/Experiment.h"
 #include "harness/Reporters.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace aoci;
 
 int main() {
-  double Scale = 1.0;
-  if (const char *S = std::getenv("AOCI_SCALE"))
-    Scale = std::atof(S);
+  const double Scale = benchScale();
 
   std::vector<RunResult> Runs;
   for (const std::string &Name : workloadNames()) {

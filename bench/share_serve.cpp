@@ -38,13 +38,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchScale.h"
 #include "harness/Experiment.h"
 #include "harness/Serve.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -94,9 +94,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  double Scale = 1.0;
-  if (const char *S = std::getenv("AOCI_SCALE"))
-    Scale = std::atof(S);
+  const double Scale = benchScale();
 
   bool Pass = true;
   std::string Json;

@@ -19,11 +19,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchScale.h"
 #include "harness/Experiment.h"
 #include "harness/SteadyState.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace aoci;
 
@@ -44,9 +44,7 @@ const Entry Benchmarks[] = {{"compress", true},
 } // namespace
 
 int main() {
-  double Scale = 1.0;
-  if (const char *S = std::getenv("AOCI_SCALE"))
-    Scale = std::atof(S);
+  const double Scale = benchScale();
 
   bool AllReached = true;
   std::printf("%-22s %12s %12s %12s  %s\n", "workload", "wall Mcy",

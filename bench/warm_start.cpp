@@ -41,6 +41,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchScale.h"
 #include "harness/Experiment.h"
 #include "harness/SteadyState.h"
 #include "profile/ProfileIo.h"
@@ -48,7 +49,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -136,9 +136,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  double Scale = 1.0;
-  if (const char *S = std::getenv("AOCI_SCALE"))
-    Scale = std::atof(S);
+  const double Scale = benchScale();
 
   const std::vector<std::string> &Workloads = workloadNames();
   unsigned WarmFaster = 0;

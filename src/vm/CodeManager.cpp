@@ -73,11 +73,7 @@ const CodeVariant *CodeManager::install(std::unique_ptr<CodeVariant> Variant) {
 
   CodeVariant *Ptr = Variant.get();
   Ptr->indexPlanSites(P);
-  unsigned Serial = 0;
-  for (const auto &Existing : Variants)
-    if (Existing->M == Ptr->M)
-      ++Serial;
-  Ptr->SerialNumber = Serial;
+  Ptr->SerialNumber = InstallCount[Ptr->M]++;
   Ptr->InstallSeq = NextInstallSeq++;
   // Installation counts as a use: freshly compiled code must not be the
   // least-recently-used victim before it ever runs.

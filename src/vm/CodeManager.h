@@ -80,7 +80,7 @@ public:
   /// code-cache bound and the eviction cycle charges.
   explicit CodeManager(const Program &P, const CostModel &Model = CostModel())
       : P(P), Model(Model), Current(P.numMethods(), nullptr),
-        Baseline(P.numMethods(), nullptr),
+        Baseline(P.numMethods(), nullptr), InstallCount(P.numMethods(), 0),
         PendingRecompile(P.numMethods(), 0) {}
 
   /// Current variant for \p M, or null when the method has never been
@@ -206,6 +206,9 @@ private:
   std::vector<std::unique_ptr<CodeVariant>> Variants;
   std::vector<const CodeVariant *> Current;
   std::vector<const CodeVariant *> Baseline;
+  /// Variants ever installed per method, evicted ones included: the next
+  /// install's CodeVariant::SerialNumber.
+  std::vector<unsigned> InstallCount;
   /// Methods whose current code was evicted; the next install of such a
   /// method counts toward RecompilesAfterEvict.
   std::vector<uint8_t> PendingRecompile;

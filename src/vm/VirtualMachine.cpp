@@ -47,34 +47,43 @@ void VirtualMachine::setTraceSink(TraceSink *T) {
 MethodHotData &VirtualMachine::hotData(MethodId M) {
   assert(static_cast<size_t>(M) < HotData.size() && "method id out of range");
   MethodHotData &Hot = HotData[M];
-  if (!Hot.Body) {
-    const Method &Meth = P.method(M);
-    assert(!Meth.Body.empty() && "entering a method with no body");
-    Hot.Body = Meth.Body.data();
-    Hot.BodySize = static_cast<uint32_t>(Meth.Body.size());
-    Hot.NumLocals = Meth.NumLocals;
-    Hot.NumArgSlots = static_cast<uint16_t>(Meth.numArgSlots());
-    Hot.MaxStack = maxOperandStackDepth(P, Meth);
-  }
+  if (!Hot.Body) [[unlikely]]
+    buildHotData(M, Hot);
   return Hot;
+}
+
+void VirtualMachine::buildHotData(MethodId M, MethodHotData &Hot) {
+  const Method &Meth = P.method(M);
+  assert(!Meth.Body.empty() && "entering a method with no body");
+  Hot.Body = Meth.Body.data();
+  Hot.BodySize = static_cast<uint32_t>(Meth.Body.size());
+  Hot.NumLocals = Meth.NumLocals;
+  Hot.NumArgSlots = static_cast<uint16_t>(Meth.numArgSlots());
+  Hot.MaxStack = maxOperandStackDepth(P, Meth);
 }
 
 const uint64_t *VirtualMachine::costTable(MethodHotData &H, OptLevel L,
                                           bool Inlined) {
   std::vector<uint64_t> &Table =
       H.Cost[static_cast<unsigned>(L) * 2 + (Inlined ? 1 : 0)];
-  if (Table.empty()) {
-    Table.reserve(H.BodySize);
-    const uint64_t PerUnit = Model.cyclesPerUnit(L);
-    for (uint32_t PC = 0; PC != H.BodySize; ++PC) {
-      uint64_t Cost = H.Body[PC].machineSize() * PerUnit;
-      // Inlined bodies see the scope benefit of cross-call optimization.
-      if (Inlined)
-        Cost = Cost * Model.ScopeBonusNum / Model.ScopeBonusDen;
-      Table.push_back(Cost);
-    }
-  }
+  // Bodies are never empty, so an empty table is one not yet built.
+  if (Table.empty()) [[unlikely]]
+    buildCostTable(Table, H, L, Inlined);
   return Table.data();
+}
+
+void VirtualMachine::buildCostTable(std::vector<uint64_t> &Table,
+                                    const MethodHotData &H, OptLevel L,
+                                    bool Inlined) {
+  Table.reserve(H.BodySize);
+  const uint64_t PerUnit = Model.cyclesPerUnit(L);
+  for (uint32_t PC = 0; PC != H.BodySize; ++PC) {
+    uint64_t Cost = H.Body[PC].machineSize() * PerUnit;
+    // Inlined bodies see the scope benefit of cross-call optimization.
+    if (Inlined)
+      Cost = Cost * Model.ScopeBonusNum / Model.ScopeBonusDen;
+    Table.push_back(Cost);
+  }
 }
 
 void VirtualMachine::throwRecursionLimit(const ThreadState &T,
@@ -89,10 +98,13 @@ void VirtualMachine::throwRecursionLimit(const ThreadState &T,
 void VirtualMachine::pushFrame(ThreadState &T, MethodId Callee,
                                const CodeVariant *Variant,
                                const InlineNode *Plan, bool Inlined) {
-  if (T.Frames.size() >= Model.MaxFrameDepth)
+  if (T.Frames.size() >= Model.MaxFrameDepth) [[unlikely]]
     throwRecursionLimit(T, Callee);
 
+  // Both lookups are built out of line on first use, so a warm push pays
+  // one null test and one empty test for them.
   MethodHotData &Hot = hotData(Callee);
+  const uint64_t *Cost = costTable(Hot, Variant->Level, Inlined);
   assert((T.Frames.empty()
               ? T.SlabTop == 0 && Hot.NumArgSlots == 0
               : T.SlabTop - T.Frames.back().StackBase >= Hot.NumArgSlots) &&
@@ -104,28 +116,28 @@ void VirtualMachine::pushFrame(ThreadState &T, MethodId Callee,
   if (!Inlined)
     Variant->LastUsedCycle = Clock;
 
-  Frame F;
+  // The args the caller pushed become the callee's first locals in place.
+  const uint32_t LocalsBase = T.SlabTop - Hot.NumArgSlots;
+  const uint32_t StackBase = LocalsBase + Hot.NumLocals;
+  const size_t Need = static_cast<size_t>(StackBase) + Hot.MaxStack;
+  if (T.Slab.size() < Need) [[unlikely]]
+    T.Slab.resize(std::max(Need, T.Slab.size() * 2));
+
+  Value *Locals = T.Slab.data() + LocalsBase;
+  for (unsigned S = Hot.NumArgSlots; S < Hot.NumLocals; ++S)
+    Locals[S] = Value();
+  T.SlabTop = StackBase;
+
+  Frame &F = T.Frames.emplace_back();
   F.Method = Callee;
   F.Variant = Variant;
   F.PlanNode = Plan;
   F.Body = Hot.Body;
-  F.Cost = costTable(Hot, Variant->Level, Inlined);
+  F.Cost = Cost;
   F.Hot = &Hot;
-  // The args the caller pushed become the callee's first locals in place.
-  F.LocalsBase = T.SlabTop - Hot.NumArgSlots;
-  F.StackBase = F.LocalsBase + Hot.NumLocals;
+  F.LocalsBase = LocalsBase;
+  F.StackBase = StackBase;
   F.Inlined = Inlined;
-
-  const size_t Need = static_cast<size_t>(F.StackBase) + Hot.MaxStack;
-  if (T.Slab.size() < Need)
-    T.Slab.resize(std::max(Need, T.Slab.size() * 2));
-
-  Value *Locals = T.Slab.data() + F.LocalsBase;
-  for (unsigned S = Hot.NumArgSlots; S < Hot.NumLocals; ++S)
-    Locals[S] = Value();
-
-  T.SlabTop = F.StackBase;
-  T.Frames.push_back(F);
 }
 
 unsigned VirtualMachine::addThread(MethodId Entry) {
@@ -365,22 +377,30 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
 }
 
 void VirtualMachine::handleReturn(ThreadState &T, bool HasValue) {
-  const Frame Done = T.Frames.back();
-  T.Frames.pop_back();
-
+  // A return needs three fields of the top frame. Only an OSR-entered
+  // frame is copied whole, because the OSR driver's exit accounting takes
+  // the popped frame.
+  const Frame &Top = T.Frames.back();
+  const uint32_t LocalsBase = Top.LocalsBase;
   Value Ret;
   if (HasValue) {
-    assert(T.SlabTop > Done.StackBase && "value return with empty stack");
+    assert(T.SlabTop > Top.StackBase && "value return with empty stack");
     Ret = T.Slab[T.SlabTop - 1];
   }
-  charge(Done.Inlined ? 1 : Model.ReturnOverhead);
-  if (Osr != nullptr && Done.OsrEntered)
-    Osr->onOsrFrameReturn(*this, T, Done);
+  charge(Top.Inlined ? 1 : Model.ReturnOverhead);
+  if (Top.OsrEntered) [[unlikely]] {
+    const Frame Done = Top;
+    T.Frames.pop_back();
+    if (Osr != nullptr)
+      Osr->onOsrFrameReturn(*this, T, Done);
+  } else {
+    T.Frames.pop_back();
+  }
 
   // Truncating to the callee's locals base frees its locals and stack and
   // re-exposes the caller's stack with the argument slots already consumed
   // (they were the callee's first locals).
-  T.SlabTop = Done.LocalsBase;
+  T.SlabTop = LocalsBase;
 
   if (T.Frames.empty()) {
     T.Finished = true;

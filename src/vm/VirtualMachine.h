@@ -296,6 +296,13 @@ private:
   /// The per-PC charge table for (\p L, \p Inlined), building it on first
   /// use with arithmetic bit-identical to the pre-table interpreter.
   const uint64_t *costTable(MethodHotData &H, OptLevel L, bool Inlined);
+  /// The first-use builds behind hotData() and costTable(), kept out of
+  /// line so every frame push after the first runs only the two tests.
+  [[gnu::cold, gnu::noinline]] void buildHotData(MethodId M,
+                                                 MethodHotData &Hot);
+  [[gnu::cold, gnu::noinline]] void
+  buildCostTable(std::vector<uint64_t> &Table, const MethodHotData &H,
+                 OptLevel L, bool Inlined);
   [[noreturn]] void throwRecursionLimit(const ThreadState &T,
                                         MethodId Callee) const;
   void charge(uint64_t Cycles) {

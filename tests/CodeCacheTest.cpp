@@ -384,6 +384,44 @@ TEST(CodeCacheEvictionTest, RecompileOnReentryAfterEviction) {
   EXPECT_FALSE(NewOuter->Evicted);
 }
 
+TEST(CodeCacheEvictionTest, SerialNumbersCountEvictedVariants) {
+  AuditScope Audited;
+  DeepProgram D = deepProgram(1, 1);
+  CostModel Model;
+  // Room for two 100-byte variants: an install that makes a third live
+  // one evicts the least recently used of the others.
+  Model.CodeCache.CapacityBytes = 250;
+  VirtualMachine VM(D.P, Model);
+  CodeManager &CM = VM.codeManager();
+
+  const MethodId Methods[2] = {D.Mid, D.Inner};
+  std::vector<const CodeVariant *> Installed[2];
+  for (unsigned Round = 0; Round != 4; ++Round) {
+    for (unsigned I = 0; I != 2; ++I) {
+      auto V = planlessVariant(D.P, Methods[I], OptLevel::Opt1);
+      V->CodeBytes = 100;
+      V->CompiledAtCycle = VM.cycles();
+      Installed[I].push_back(CM.install(std::move(V)));
+    }
+    // Also force-evict mid's current code once, so a later install
+    // re-creates code for a method with none left.
+    if (Round == 1) {
+      ASSERT_TRUE(CM.evictNow(*CM.current(D.Mid)));
+    }
+  }
+
+  // Every variant but each method's last is gone, one of them by force.
+  EXPECT_EQ(CM.numEvictions(), 6u);
+  for (unsigned I = 0; I != 2; ++I) {
+    for (unsigned S = 0; S != Installed[I].size(); ++S) {
+      EXPECT_EQ(Installed[I][S]->SerialNumber, S)
+          << "method " << Methods[I] << " install " << S;
+      EXPECT_EQ(Installed[I][S]->Evicted, S + 1 < Installed[I].size())
+          << "method " << Methods[I] << " install " << S;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // (3) Evicting a live inline group deoptimizes it, bit-identically.
 //===----------------------------------------------------------------------===//

@@ -7,9 +7,10 @@
 ///
 /// \file
 /// Stress tests for the per-thread value slab / frame arena: deep recursion
-/// up to the configured frame limit, the release-mode recursion diagnostic,
-/// slab reuse across call/return waves, guarded-inline fallback paths, and
-/// multi-thread round-robin scheduling with independent slabs.
+/// up to the configured frame limit, the release-mode recursion diagnostic
+/// (for physical and inlined entries), slab reuse across call/return
+/// waves, guarded-inline fallback paths, and multi-thread round-robin
+/// scheduling with independent slabs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -86,6 +88,67 @@ Program waveProgram(int64_t Waves, int64_t Depth) {
   return B.build();
 }
 
+/// main() { return rec(K); } rec(n) { return n == 0 ? leaf() : rec(n - 1)
+/// + n; } leaf() { return 7; }, with leaf inlined into rec's optimized
+/// code, so the bottom rec frame enters leaf as an inlined frame.
+struct InlinedLeafProgram {
+  Program P;
+  MethodId Rec = InvalidMethodId;
+  MethodId Leaf = InvalidMethodId;
+  BytecodeIndex LeafSite = 0;
+
+  explicit InlinedLeafProgram(int64_t K) {
+    ProgramBuilder B;
+    ClassId C = B.addClass("Main");
+    Leaf = B.declareMethod(C, "leaf", MethodKind::Static, 0, true);
+    {
+      CodeEmitter E = B.code(Leaf);
+      E.iconst(7).vreturn();
+      E.finish();
+    }
+    Rec = B.declareMethod(C, "rec", MethodKind::Static, 1, true);
+    {
+      CodeEmitter E = B.code(Rec);
+      auto Base = E.newLabel();
+      E.load(0).ifZero(Base);
+      E.load(0).iconst(1).isub().invokeStatic(Rec).load(0).iadd().vreturn();
+      E.bind(Base);
+      LeafSite = E.nextIndex();
+      E.invokeStatic(Leaf).vreturn();
+      E.finish();
+    }
+    MethodId Main = B.declareMethod(C, "main", MethodKind::Static, 0, true);
+    {
+      CodeEmitter E = B.code(Main);
+      E.iconst(K).invokeStatic(Rec).vreturn();
+      E.finish();
+    }
+    B.setEntry(Main);
+    P = B.build();
+  }
+
+  /// A VM with rec's inlining variant installed and the main thread added.
+  std::unique_ptr<VirtualMachine> vm(uint32_t MaxFrameDepth) const {
+    CostModel Model;
+    Model.MaxFrameDepth = MaxFrameDepth;
+    auto VM = std::make_unique<VirtualMachine>(P, Model);
+    InlinePlan Plan;
+    InlineCase Case;
+    Case.Callee = Leaf;
+    Case.BodyUnits = P.method(Leaf).machineSize();
+    Plan.Root.getOrCreate(LeafSite).Cases.push_back(std::move(Case));
+    Plan.recountStatistics();
+    auto V = std::make_unique<CodeVariant>();
+    V->M = Rec;
+    V->Level = OptLevel::Opt2;
+    V->MachineUnits = P.method(Rec).machineSize() + Plan.TotalUnits;
+    V->Plan = std::move(Plan);
+    VM->codeManager().install(std::move(V));
+    VM->addThread(P.entryMethod());
+    return VM;
+  }
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -118,6 +181,39 @@ TEST(VmArenaStressTest, RecursionPastTheLimitThrowsWithDiagnostic) {
     EXPECT_NE(Msg.find("MaxFrameDepth"), std::string::npos) << Msg;
     EXPECT_NE(Msg.find("64"), std::string::npos) << Msg;
   }
+}
+
+TEST(VmArenaStressTest, InlinedEntryAtTheLimitThrowsWithDiagnostic) {
+  // main plus K + 1 physical rec frames fill the stack exactly, so the
+  // only push past the limit is the inlined leaf entry at the bottom.
+  const int64_t K = 62;
+  const uint32_t Limit = static_cast<uint32_t>(K + 2);
+  InlinedLeafProgram L(K);
+
+  // One frame more and the run completes through the inlined entry.
+  auto Roomy = L.vm(Limit + 1);
+  Roomy->run();
+  ASSERT_TRUE(Roomy->threads()[0]->Finished);
+  EXPECT_EQ(Roomy->threads()[0]->Result.asInt(), 7 + K * (K + 1) / 2);
+  EXPECT_EQ(Roomy->counters().InlinedCallsEntered, 1u);
+
+  auto Full = L.vm(Limit);
+  try {
+    Full->run();
+    FAIL() << "expected the inlined entry to hit the frame-depth check";
+  } catch (const std::runtime_error &E) {
+    const std::string Msg = E.what();
+    EXPECT_NE(Msg.find("at depth " + std::to_string(Limit) +
+                       " entering Main.leaf"),
+              std::string::npos)
+        << Msg;
+    EXPECT_NE(Msg.find("MaxFrameDepth = " + std::to_string(Limit)),
+              std::string::npos)
+        << Msg;
+  }
+  EXPECT_EQ(Full->counters().InlinedCallsEntered, 0u);
+  EXPECT_EQ(Full->threads()[0]->Frames.size(), Limit)
+      << "the throw leaves the stack as it was at the limit";
 }
 
 //===----------------------------------------------------------------------===//
