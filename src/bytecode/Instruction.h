@@ -47,12 +47,12 @@ constexpr MethodId InvalidMethodId = std::numeric_limits<MethodId>::max();
 /// constant-folding adjustment of the paper's footnote 1.
 struct Instruction {
   Opcode Op = Opcode::Nop;
-  int64_t Operand = 0;
   uint32_t ConstArgMask = 0;
+  int64_t Operand = 0;
 
   Instruction() = default;
   Instruction(Opcode Op, int64_t Operand = 0, uint32_t ConstArgMask = 0)
-      : Op(Op), Operand(Operand), ConstArgMask(ConstArgMask) {}
+      : Op(Op), ConstArgMask(ConstArgMask), Operand(Operand) {}
 
   /// Returns the estimated machine-instruction footprint of this
   /// instruction (see machineWeight()).
@@ -63,6 +63,14 @@ struct Instruction {
            ConstArgMask == Other.ConstArgMask;
   }
 };
+
+// Instructions are most of a program image's bytes, and the interpreter
+// strides over them. Declaring ConstArgMask before Operand lets it share
+// the opcode's eight-byte slot; in constructor order (Op, Operand,
+// ConstArgMask) each instruction would carry 11 bytes of padding and take
+// 24 bytes.
+static_assert(sizeof(Instruction) == 16,
+              "Instruction must pack into 16 bytes");
 
 } // namespace aoci
 

@@ -22,19 +22,18 @@
 
 using namespace aoci;
 
-namespace {
-
-Workload buildWorkload(const RunConfig &Config) {
-  return Config.Scenario
-             ? makeScenarioWorkload(*Config.Scenario, Config.Params)
-             : makeWorkload(Config.WorkloadName, Config.Params);
+std::shared_ptr<const Workload> aoci::buildWorkload(const RunConfig &Config) {
+  return std::make_shared<const Workload>(
+      Config.Scenario ? makeScenarioWorkload(*Config.Scenario, Config.Params)
+                      : makeWorkload(Config.WorkloadName, Config.Params));
 }
 
-} // namespace
-
-Session::Session(const RunConfig &Config, SharedCodeCache *Share,
-                 unsigned SessionId)
-    : Config(Config), W(buildWorkload(Config)), VM(W.Prog, Config.Model),
+Session::Session(const RunConfig &Config,
+                 std::shared_ptr<const Workload> Program,
+                 SharedCodeCache *Share, unsigned SessionId)
+    : Config(Config),
+      W(Program ? std::move(Program) : buildWorkload(Config)),
+      VM(W->Prog, Config.Model),
       Policy(makePolicy(Config.Policy, Config.MaxDepth)),
       Aos(VM, *Policy, Config.Aos) {
   if (Config.Trace)
@@ -48,7 +47,7 @@ Session::Session(const RunConfig &Config, SharedCodeCache *Share,
   Aos.attach();
   if (Config.WarmStart)
     Warm = Aos.warmStart(*Config.WarmStart);
-  for (MethodId Entry : W.Entries)
+  for (MethodId Entry : W->Entries)
     VM.addThread(Entry);
 }
 
@@ -61,7 +60,7 @@ bool Session::finished() const {
 
 RunResult Session::result() const {
   RunResult R;
-  R.WorkloadName = W.Name;
+  R.WorkloadName = W->Name;
   R.Policy = Config.Policy;
   R.MaxDepth = Config.MaxDepth;
   R.WallCycles = VM.cycles();
@@ -102,14 +101,14 @@ RunResult Session::result() const {
   R.DecayEntriesDropped = Aos.stats().DecayEntriesDropped;
   if (Config.CaptureProfile)
     R.CapturedProfile =
-        serializeProfileData(Aos.snapshotProfile(W.Name));
+        serializeProfileData(Aos.snapshotProfile(W->Name));
 
-  R.ClassesLoaded = W.Prog.numClasses();
-  for (MethodId M = 0; M != W.Prog.numMethods(); ++M) {
+  R.ClassesLoaded = W->Prog.numClasses();
+  for (MethodId M = 0; M != W->Prog.numMethods(); ++M) {
     if (!VM.codeManager().current(M))
       continue;
     ++R.MethodsCompiled;
-    R.BytecodesCompiled += W.Prog.method(M).bytecodeCount();
+    R.BytecodesCompiled += W->Prog.method(M).bytecodeCount();
   }
   if (Config.CollectTraceStats)
     R.TraceStats = Aos.traceListener().statistics();
@@ -159,8 +158,11 @@ uint64_t aoci::deriveRunSeed(const RunConfig &Config, unsigned Trial) {
   return H ^ (H >> 31);
 }
 
-RunResult aoci::runBestOf(const RunConfig &Config, unsigned Trials) {
+RunResult aoci::runBestOf(const RunConfig &Config, unsigned Trials,
+                          std::shared_ptr<const Workload> Program) {
   assert(Trials >= 1 && "need at least one trial");
+  if (!Program)
+    Program = buildWorkload(Config);
   RunResult Best;
   // Each trial records into its own local sink; only the best trial's
   // stream survives into the caller's sink, matching the best-of run
@@ -175,7 +177,9 @@ RunResult aoci::runBestOf(const RunConfig &Config, unsigned Trials) {
       TrialTrace.setCapacity(Config.Trace->capacity());
       Trial.Trace = &TrialTrace;
     }
-    RunResult R = runExperiment(Trial);
+    Session S(Trial, Program);
+    S.run();
+    RunResult R = S.result();
     if (T == 0 || R.WallCycles < Best.WallCycles) {
       Best = std::move(R);
       BestTrace = std::move(TrialTrace);
@@ -259,15 +263,20 @@ namespace {
 struct PlannedRun {
   RunConfig Config;
   bool IsBaseline = false;
+  /// Position of the run's workload in GridConfig::Workloads. A group's
+  /// runs are contiguous in the plan, baseline first, and share one
+  /// build of their program.
+  size_t Group = 0;
 };
 
 std::vector<PlannedRun> planGrid(const GridConfig &Config) {
   std::vector<PlannedRun> Plan;
   Plan.reserve(Config.Workloads.size() *
                (1 + Config.Policies.size() * Config.Depths.size()));
-  for (const std::string &Name : Config.Workloads) {
+  for (size_t Group = 0; Group != Config.Workloads.size(); ++Group) {
     PlannedRun Base;
-    Base.Config.WorkloadName = Name;
+    Base.Group = Group;
+    Base.Config.WorkloadName = Config.Workloads[Group];
     Base.Config.Params = Config.Params;
     Base.Config.Policy = PolicyKind::ContextInsensitive;
     Base.Config.MaxDepth = 1;
@@ -358,6 +367,52 @@ GridResults assembleGrid(std::vector<PlannedRun> &Plan,
   return Results;
 }
 
+/// The runs of one grid workload and the one build of its program they
+/// share. The first run to start builds the program and the last to
+/// finish drops it. Both runners start runs in plan order (the pool
+/// dequeues in submission order) and a workload's runs are contiguous
+/// there, so a program is resident only while a run of its workload is
+/// in flight: the serial runner holds one at a time, and the parallel
+/// runner never builds every workload's up front.
+class WorkloadBuild {
+public:
+  /// Counts one more run of the workload.
+  void addRun() {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    ++Unfinished;
+  }
+
+  /// Runs \p Config's trials on the shared build.
+  RunResult run(const RunConfig &Config, unsigned Trials) {
+    RunResult R = runBestOf(Config, Trials, acquire(Config));
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (--Unfinished == 0)
+      Program.reset();
+    return R;
+  }
+
+private:
+  std::shared_ptr<const Workload> acquire(const RunConfig &Config) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (!Program)
+      Program = buildWorkload(Config);
+    return Program;
+  }
+
+  std::mutex Mutex;
+  std::shared_ptr<const Workload> Program;
+  size_t Unfinished = 0;
+};
+
+/// One WorkloadBuild per workload of the sweep, counting its runs.
+std::vector<WorkloadBuild> planBuilds(const GridConfig &Config,
+                                      const std::vector<PlannedRun> &Plan) {
+  std::vector<WorkloadBuild> Builds(Config.Workloads.size());
+  for (const PlannedRun &Run : Plan)
+    Builds[Run.Group].addRun();
+  return Builds;
+}
+
 uint64_t elapsedNs(std::chrono::steady_clock::time_point From,
                    std::chrono::steady_clock::time_point To) {
   return static_cast<uint64_t>(
@@ -374,13 +429,14 @@ aoci::runGrid(const GridConfig &Config,
   std::vector<RunResult> Runs(Plan.size());
   std::vector<RunMetrics> Metrics(Plan.size());
   std::vector<TraceSink> Sinks = planSinks(Config, Plan);
+  std::vector<WorkloadBuild> Builds = planBuilds(Config, Plan);
   // The serial runner keeps its richer progress lines: by the time a
   // cell finishes its workload's baseline has too, so the line can
   // already report the relative quantities.
   const RunResult *Baseline = nullptr;
   for (size_t I = 0; I != Plan.size(); ++I) {
     auto Start = std::chrono::steady_clock::now();
-    Runs[I] = runBestOf(Plan[I].Config, Config.Trials);
+    Runs[I] = Builds[Plan[I].Group].run(Plan[I].Config, Config.Trials);
     auto End = std::chrono::steady_clock::now();
     Metrics[I] = makeMetrics(Plan[I], Runs[I], 0, 0, elapsedNs(Start, End));
     const RunResult &R = Runs[I];
@@ -419,6 +475,7 @@ GridResults aoci::runGridParallel(
   std::vector<RunResult> Runs(Plan.size());
   std::vector<RunMetrics> Metrics(Plan.size());
   std::vector<TraceSink> Sinks = planSinks(Config, Plan);
+  std::vector<WorkloadBuild> Builds = planBuilds(Config, Plan);
   {
     ThreadPool Pool(Jobs);
     std::mutex ProgressMutex;
@@ -428,7 +485,8 @@ GridResults aoci::runGridParallel(
       auto Enqueued = std::chrono::steady_clock::now();
       Futures.push_back(Pool.submit([&, I, Enqueued] {
         auto Start = std::chrono::steady_clock::now();
-        RunResult R = runBestOf(Plan[I].Config, Config.Trials);
+        RunResult R =
+            Builds[Plan[I].Group].run(Plan[I].Config, Config.Trials);
         auto End = std::chrono::steady_clock::now();
         Metrics[I] =
             makeMetrics(Plan[I], R, ThreadPool::currentWorkerId(),

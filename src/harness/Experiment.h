@@ -185,6 +185,12 @@ struct RunResult {
   }
 };
 
+/// Builds the program \p Config runs: its Scenario when set, else the
+/// registry workload WorkloadName, under its Params. A built program is
+/// immutable, so any number of Sessions may run on it at once, on any
+/// threads.
+std::shared_ptr<const Workload> buildWorkload(const RunConfig &Config);
+
 /// One run, assembled the one way every run is: the workload, the VM, the
 /// policy and the adaptive system, wired in a fixed order. The trace sink
 /// goes on before the first thread, so lazy baseline compilations of the
@@ -194,11 +200,14 @@ struct RunResult {
 /// Session.
 class Session {
 public:
-  /// Builds the run \p Config describes, ready to run. With \p Share, the
-  /// run's optimizing compiles go through a ShareSession bridge to that
-  /// shared code cache as serve-schedule position \p SessionId.
-  explicit Session(const RunConfig &Config, SharedCodeCache *Share = nullptr,
-                   unsigned SessionId = 0);
+  /// Builds the run \p Config describes, ready to run, on \p Program: a
+  /// buildWorkload(Config) result the caller shares with other runs of the
+  /// same program, or null to build one for this run alone. With \p Share,
+  /// the run's optimizing compiles go through a ShareSession bridge to
+  /// that shared code cache as serve-schedule position \p SessionId.
+  explicit Session(const RunConfig &Config,
+                   std::shared_ptr<const Workload> Program = nullptr,
+                   SharedCodeCache *Share = nullptr, unsigned SessionId = 0);
   Session(const Session &) = delete;
   Session &operator=(const Session &) = delete;
 
@@ -212,7 +221,7 @@ public:
   RunResult result() const;
 
   /// The live objects, for callers that report more than RunResult holds.
-  const Workload &workload() const { return W; }
+  const Workload &workload() const { return *W; }
   VirtualMachine &vm() { return VM; }
   AdaptiveSystem &aos() { return Aos; }
   const WarmStartStats &warmStart() const { return Warm; }
@@ -221,7 +230,7 @@ public:
 
 private:
   const RunConfig Config;
-  Workload W;
+  std::shared_ptr<const Workload> W;
   VirtualMachine VM;
   std::unique_ptr<ContextPolicy> Policy;
   AdaptiveSystem Aos;
@@ -244,8 +253,10 @@ uint64_t deriveRunSeed(const RunConfig &Config, unsigned Trial);
 /// Runs \p Trials experiments differing only in the sampling timer's
 /// jitter seed (see deriveRunSeed) and returns the fastest (smallest
 /// WallCycles) — the paper's "best run of 20" methodology, scaled
-/// down. Trials must be at least 1.
-RunResult runBestOf(const RunConfig &Config, unsigned Trials);
+/// down. Trials must be at least 1. Every trial runs on \p Program (a
+/// buildWorkload(Config) result), or on one build of its own when null.
+RunResult runBestOf(const RunConfig &Config, unsigned Trials,
+                    std::shared_ptr<const Workload> Program = nullptr);
 
 /// Host-side execution record of one grid run: which run it was, the
 /// worker that ran it, how long it queued and ran, and the steady-state
@@ -376,7 +387,9 @@ private:
 };
 
 /// Runs the whole sweep serially; \p Progress (if provided) is invoked
-/// with a human-readable line after each completed run.
+/// with a human-readable line after each completed run. A workload's
+/// baseline and cells share one build of its program, dropped before the
+/// next workload's is built.
 GridResults
 runGrid(const GridConfig &Config,
         const std::function<void(const std::string &)> &Progress = nullptr);
@@ -388,7 +401,10 @@ runGrid(const GridConfig &Config,
 /// exportCsv()'s bytes — are identical to runGrid()'s for every thread
 /// count; only metrics() (host timings, worker ids) and the
 /// interleaving of Progress lines differ. Progress may be invoked from
-/// worker threads, one call at a time (the runner serializes it).
+/// worker threads, one call at a time (the runner serializes it). A
+/// workload's runs share one build of its program: the first of them to
+/// start builds it and the last to finish drops it, so at most one
+/// program per workload with a run in flight is resident.
 GridResults runGridParallel(
     const GridConfig &Config, unsigned Jobs,
     const std::function<void(const std::string &)> &Progress = nullptr);

@@ -27,30 +27,28 @@ std::string aoci::scenarioSearchKey(const ScenarioSpec &S) {
 
 namespace {
 
-/// Runs \p Spec under one policy; single trial, so the result is a pure
-/// function of (spec phases, params, model, aos) — the spec's name and
-/// expect block never reach the VM.
-uint64_t measureCycles(const FuzzConfig &Config, const ScenarioSpec &Spec,
-                       PolicyKind Policy, unsigned Depth) {
+/// Signed speedup % of policy A over policy B (B is the baseline;
+/// positive = A faster). Each policy runs once on one shared build of
+/// \p Spec, so the result is a pure function of (spec phases, params,
+/// model, aos) — the spec's name and expect block never reach the VM.
+double measureDelta(const FuzzConfig &Config, const ScenarioSpec &Spec,
+                    uint64_t &RunsOut) {
   RunConfig RC;
   RC.WorkloadName = Spec.Name;
   RC.Scenario = std::make_shared<const ScenarioSpec>(Spec);
   RC.Params = Config.Params;
-  RC.Policy = Policy;
-  RC.MaxDepth = Depth;
   RC.Model = Config.Model;
   RC.Aos = Config.Aos;
-  return runExperiment(RC).WallCycles;
-}
-
-/// Signed speedup % of policy A over policy B (B is the baseline;
-/// positive = A faster).
-double measureDelta(const FuzzConfig &Config, const ScenarioSpec &Spec,
-                    uint64_t &RunsOut) {
-  const uint64_t A =
-      measureCycles(Config, Spec, Config.PolicyA, Config.DepthA);
-  const uint64_t B =
-      measureCycles(Config, Spec, Config.PolicyB, Config.DepthB);
+  const std::shared_ptr<const Workload> Program = buildWorkload(RC);
+  auto Cycles = [&](PolicyKind Policy, unsigned Depth) {
+    RC.Policy = Policy;
+    RC.MaxDepth = Depth;
+    Session S(RC, Program);
+    S.run();
+    return S.result().WallCycles;
+  };
+  const uint64_t A = Cycles(Config.PolicyA, Config.DepthA);
+  const uint64_t B = Cycles(Config.PolicyB, Config.DepthB);
   RunsOut += 2;
   return speedupPercent(static_cast<double>(B), static_cast<double>(A));
 }

@@ -14,6 +14,7 @@
 #include "workload/scenario/ScenarioSpec.h"
 
 #include <algorithm>
+#include <map>
 #include <thread>
 
 using namespace aoci;
@@ -101,8 +102,10 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
 
   // Build every session on the driver thread, in session-id order —
   // construction (programs, baseline state, warm start) is simulated
-  // work that must not depend on the pool.
+  // work that must not depend on the pool. A tenant's sessions share one
+  // build of its program.
   std::vector<std::unique_ptr<LiveSession>> Sessions;
+  std::map<std::string, std::shared_ptr<const Workload>> Programs;
   for (const ServeTenantSpec &T : Config.Tenants) {
     for (unsigned I = 0; I != T.Count; ++I) {
       auto S = std::make_unique<LiveSession>();
@@ -121,8 +124,11 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
         S->Trace.enable(Config.TraceKindMask);
         Run.Trace = &S->Trace;
       }
+      std::shared_ptr<const Workload> &Program = Programs[T.Name];
+      if (!Program)
+        Program = buildWorkload(Run);
       S->Run = std::make_unique<Session>(
-          Run, Config.ShareEnabled ? &Cache : nullptr, S->Id);
+          Run, Program, Config.ShareEnabled ? &Cache : nullptr, S->Id);
       Sessions.push_back(std::move(S));
     }
   }

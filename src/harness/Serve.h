@@ -134,6 +134,7 @@ struct ServeResults {
 /// byte-identical for every \p Jobs value; only host-side timing of the
 /// optional \p Progress lines differs. Progress may be invoked from the
 /// driver thread only (between rounds).
+/// The sessions of one tenant name run on one shared build of its program.
 ServeResults
 runServe(const ServeConfig &Config, unsigned Jobs,
          const std::function<void(const std::string &)> &Progress = nullptr);

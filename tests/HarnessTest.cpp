@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <thread>
 
 using namespace aoci;
 
@@ -233,4 +234,111 @@ TEST(TrialsTest, JitterSeedChangesTimelineNotSemantics) {
   EXPECT_NE(RA.SamplesTaken + RA.WallCycles,
             RB.SamplesTaken + RB.WallCycles)
       << "different jitter seeds should perturb the timeline";
+}
+
+namespace {
+
+/// Field-by-field equality of every RunResult field.
+void expectSameResult(const RunResult &A, const RunResult &B) {
+  EXPECT_EQ(A.WorkloadName, B.WorkloadName);
+  EXPECT_EQ(A.Policy, B.Policy);
+  EXPECT_EQ(A.MaxDepth, B.MaxDepth);
+  EXPECT_EQ(A.WallCycles, B.WallCycles);
+  EXPECT_EQ(A.OptBytesGenerated, B.OptBytesGenerated);
+  EXPECT_EQ(A.OptBytesResident, B.OptBytesResident);
+  EXPECT_EQ(A.OptCompileCycles, B.OptCompileCycles);
+  EXPECT_EQ(A.BaselineCompileCycles, B.BaselineCompileCycles);
+  for (unsigned C = 0; C != NumAosComponents; ++C)
+    EXPECT_EQ(A.ComponentCycles[C], B.ComponentCycles[C]) << "component " << C;
+  EXPECT_EQ(A.GcCycles, B.GcCycles);
+  EXPECT_EQ(A.OptCompilations, B.OptCompilations);
+  EXPECT_EQ(A.GuardTests, B.GuardTests);
+  EXPECT_EQ(A.GuardFallbacks, B.GuardFallbacks);
+  EXPECT_EQ(A.InlinedCalls, B.InlinedCalls);
+  EXPECT_EQ(A.SamplesTaken, B.SamplesTaken);
+  EXPECT_EQ(A.ProgramResult, B.ProgramResult);
+  EXPECT_EQ(A.OsrEntries, B.OsrEntries);
+  EXPECT_EQ(A.Deopts, B.Deopts);
+  EXPECT_EQ(A.OsrTransitionCycles, B.OsrTransitionCycles);
+  EXPECT_EQ(A.OsrCyclesRecovered, B.OsrCyclesRecovered);
+  EXPECT_EQ(A.LiveCodeBytes, B.LiveCodeBytes);
+  EXPECT_EQ(A.PeakCodeBytes, B.PeakCodeBytes);
+  EXPECT_EQ(A.Evictions, B.Evictions);
+  EXPECT_EQ(A.RecompilesAfterEvict, B.RecompilesAfterEvict);
+  EXPECT_EQ(A.ShareHits, B.ShareHits);
+  EXPECT_EQ(A.SharePublishes, B.SharePublishes);
+  EXPECT_EQ(A.ShareCyclesSaved, B.ShareCyclesSaved);
+  EXPECT_EQ(A.SharedCodeBytes, B.SharedCodeBytes);
+  EXPECT_EQ(A.PrivateCodeBytes, B.PrivateCodeBytes);
+  EXPECT_EQ(A.BudgetUnitsSpent, B.BudgetUnitsSpent);
+  EXPECT_EQ(A.BudgetCandidatesAccepted, B.BudgetCandidatesAccepted);
+  EXPECT_EQ(A.BudgetCandidatesPruned, B.BudgetCandidatesPruned);
+  EXPECT_EQ(A.EstimateErrorPct, B.EstimateErrorPct);
+  EXPECT_EQ(A.WarmStarted, B.WarmStarted);
+  EXPECT_EQ(A.WarmStartApplied, B.WarmStartApplied);
+  EXPECT_EQ(A.WarmStartDropped, B.WarmStartDropped);
+  EXPECT_EQ(A.DecayEntriesDropped, B.DecayEntriesDropped);
+  EXPECT_EQ(A.CapturedProfile, B.CapturedProfile);
+  EXPECT_EQ(A.ClassesLoaded, B.ClassesLoaded);
+  EXPECT_EQ(A.MethodsCompiled, B.MethodsCompiled);
+  EXPECT_EQ(A.BytecodesCompiled, B.BytecodesCompiled);
+  EXPECT_EQ(A.TraceStats.numSamples(), B.TraceStats.numSamples());
+}
+
+/// Runs \p A and \p B as two Sessions on one build of their program
+/// (they must name the same one), first stepped alternately one slice at
+/// a time as serve steps its sessions, then on two threads at once. Each
+/// run must match a Session of the same config on a build of its own.
+void expectSharingMatchesPrivate(const RunConfig &A, const RunConfig &B) {
+  const RunResult PrivateA = runExperiment(A);
+  const RunResult PrivateB = runExperiment(B);
+  const std::shared_ptr<const Workload> Program = buildWorkload(A);
+  {
+    SCOPED_TRACE("alternating slices");
+    Session SA(A, Program), SB(B, Program);
+    EXPECT_EQ(&SA.workload(), &SB.workload());
+    EXPECT_EQ(&SA.workload(), Program.get());
+    constexpr uint64_t SliceCycles = 1000000;
+    for (uint64_t Limit = SliceCycles; !SA.finished() || !SB.finished();
+         Limit += SliceCycles)
+      for (Session *S : {&SA, &SB})
+        if (!S->finished())
+          S->run(Limit);
+    expectSameResult(SA.result(), PrivateA);
+    expectSameResult(SB.result(), PrivateB);
+  }
+  {
+    SCOPED_TRACE("two threads");
+    Session SA(A, Program), SB(B, Program);
+    EXPECT_EQ(&SA.workload(), &SB.workload());
+    std::thread TA([&SA] { SA.run(); });
+    std::thread TB([&SB] { SB.run(); });
+    TA.join();
+    TB.join();
+    expectSameResult(SA.result(), PrivateA);
+    expectSameResult(SB.result(), PrivateB);
+  }
+}
+
+} // namespace
+
+TEST(SessionTest, SharedWorkloadMatchesPrivateBuild) {
+  {
+    SCOPED_TRACE("Table 1 workload");
+    RunConfig A = smallConfig("compress", PolicyKind::Fixed, 4);
+    A.Aos.Osr.Enabled = true;
+    const RunConfig B = smallConfig("compress");
+    expectSharingMatchesPrivate(A, B);
+  }
+  {
+    SCOPED_TRACE("built-in scenario");
+    const ScenarioSpec *Spec = findBuiltinScenario("scn-phase-flip");
+    ASSERT_NE(Spec, nullptr);
+    RunConfig A = smallConfig(Spec->Name, PolicyKind::Fixed, 4);
+    A.Scenario = std::make_shared<const ScenarioSpec>(*Spec);
+    RunConfig B = A;
+    B.Policy = PolicyKind::ContextInsensitive;
+    B.MaxDepth = 1;
+    expectSharingMatchesPrivate(A, B);
+  }
 }
