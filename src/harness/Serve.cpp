@@ -72,7 +72,8 @@ namespace {
 
 /// One session of the serve schedule and where it stands in it.
 /// Heap-allocated so the Session (which the pool's tasks point at) and
-/// the trace sink (which its VM records into) never move.
+/// the trace sink (which its VM records into) never move. The Session is
+/// freed at the barrier where it finishes, once its row is filled.
 struct LiveSession {
   unsigned Id = 0;
   std::string TenantName;
@@ -85,7 +86,8 @@ struct LiveSession {
   uint64_t NextLimit = 0;
   uint64_t RoundsRun = 0;
   bool Started = false;
-  bool Done = false;
+
+  bool done() const { return Run == nullptr; }
 };
 
 } // namespace
@@ -103,36 +105,40 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
   // Build every session on the driver thread, in session-id order —
   // construction (programs, baseline state, warm start) is simulated
   // work that must not depend on the pool. A tenant's sessions share one
-  // build of its program.
+  // build of its program, which the last of them to finish frees.
   std::vector<std::unique_ptr<LiveSession>> Sessions;
-  std::map<std::string, std::shared_ptr<const Workload>> Programs;
-  for (const ServeTenantSpec &T : Config.Tenants) {
-    for (unsigned I = 0; I != T.Count; ++I) {
-      auto S = std::make_unique<LiveSession>();
-      S->Id = static_cast<unsigned>(Sessions.size());
-      S->TenantName = T.Name;
-      S->StartRound = uint64_t{S->Id} * Config.StaggerRounds;
-      RunConfig Run;
-      Run.WorkloadName = T.Name;
-      Run.Params = Config.Params;
-      Run.Policy = Config.Policy;
-      Run.MaxDepth = Config.MaxDepth;
-      Run.Aos = Config.Aos;
-      Run.Model = Config.Model;
-      Run.WarmStart = Config.WarmStart;
-      if (Config.Trace) {
-        S->Trace.enable(Config.TraceKindMask);
-        Run.Trace = &S->Trace;
+  {
+    std::map<std::string, std::shared_ptr<const Workload>> Programs;
+    for (const ServeTenantSpec &T : Config.Tenants) {
+      for (unsigned I = 0; I != T.Count; ++I) {
+        auto S = std::make_unique<LiveSession>();
+        S->Id = static_cast<unsigned>(Sessions.size());
+        S->TenantName = T.Name;
+        S->StartRound = uint64_t{S->Id} * Config.StaggerRounds;
+        RunConfig Run;
+        Run.WorkloadName = T.Name;
+        Run.Params = Config.Params;
+        Run.Policy = Config.Policy;
+        Run.MaxDepth = Config.MaxDepth;
+        Run.Aos = Config.Aos;
+        Run.Model = Config.Model;
+        Run.WarmStart = Config.WarmStart;
+        if (Config.Trace) {
+          S->Trace.enable(Config.TraceKindMask);
+          Run.Trace = &S->Trace;
+        }
+        std::shared_ptr<const Workload> &Program = Programs[T.Name];
+        if (!Program)
+          Program = buildWorkload(Run);
+        S->Run = std::make_unique<Session>(
+            Run, Program, Config.ShareEnabled ? &Cache : nullptr, S->Id);
+        Sessions.push_back(std::move(S));
       }
-      std::shared_ptr<const Workload> &Program = Programs[T.Name];
-      if (!Program)
-        Program = buildWorkload(Run);
-      S->Run = std::make_unique<Session>(
-          Run, Program, Config.ShareEnabled ? &Cache : nullptr, S->Id);
-      Sessions.push_back(std::move(S));
     }
   }
 
+  ServeResults R;
+  R.Sessions.resize(Sessions.size());
   uint64_t Round = 0;
   {
     ThreadPool Pool(Jobs);
@@ -141,7 +147,7 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
       uint64_t NextStart = UINT64_MAX;
       std::vector<LiveSession *> Active;
       for (auto &S : Sessions) {
-        if (S->Done)
+        if (S->done())
           continue;
         AnyAlive = true;
         if (!S->Started && Round >= S->StartRound)
@@ -182,21 +188,37 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
         if (ShareSession *Bridge = S->Run->share())
           Bridge->commitRound(Round);
       }
+      // A finished session's row is final: its state no longer changes
+      // (shared evictions skip it once deregistered), so fill the row and
+      // free the session here instead of holding every session until the
+      // last one ends.
       for (LiveSession *S : Active) {
         if (!S->Run->finished())
           continue;
-        if (ShareSession *Bridge = S->Run->share())
+        ServeSessionResult &Row = R.Sessions[S->Id];
+        static_cast<RunResult &>(Row) = S->Run->result();
+        Row.SessionId = S->Id;
+        Row.TenantName = S->TenantName;
+        Row.IsScenario = findBuiltinScenario(S->TenantName) != nullptr;
+        Row.StartRound = S->StartRound;
+        Row.RoundsRun = S->RoundsRun;
+        if (ShareSession *Bridge = S->Run->share()) {
           Bridge->sessionEnded();
-        S->Done = true;
+          Row.SharedEvictionsApplied = Bridge->sharedEvictionsApplied();
+          Row.PinnedSharedEvicts = Bridge->pinnedSharedEvicts();
+        }
+        S->Run.reset();
       }
       if (Config.ShareEnabled) {
         for (size_t Victim : Cache.enforceCapacity(Round))
           for (auto &S : Sessions)
-            if (S->Started && !S->Done)
+            if (S->Started && !S->done())
               S->Run->share()->applySharedEviction(Victim);
         if (audit::enabled()) {
           size_t Registered = 0;
           for (auto &S : Sessions) {
+            if (S->done())
+              continue;
             S->Run->share()->auditRegistry("serve-barrier");
             Registered += S->Run->share()->numRegistered();
           }
@@ -224,22 +246,9 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
     }
   }
 
-  ServeResults R;
   R.Rounds = Round;
-  for (auto &S : Sessions) {
-    ServeSessionResult Row;
-    static_cast<RunResult &>(Row) = S->Run->result();
-    Row.SessionId = S->Id;
-    Row.TenantName = S->TenantName;
-    Row.IsScenario = findBuiltinScenario(S->TenantName) != nullptr;
-    Row.StartRound = S->StartRound;
-    Row.RoundsRun = S->RoundsRun;
-    if (const ShareSession *Bridge = S->Run->share()) {
-      Row.SharedEvictionsApplied = Bridge->sharedEvictionsApplied();
-      Row.PinnedSharedEvicts = Bridge->pinnedSharedEvicts();
-    }
-    R.Sessions.push_back(std::move(Row));
-    if (Config.Trace) {
+  if (Config.Trace) {
+    for (auto &S : Sessions) {
       R.Traces.push_back(std::move(S->Trace));
       R.TraceNames.push_back("s" + std::to_string(S->Id) + "." +
                              S->TenantName);

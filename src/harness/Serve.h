@@ -135,6 +135,8 @@ struct ServeResults {
 /// optional \p Progress lines differs. Progress may be invoked from the
 /// driver thread only (between rounds).
 /// The sessions of one tenant name run on one shared build of its program.
+/// Each session is freed at the round barrier where it finishes, and a
+/// program with its tenant's last session.
 ServeResults
 runServe(const ServeConfig &Config, unsigned Jobs,
          const std::function<void(const std::string &)> &Progress = nullptr);

@@ -136,10 +136,8 @@ const CodeVariant *CodeManager::install(std::unique_ptr<CodeVariant> Variant) {
     Baseline[Ptr->M] = Ptr;
   Variants.push_back(std::move(Variant));
 
-  // Tell the engine before enforcing capacity, so dispatch memos aimed at
-  // the superseded variant are gone by the time an eviction pass audits.
   if (Delegate)
-    Delegate->onInstalled(*Ptr, KeepCurrent ? nullptr : Prev);
+    Delegate->onCodeChanged("install");
   enforceCapacity(Ptr);
   // The high-water mark is taken at install boundaries outside eviction
   // passes: baselines materialized mid-deopt transiently overshoot until
@@ -279,7 +277,7 @@ void CodeManager::evict(CodeVariant &V) {
     E.E = static_cast<int64_t>(Evictions - 1);
   }
 
-  Delegate->onEvicted(V);
+  Delegate->onCodeChanged("evict");
   auditAccounting("evict");
 }
 

@@ -28,9 +28,9 @@ class TraceSink;
 
 /// The code cache's hook back into the execution engine, implemented by
 /// VirtualMachine. Declared here (vm layer) so CodeManager can evict
-/// without knowing about threads, inline caches, or the OSR subsystem:
-/// the delegate answers "is this variant safe to reclaim?" and absorbs
-/// the side effects (deopt, dispatch-table invalidation, cycle charges).
+/// without knowing about threads, frames, or the OSR subsystem: the
+/// delegate answers "is this variant safe to reclaim?" and absorbs the
+/// side effects (deopt, cycle charges).
 class CodeEvictionDelegate {
 public:
   virtual ~CodeEvictionDelegate() = default;
@@ -47,16 +47,11 @@ public:
   /// different victim.
   virtual bool prepareEviction(const CodeVariant &V) = 0;
 
-  /// \p V has just been evicted: drop every cached dispatch structure
-  /// (inline-cache code memos, MethodHotData-derived pointers) that could
-  /// still route execution into it.
-  virtual void onEvicted(const CodeVariant &V) = 0;
-
-  /// \p Installed has just become its method's current code, superseding
-  /// \p Superseded (null on first compile). Dispatch memos resolved to
-  /// the superseded variant must be dropped here.
-  virtual void onInstalled(const CodeVariant &Installed,
-                           const CodeVariant *Superseded) = 0;
+  /// A variant was just installed (\p Where is "install") or evicted
+  /// ("evict"). The engine dispatches through current(), so it keeps no
+  /// code pointer to drop; it re-checks its own invariants under the
+  /// auditor (support/Audit.h).
+  virtual void onCodeChanged(const char *Where) = 0;
 };
 
 /// Registry of compiled code. By default installation never frees the

@@ -20,37 +20,44 @@
 #include "bytecode/Instruction.h"
 #include "vm/Value.h"
 
+#include <algorithm>
 #include <cassert>
+#include <memory>
 #include <vector>
 
 namespace aoci {
 
-/// One heap cell: an instance (Slots are fields) or an array (Slots are
-/// elements).
+/// One heap cell: an instance (slots are fields) or an array (slots are
+/// elements). The slots live in the owning heap's arena and never move.
 struct HeapObject {
+  Value *Slots = nullptr;
+  uint32_t Length = 0;
   ClassId Klass = InvalidClassId; ///< InvalidClassId for arrays.
-  bool IsArray = false;
-  std::vector<Value> Slots;
+
+  bool isArray() const { return Klass == InvalidClassId; }
 };
+
+// A jess run allocates about 56k objects: the record stays two words.
+static_assert(sizeof(HeapObject) == 16, "HeapObject must pack into 16 bytes");
 
 /// The VM heap. Allocation tracks abstract bytes so the GC simulator can
 /// decide when a collection pause would have occurred.
 class Heap {
 public:
-  /// Allocates an instance with \p NumFields zero/null-initialized fields.
+  /// Slots per arena chunk. Slots are bump-allocated from the newest
+  /// chunk; an array longer than a chunk gets a block of its own.
+  static constexpr uint32_t ChunkSlots = 4096;
+
+  /// Allocates an instance of class \p K with \p NumFields
+  /// zero/null-initialized fields.
   ObjectRef allocateObject(ClassId K, unsigned NumFields) {
-    HeapObject Obj;
-    Obj.Klass = K;
-    Obj.Slots.assign(NumFields, Value());
-    return push(std::move(Obj), 16 + 8 * NumFields);
+    assert(K != InvalidClassId && "instances need a class");
+    return push(K, NumFields, 16 + 8 * NumFields);
   }
 
   /// Allocates an array of \p Length zero-initialized elements.
   ObjectRef allocateArray(unsigned Length) {
-    HeapObject Obj;
-    Obj.IsArray = true;
-    Obj.Slots.assign(Length, Value());
-    return push(std::move(Obj), 16 + 8 * Length);
+    return push(InvalidClassId, Length, 16 + 8 * Length);
   }
 
   HeapObject &object(ObjectRef R) {
@@ -75,14 +82,41 @@ public:
   void noteCollection() { BytesSinceGc = 0; }
 
 private:
-  ObjectRef push(HeapObject Obj, uint64_t Bytes) {
-    Objects.push_back(std::move(Obj));
+  ObjectRef push(ClassId K, uint32_t Length, uint64_t Bytes) {
+    Objects.push_back({allocateSlots(Length), Length, K});
     BytesSinceGc += Bytes;
     TotalBytes += Bytes;
     return static_cast<ObjectRef>(Objects.size() - 1);
   }
 
+  /// \p N value-initialized (integer zero) slots.
+  Value *allocateSlots(uint32_t N) {
+    if (N > ChunkLeft) [[unlikely]]
+      return allocateBlock(N);
+    Value *Slots = ChunkNext;
+    ChunkNext += N;
+    ChunkLeft -= N;
+    return Slots;
+  }
+
+  Value *allocateBlock(uint32_t N) {
+    // A long array's block leaves the current chunk's tail in use;
+    // otherwise the tail (under N slots) is abandoned for a new chunk.
+    Value *Slots =
+        Blocks.emplace_back(std::make_unique<Value[]>(std::max(N, ChunkSlots)))
+            .get();
+    if (N <= ChunkSlots) {
+      ChunkNext = Slots + N;
+      ChunkLeft = ChunkSlots - N;
+    }
+    return Slots;
+  }
+
   std::vector<HeapObject> Objects;
+  /// The arena: every chunk and long-array block, in allocation order.
+  std::vector<std::unique_ptr<Value[]>> Blocks;
+  Value *ChunkNext = nullptr;
+  uint32_t ChunkLeft = 0;
   uint64_t BytesSinceGc = 0;
   uint64_t TotalBytes = 0;
 };

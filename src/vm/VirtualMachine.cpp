@@ -62,28 +62,39 @@ void VirtualMachine::buildHotData(MethodId M, MethodHotData &Hot) {
   Hot.MaxStack = maxOperandStackDepth(P, Meth);
 }
 
-const uint64_t *VirtualMachine::costTable(MethodHotData &H, OptLevel L,
+const uint32_t *VirtualMachine::costTable(MethodHotData &H, OptLevel L,
                                           bool Inlined) {
-  std::vector<uint64_t> &Table =
+  std::unique_ptr<uint32_t[]> &Table =
       H.Cost[static_cast<unsigned>(L) * 2 + (Inlined ? 1 : 0)];
-  // Bodies are never empty, so an empty table is one not yet built.
-  if (Table.empty()) [[unlikely]]
+  if (!Table) [[unlikely]]
     buildCostTable(Table, H, L, Inlined);
-  return Table.data();
+  return Table.get();
 }
 
-void VirtualMachine::buildCostTable(std::vector<uint64_t> &Table,
+void VirtualMachine::buildCostTable(std::unique_ptr<uint32_t[]> &Table,
                                     const MethodHotData &H, OptLevel L,
                                     bool Inlined) {
-  Table.reserve(H.BodySize);
+  auto Built = std::make_unique_for_overwrite<uint32_t[]>(H.BodySize);
   const uint64_t PerUnit = Model.cyclesPerUnit(L);
   for (uint32_t PC = 0; PC != H.BodySize; ++PC) {
     uint64_t Cost = H.Body[PC].machineSize() * PerUnit;
     // Inlined bodies see the scope benefit of cross-call optimization.
     if (Inlined)
       Cost = Cost * Model.ScopeBonusNum / Model.ScopeBonusDen;
-    Table.push_back(Cost);
+    // Entries are 32-bit to halve the tables; a charge that does not fit
+    // stops the run rather than advancing a truncated clock.
+    if (Cost > UINT32_MAX) [[unlikely]] {
+      const auto M = static_cast<MethodId>(&H - HotData.data()); // H's index
+      throw std::runtime_error(
+          "cycle charge " + std::to_string(Cost) + " of " +
+          P.qualifiedName(M) + " at pc " + std::to_string(PC) + " (" +
+          optLevelName(L) + (Inlined ? ", inlined" : "") +
+          ") exceeds the 32-bit cost-table entry; lower the CostModel's "
+          "CyclesPerUnit or the instruction's size");
+    }
+    Built[PC] = static_cast<uint32_t>(Cost);
   }
+  Table = std::move(Built);
 }
 
 void VirtualMachine::throwRecursionLimit(const ThreadState &T,
@@ -102,9 +113,9 @@ void VirtualMachine::pushFrame(ThreadState &T, MethodId Callee,
     throwRecursionLimit(T, Callee);
 
   // Both lookups are built out of line on first use, so a warm push pays
-  // one null test and one empty test for them.
+  // one null test for each.
   MethodHotData &Hot = hotData(Callee);
-  const uint64_t *Cost = costTable(Hot, Variant->Level, Inlined);
+  const uint32_t *Cost = costTable(Hot, Variant->Level, Inlined);
   assert((T.Frames.empty()
               ? T.SlabTop == 0 && Hot.NumArgSlots == 0
               : T.SlabTop - T.Frames.back().StackBase >= Hot.NumArgSlots) &&
@@ -299,18 +310,18 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
   // would pay.
   MethodId Target = DeclId;
   uint64_t DispatchCost = 0;
-  MethodHotData::IcEntry *IcSlot = nullptr;
   if (I.Op == Opcode::InvokeVirtual || I.Op == Opcode::InvokeInterface) {
     const Value &Receiver = T.Slab[T.SlabTop - ArgSlots];
     assert(Receiver.isRef() && "null or non-reference receiver");
     const HeapObject &Obj = TheHeap.object(Receiver.asRef());
-    assert(!Obj.IsArray && "virtual call on an array");
+    assert(!Obj.isArray() && "virtual call on an array");
     // Monomorphic inline cache: resolveVirtual is a pure function of
     // (receiver class, override root), so memoizing the last receiver per
     // site can only skip the hierarchy walk, never change its answer.
     MethodHotData &Hot = *F.Hot;
-    if (Hot.InlineCaches.empty())
-      Hot.InlineCaches.resize(Hot.BodySize);
+    if (!Hot.InlineCaches)
+      Hot.InlineCaches =
+          std::make_unique<MethodHotData::IcEntry[]>(Hot.BodySize);
     MethodHotData::IcEntry &Ic = Hot.InlineCaches[F.PC];
     if (Ic.Receiver == Obj.Klass) {
       Target = Ic.Target;
@@ -319,9 +330,7 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
       assert(Target != InvalidMethodId && "receiver does not implement method");
       Ic.Receiver = Obj.Klass;
       Ic.Target = Target;
-      Ic.Code = nullptr;
     }
-    IcSlot = &Ic;
     DispatchCost = I.Op == Opcode::InvokeVirtual ? Model.VirtualDispatch
                                                  : Model.InterfaceDispatch;
   }
@@ -357,20 +366,10 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
   }
 
   charge(Model.CallOverhead + DispatchCost);
-  // The inline cache also memoizes the target's code. A hit skips the
-  // ensureCompiled() lookup, which charges nothing for already-compiled
-  // methods — so the memo is cycle-neutral, but ONLY as long as install
-  // and evict drop stale entries (see onInstalled/onEvicted).
-  const CodeVariant *V;
-  if (IcSlot != nullptr && IcSlot->Code != nullptr) {
-    assert(IcSlot->Code == Code.current(Target) && "stale inline-cache code");
-    V = IcSlot->Code;
-  } else {
-    V = ensureCompiled(Target);
-    if (IcSlot != nullptr)
-      IcSlot->Code = V;
-  }
-  enterPhysicalFrame(T, Target, V);
+  // ensureCompiled reads the target's current variant, so a call never
+  // enters superseded or evicted code, and charges nothing when the
+  // target is already compiled.
+  enterPhysicalFrame(T, Target, ensureCompiled(Target));
   // A physical method entry is a prologue yieldpoint (Section 3.2): if the
   // timer has fired, the edge/trace listeners sample here.
   maybeDeliverSample(T, /*AtPrologue=*/true);
@@ -428,7 +427,7 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
   while (!T.Finished && Clock < StopClock && MaxInstr != 0) {
     Frame &F = T.Frames.back();
     const Instruction *const Body = F.Body;
-    const uint64_t *const Cost = F.Cost;
+    const uint32_t *const Cost = F.Cost;
     Value *const Slab = T.Slab.data();
     Value *const Locals = Slab + F.LocalsBase;
     uint32_t PC = F.PC;
@@ -676,7 +675,7 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
         Value R = popValue();
         assert(R.isRef() && "getfield on non-reference");
         HeapObject &Obj = TheHeap.object(R.asRef());
-        assert(static_cast<size_t>(I.Operand) < Obj.Slots.size());
+        assert(I.Operand >= 0 && I.Operand < Obj.Length);
         push(Obj.Slots[static_cast<size_t>(I.Operand)]);
         ++PC;
         break;
@@ -686,7 +685,7 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
         Value R = popValue();
         assert(R.isRef() && "putfield on non-reference");
         HeapObject &Obj = TheHeap.object(R.asRef());
-        assert(static_cast<size_t>(I.Operand) < Obj.Slots.size());
+        assert(I.Operand >= 0 && I.Operand < Obj.Length);
         Obj.Slots[static_cast<size_t>(I.Operand)] = V;
         ++PC;
         break;
@@ -709,8 +708,7 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
         Value R = popValue();
         assert(R.isRef() && "arrayload on non-reference");
         HeapObject &Arr = TheHeap.object(R.asRef());
-        assert(Arr.IsArray && Index >= 0 &&
-               static_cast<size_t>(Index) < Arr.Slots.size());
+        assert(Arr.isArray() && Index >= 0 && Index < Arr.Length);
         push(Arr.Slots[static_cast<size_t>(Index)]);
         ++PC;
         break;
@@ -721,8 +719,7 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
         Value R = popValue();
         assert(R.isRef() && "arraystore on non-reference");
         HeapObject &Arr = TheHeap.object(R.asRef());
-        assert(Arr.IsArray && Index >= 0 &&
-               static_cast<size_t>(Index) < Arr.Slots.size());
+        assert(Arr.isArray() && Index >= 0 && Index < Arr.Length);
         Arr.Slots[static_cast<size_t>(Index)] = V;
         ++PC;
         break;
@@ -730,8 +727,7 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
       case Opcode::ArrayLength: {
         Value R = popValue();
         assert(R.isRef() && "arraylength on non-reference");
-        push(Value::makeInt(
-            static_cast<int64_t>(TheHeap.object(R.asRef()).Slots.size())));
+        push(Value::makeInt(TheHeap.object(R.asRef()).Length));
         ++PC;
         break;
       }
@@ -740,7 +736,7 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
         int64_t Result = 0;
         if (R.isRef()) {
           const HeapObject &Obj = TheHeap.object(R.asRef());
-          if (!Obj.IsArray)
+          if (!Obj.isArray())
             Result = Hierarchy.isSubtypeOf(Obj.Klass,
                                            static_cast<ClassId>(I.Operand))
                          ? 1
@@ -822,28 +818,6 @@ bool VirtualMachine::prepareEviction(const CodeVariant &V) {
   return true;
 }
 
-void VirtualMachine::invalidateIcMemos(const CodeVariant &V) {
-  for (MethodHotData &Hot : HotData)
-    for (MethodHotData::IcEntry &Ic : Hot.InlineCaches)
-      if (Ic.Code == &V)
-        Ic.Code = nullptr;
-}
-
-void VirtualMachine::onEvicted(const CodeVariant &V) {
-  // The interpreter must never dispatch into reclaimed code: drop every
-  // inline-cache memo that resolved to the evicted variant. Receiver and
-  // Target survive — they are pure functions of the class hierarchy.
-  invalidateIcMemos(V);
-  auditState("evict");
-}
-
-void VirtualMachine::onInstalled(const CodeVariant &Installed,
-                                 const CodeVariant *Superseded) {
-  if (Superseded != nullptr)
-    invalidateIcMemos(*Superseded);
-  auditState("install");
-}
-
 void VirtualMachine::auditState(const char *Where) const {
   if (!audit::enabled())
     return;
@@ -857,18 +831,6 @@ void VirtualMachine::auditState(const char *Where) const {
                    std::string(Where) + ": thread " + std::to_string(TPtr->Id) +
                        " frame body pointer diverged from hot data of method " +
                        std::to_string(F.Method));
-    }
-  }
-  for (size_t M = 0; M != HotData.size(); ++M) {
-    for (const MethodHotData::IcEntry &Ic : HotData[M].InlineCaches) {
-      if (Ic.Code == nullptr)
-        continue;
-      audit::check(!Ic.Code->Evicted && Ic.Code->M == Ic.Target &&
-                       Ic.Code == Code.current(Ic.Target),
-                   "vm",
-                   std::string(Where) + ": inline cache in method " +
-                       std::to_string(M) + " memoizes stale code of method " +
-                       std::to_string(Ic.Target));
     }
   }
 }

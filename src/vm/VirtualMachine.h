@@ -45,7 +45,8 @@ class OsrDriver;
 /// first frame entry. Everything here is a pure cache over immutable
 /// Program/CostModel state: it exists to make the host interpreter fast
 /// and must never change what the simulated clock or counters record
-/// (see DESIGN.md, "Host fast path vs. simulated clock").
+/// (see DESIGN.md, "Host fast path vs. simulated clock"). Every VM keeps
+/// one per method of its program, so the tables are exact-size arrays.
 struct MethodHotData {
   /// Raw pointer into the method's (stable) bytecode body; null until the
   /// entry is built.
@@ -58,10 +59,11 @@ struct MethodHotData {
   /// stores with no bounds check.
   uint32_t MaxStack = 0;
   /// Exact per-instruction cycle charge for one (OptLevel, Inlined) pair,
-  /// indexed [level * 2 + inlined][pc]; built on first use per pair. Each
-  /// entry is bit-identical to the machineSize * cyclesPerUnit (* scope
-  /// bonus) product the interpreter used to recompute per instruction.
-  std::vector<uint64_t> Cost[NumOptLevels * 2];
+  /// indexed [level * 2 + inlined][pc]; null until first use per pair.
+  /// Each entry is bit-identical to the machineSize * cyclesPerUnit (*
+  /// scope bonus) product the interpreter used to recompute per
+  /// instruction; building a table throws if a charge exceeds 32 bits.
+  std::unique_ptr<uint32_t[]> Cost[NumOptLevels * 2];
   /// Monomorphic inline cache, indexed by invoke-site PC: the last
   /// receiver class seen at the site and the resolveVirtual() target it
   /// memoizes. Resolution is a pure function of (receiver class, override
@@ -70,14 +72,8 @@ struct MethodHotData {
   struct IcEntry {
     ClassId Receiver = InvalidClassId;
     MethodId Target = InvalidMethodId;
-    /// Memoized Target code — the variant the site last dispatched into,
-    /// skipping the ensureCompiled() lookup on a hit. Unlike Receiver and
-    /// Target this is NOT a pure memo: it must be dropped when the
-    /// target's code is superseded or evicted (the classic stale-IC JIT
-    /// bug), which CodeEvictionDelegate::onInstalled/onEvicted do.
-    const CodeVariant *Code = nullptr;
   };
-  std::vector<IcEntry> InlineCaches;
+  std::unique_ptr<IcEntry[]> InlineCaches;
 };
 
 /// One source-level activation record. Locals and operand stack live in
@@ -103,7 +99,7 @@ struct Frame {
   /// for this frame's (variant level, inlined) pair, and the method's hot
   /// data (inline caches, sizes).
   const Instruction *Body = nullptr;
-  const uint64_t *Cost = nullptr;
+  const uint32_t *Cost = nullptr;
   MethodHotData *Hot = nullptr;
   /// Arena offsets into ThreadState::Slab (see struct comment).
   uint32_t LocalsBase = 0;
@@ -158,8 +154,9 @@ struct ExecutionCounters {
 /// The virtual machine. Privately implements the code manager's eviction
 /// delegate: the bounded code cache asks the VM whether a variant is safe
 /// to reclaim (routing live activations through the OSR driver's deopt),
-/// and the VM drops the dispatch memos that could still reach evicted or
-/// superseded code.
+/// and the VM audits its frames after every install and eviction. Calls
+/// dispatch through the code manager's current variant, so no VM-side
+/// cache can go stale when code is replaced.
 class VirtualMachine : private CodeEvictionDelegate {
 public:
   /// \p P must outlive the VM and must verify cleanly (asserted in debug
@@ -248,17 +245,16 @@ public:
   /// retarget a frame's cached Cost pointer when it swaps the variant;
   /// the table contents are a pure function of the inputs, so handing
   /// them out cannot perturb execution.
-  const uint64_t *frameCostTable(MethodId M, OptLevel L, bool Inlined) {
+  const uint32_t *frameCostTable(MethodId M, OptLevel L, bool Inlined) {
     return costTable(hotData(M), L, Inlined);
   }
 
   /// Cross-checks the VM-level cache/dispatch invariants (see
-  /// support/Audit.h): no live frame executes evicted code, every frame's
-  /// cached body pointer matches its method's hot data, and every
-  /// inline-cache code memo points at the target's current variant.
-  /// Throws audit::AuditError on violation; no-op unless auditing is
-  /// enabled. The code manager calls this after installs and evictions
-  /// (through the delegate); the OSR manager after transfers.
+  /// support/Audit.h): no live frame executes evicted code, and every
+  /// frame's cached body pointer matches its method's hot data. Throws
+  /// audit::AuditError on violation; no-op unless auditing is enabled.
+  /// The code manager calls this after installs and evictions (through
+  /// the delegate); the OSR manager after transfers.
   void auditState(const char *Where) const;
 
 private:
@@ -270,11 +266,7 @@ private:
   /// Reclaim work stalls the application thread, like a GC pause.
   void chargeEviction(uint64_t Cycles) override { chargeMutator(Cycles); }
   bool prepareEviction(const CodeVariant &V) override;
-  void onEvicted(const CodeVariant &V) override;
-  void onInstalled(const CodeVariant &Installed,
-                   const CodeVariant *Superseded) override;
-  /// Drops every inline-cache code memo that resolves to \p V.
-  void invalidateIcMemos(const CodeVariant &V);
+  void onCodeChanged(const char *Where) override { auditState(Where); }
   /// The interpreter's inner loop: executes thread \p T until it finishes,
   /// the clock reaches \p StopClock, or \p MaxInstr instructions have run.
   /// Hot frame state (PC, operand-stack top, body/cost/slab pointers) is
@@ -295,13 +287,13 @@ private:
   MethodHotData &hotData(MethodId M);
   /// The per-PC charge table for (\p L, \p Inlined), building it on first
   /// use with arithmetic bit-identical to the pre-table interpreter.
-  const uint64_t *costTable(MethodHotData &H, OptLevel L, bool Inlined);
+  const uint32_t *costTable(MethodHotData &H, OptLevel L, bool Inlined);
   /// The first-use builds behind hotData() and costTable(), kept out of
   /// line so every frame push after the first runs only the two tests.
   [[gnu::cold, gnu::noinline]] void buildHotData(MethodId M,
                                                  MethodHotData &Hot);
   [[gnu::cold, gnu::noinline]] void
-  buildCostTable(std::vector<uint64_t> &Table, const MethodHotData &H,
+  buildCostTable(std::unique_ptr<uint32_t[]> &Table, const MethodHotData &H,
                  OptLevel L, bool Inlined);
   [[noreturn]] void throwRecursionLimit(const ThreadState &T,
                                         MethodId Callee) const;

@@ -504,16 +504,18 @@ TEST(CodeCacheEvictionTest, EvictingLiveInlineGroupDeoptsAndPreservesState) {
 }
 
 //===----------------------------------------------------------------------===//
-// (4) Eviction drops stale inline-cache code memos.
+// (4) Eviction leaves no inline-cache path into evicted code.
 //===----------------------------------------------------------------------===//
 
 TEST(CodeCacheIcTest, EvictionInvalidatesInlineCacheMemo) {
-  // The regression this guards: the call site in main memoizes the
-  // variant it last dispatched into (IcEntry::Code). Evicting that
-  // variant without dropping the memo leaves the interpreter one IC hit
-  // away from entering tombstoned code — the classic stale-IC JIT bug.
-  // With auditing on, a surviving memo throws AuditError inside the
-  // eviction itself; the behavioral checks below would then never run.
+  // The regression this guards is the classic stale-IC JIT bug: the
+  // virtual call site in main has cached its receiver's target f, and f's
+  // variant is then evicted. The inline cache holds only the (receiver
+  // class, target method) pair, so the next dispatch must read f's
+  // current code, find none, and recompile rather than enter the
+  // tombstone. With auditing on, a frame left on evicted code throws
+  // AuditError inside the eviction itself; the behavioral checks below
+  // would then never run.
   AuditScope Audited;
   const int64_t N = 200;
   VirtualLoopProgram VP(N);
@@ -528,8 +530,8 @@ TEST(CodeCacheIcTest, EvictionInvalidatesInlineCacheMemo) {
   VirtualMachine VM(VP.P, Model);
   VM.addThread(VP.P.entryMethod());
   ThreadState &T = *VM.threads()[0];
-  // At least one dispatch has resolved (populating the site's memo), and
-  // f's frame has returned, so its baseline is evictable.
+  // At least one dispatch has resolved (populating the site's inline
+  // cache), and f's frame has returned, so its baseline is evictable.
   stepUntil(VM, T, [&] { return VM.codeManager().baseline(VP.F) != nullptr; });
   stepUntil(VM, T, [&] { return T.Frames.size() == 1; });
   const CodeVariant *FBase = VM.codeManager().baseline(VP.F);
@@ -544,7 +546,7 @@ TEST(CodeCacheIcTest, EvictionInvalidatesInlineCacheMemo) {
   EXPECT_TRUE(FBase->Evicted);
   EXPECT_EQ(VM.codeManager().current(VP.F), nullptr);
 
-  // The next dispatch must miss the invalidated memo, recompile f, and
+  // The next dispatch finds no current code for f, recompiles it, and
   // the loop completes correctly on the fresh code.
   VM.run();
   EXPECT_EQ(T.Result.asInt(), N);

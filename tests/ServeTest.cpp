@@ -25,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -253,6 +255,56 @@ TEST(ServeTest, ByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(SerialTrace.str(), ParallelTrace.str());
   EXPECT_EQ(Serial.Rounds, Parallel.Rounds);
   EXPECT_EQ(Serial.SharePeakBytes, Parallel.SharePeakBytes);
+}
+
+TEST(ServeTest, SessionsFreedAsTheyFinishKeepEveryByte) {
+  // Sessions that finish far apart: the phase-flip scenario within two
+  // rounds, jess in nine, the two db sessions after about twenty. Each
+  // session is freed at the barrier where it finishes, while the bound
+  // (below the unbounded run's ~40 KB peak) keeps evicting shared entries
+  // that freed sessions had installed. The auditor re-checks every
+  // registry and installer list at each barrier.
+  audit::setEnabled(true);
+  ServeConfig Config;
+  Config.Tenants = {{"scn-phase-flip", 1}, {"jess", 1}, {"db", 2}};
+  Config.Params.Scale = 0.1;
+  Config.ShareCapacityBytes = 20000;
+  Config.Trace = true;
+  std::vector<uint64_t> EvictionsByRound;
+  const ServeResults Serial =
+      runServe(Config, /*Jobs=*/1, [&](const std::string &Line) {
+        unsigned long long Round = 0, Evictions = 0;
+        ASSERT_EQ(std::sscanf(Line.c_str(),
+                              "round %llu: %*u active, %*u shared entries "
+                              "(%*u hits, %*u publishes, %llu evictions)",
+                              &Round, &Evictions),
+                  2)
+            << Line;
+        EvictionsByRound.resize(Round + 1, Evictions);
+        EvictionsByRound[Round] = Evictions;
+      });
+  const ServeResults Parallel = runServe(Config, /*Jobs=*/4);
+
+  EXPECT_EQ(exportServeCsv(Serial), exportServeCsv(Parallel));
+  std::ostringstream SerialTrace, ParallelTrace;
+  exportServeTrace(SerialTrace, Serial);
+  exportServeTrace(ParallelTrace, Parallel);
+  EXPECT_EQ(SerialTrace.str(), ParallelTrace.str());
+
+  ASSERT_EQ(Serial.Sessions.size(), 4u);
+  uint64_t FirstEnd = UINT64_MAX;
+  for (const ServeSessionResult &S : Serial.Sessions) {
+    EXPECT_EQ(S.ProgramResult,
+              runExperiment(soloConfig(S.TenantName, 0.1)).ProgramResult)
+        << "session " << S.SessionId;
+    FirstEnd = std::min(FirstEnd, S.StartRound + S.RoundsRun);
+  }
+  EXPECT_GT(Serial.ShareEvictions, 0u);
+  ASSERT_EQ(EvictionsByRound.size(), Serial.Rounds);
+  EXPECT_LE(4 * FirstEnd, Serial.Rounds)
+      << "the first session must end in the first quarter of the serve";
+  EXPECT_GT(Serial.ShareEvictions, EvictionsByRound[FirstEnd - 1])
+      << "shared evictions continue after the first session is freed";
 }
 
 TEST(ServeTest, HugeStaggerStartsLateAndSkipsIdleRounds) {

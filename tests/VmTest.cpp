@@ -11,6 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 using namespace aoci;
 
@@ -351,6 +355,43 @@ TEST(VmCostTest, WorkCostScalesWithUnits) {
   EXPECT_EQ(Big - Small,
             10000 * (CM.cyclesPerUnit(OptLevel::Baseline) +
                      CM.CompileCyclesPerUnit[0]));
+}
+
+TEST(VmCostTest, ChargeBeyondThirtyTwoBitsThrowsInsteadOfTruncating) {
+  // Cost-table entries are 32-bit. A charge of exactly UINT32_MAX is kept
+  // whole; one cycle more stops the run with a diagnostic before any
+  // instruction advances the clock by a truncated amount.
+  Program P = entryProgram([](ProgramBuilder &, ClassId, CodeEmitter &E) {
+    E.work(1).iconst(0).vreturn();
+  });
+  const std::vector<Instruction> &Body = P.method(P.entryMethod()).Body;
+  for (const Instruction &I : Body)
+    ASSERT_EQ(I.machineSize(), 1u) << "each charge must be one unit";
+
+  CostModel Fits;
+  Fits.CyclesPerUnit[0] = UINT32_MAX;
+  VirtualMachine Ok(P, Fits);
+  Ok.addThread(P.entryMethod());
+  const uint64_t AfterCompile = Ok.cycles();
+  Ok.run();
+  EXPECT_EQ(Ok.cycles() - AfterCompile,
+            Body.size() * uint64_t{UINT32_MAX} + Fits.ReturnOverhead);
+
+  CostModel TooBig;
+  TooBig.CyclesPerUnit[0] = uint64_t{1} << 32;
+  VirtualMachine VM(P, TooBig);
+  try {
+    VM.addThread(P.entryMethod());
+    VM.run();
+    FAIL() << "expected the cost-table build to reject the charge";
+  } catch (const std::runtime_error &E) {
+    const std::string Msg = E.what();
+    EXPECT_NE(Msg.find("cycle charge 4294967296 of Main.main at pc 0"),
+              std::string::npos)
+        << Msg;
+    EXPECT_NE(Msg.find("32-bit"), std::string::npos) << Msg;
+  }
+  EXPECT_EQ(VM.counters().InstructionsExecuted, 0u);
 }
 
 TEST(VmCostTest, LazyBaselineCompilationChargedOnce) {

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace aoci;
 
 //===----------------------------------------------------------------------===//
@@ -53,12 +55,59 @@ TEST(HeapTest, ObjectsAndArrays) {
   ObjectRef A = H.allocateArray(5);
   EXPECT_EQ(H.numObjects(), 2u);
   EXPECT_EQ(H.object(O).Klass, 3u);
-  EXPECT_FALSE(H.object(O).IsArray);
-  EXPECT_EQ(H.object(O).Slots.size(), 2u);
-  EXPECT_TRUE(H.object(A).IsArray);
-  EXPECT_EQ(H.object(A).Slots.size(), 5u);
+  EXPECT_FALSE(H.object(O).isArray());
+  EXPECT_EQ(H.object(O).Length, 2u);
+  EXPECT_TRUE(H.object(A).isArray());
+  EXPECT_EQ(H.object(A).Length, 5u);
   // Slots default to integer zero.
   EXPECT_TRUE(H.object(A).Slots[4].isInt());
+}
+
+TEST(HeapTest, ArenaCrossesChunksWithoutOverlap) {
+  // Enough small cells to fill several chunks, mixed with arrays that
+  // leave chunk tails unused, one array longer than a chunk (its own
+  // block) and one of length zero.
+  Heap H;
+  std::vector<ObjectRef> Refs;
+  for (unsigned I = 0; I != 3 * Heap::ChunkSlots; ++I) {
+    Refs.push_back(H.allocateObject(I % 7, I % 5));
+    if (I % 100 == 0)
+      Refs.push_back(H.allocateArray(I % 997));
+  }
+  const ObjectRef Long = H.allocateArray(Heap::ChunkSlots + 3);
+  const ObjectRef Empty = H.allocateArray(0);
+  Refs.push_back(Long);
+  Refs.push_back(Empty);
+  Refs.push_back(H.allocateObject(1, 4));
+  EXPECT_EQ(H.numObjects(), Refs.size());
+  EXPECT_TRUE(H.object(Long).isArray());
+  EXPECT_EQ(H.object(Long).Length, Heap::ChunkSlots + 3);
+  EXPECT_TRUE(H.object(Empty).isArray());
+  EXPECT_EQ(H.object(Empty).Length, 0u);
+
+  // Every slot reads integer zero at first.
+  for (ObjectRef R : Refs)
+    for (uint32_t S = 0; S != H.object(R).Length; ++S)
+      ASSERT_TRUE(H.object(R).Slots[S].equals(Value())) << R << "/" << S;
+
+  // Writing a cell's last slot leaves its successor's first slot alone;
+  // a stray write past the last slot would show up as a changed mark.
+  for (ObjectRef R : Refs)
+    if (H.object(R).Length != 0)
+      H.object(R).Slots[0] = Value::makeInt(R);
+  for (ObjectRef R : Refs)
+    if (const uint32_t Len = H.object(R).Length; Len != 0)
+      H.object(R).Slots[Len - 1] = Value::makeInt(-1 - int64_t{R});
+  for (ObjectRef R : Refs) {
+    const HeapObject &Obj = H.object(R);
+    const Value Last = Value::makeInt(-1 - int64_t{R});
+    if (Obj.Length > 1) {
+      EXPECT_TRUE(Obj.Slots[0].equals(Value::makeInt(R))) << R;
+    }
+    if (Obj.Length != 0) {
+      EXPECT_TRUE(Obj.Slots[Obj.Length - 1].equals(Last)) << R;
+    }
+  }
 }
 
 TEST(HeapTest, AllocationMeterAndCollection) {
