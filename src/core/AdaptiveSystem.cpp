@@ -242,7 +242,7 @@ ProfileData AdaptiveSystem::snapshotProfile(const std::string &Workload) const {
     // methods a head start toward the compile break-even point, so the
     // warm run compiles stragglers late in the run that a cold run
     // never would — *extending* time-to-steady-state instead of
-    // shrinking it (the warm-start bench measures exactly this).
+    // shrinking it (the `warm.beats_cold` claim measures exactly this).
     if (Samples < Config.ControllerCfg.HotMethodSamples)
       return;
     const CodeVariant *Cur = VM.codeManager().current(M);

@@ -73,7 +73,8 @@ struct AosSystemConfig {
   /// Extension: let the missing-edge organizer proactively recompile the
   /// innermost exploitable *context* position of a deep rule, instead of
   /// only reacting to edges as the paper's (pre-existing) organizer does.
-  /// Off by default for fidelity; the ablation bench measures it.
+  /// Off by default for fidelity; `aoci claims` measures it (rows
+  /// `ablation.deep_edges_*`).
   bool DeepMissingEdges = false;
 
   /// Overhead cycle costs.

@@ -157,8 +157,8 @@ struct RunResult {
   uint64_t WarmStartDropped = 0;
   /// DCG entries the decay organizer dropped below the retention
   /// threshold (AosStats::DecayEntriesDropped). Surfaced here because a
-  /// stale warm start must visibly fade out through decay — the
-  /// warm-start bench asserts this counter is nonzero on its stale leg.
+  /// stale warm start must visibly fade out through decay — the claims
+  /// table's `warm.stale_decay` row needs it nonzero on its stale legs.
   uint64_t DecayEntriesDropped = 0;
   /// The serialized v2 profile snapshot taken after the run when
   /// RunConfig::CaptureProfile is set; empty otherwise. runBestOf keeps

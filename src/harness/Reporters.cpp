@@ -14,25 +14,30 @@
 
 using namespace aoci;
 
+const std::vector<PaperTable1Row> &aoci::paperTable1() {
+  static const std::vector<PaperTable1Row> Paper = {
+      {"compress", 48, 489, 19480},   {"jess", 176, 1101, 35316},
+      {"db", 41, 510, 20495},         {"javac", 176, 1496, 56282},
+      {"mpegaudio", 85, 712, 51308},  {"mtrt", 62, 629, 24435},
+      {"jack", 86, 743, 36253},       {"SPECjbb2000", 132, 1778, 73608}};
+  return Paper;
+}
+
 std::string aoci::reportTable1(const std::vector<RunResult> &Runs) {
   std::vector<std::string> Header = {"Benchmark", "Classes", "Methods",
                                      "Bytecodes"};
-  std::vector<std::vector<std::string>> Rows;
+  auto row = [](const std::string &Name, unsigned Classes, unsigned Methods,
+                uint64_t Bytecodes) {
+    return std::vector<std::string>{
+        Name, formatString("%u", Classes), formatString("%u", Methods),
+        formatString("%llu", static_cast<unsigned long long>(Bytecodes))};
+  };
+  std::vector<std::vector<std::string>> Rows, Paper;
   for (const RunResult &R : Runs)
-    Rows.push_back({R.WorkloadName, formatString("%u", R.ClassesLoaded),
-                    formatString("%u", R.MethodsCompiled),
-                    formatString("%llu", static_cast<unsigned long long>(
-                                             R.BytecodesCompiled))});
-  // Table 1 of the paper, for comparison.
-  const std::vector<std::vector<std::string>> Paper = {
-      {"compress", "48", "489", "19480"},
-      {"jess", "176", "1101", "35316"},
-      {"db", "41", "510", "20495"},
-      {"javac", "176", "1496", "56282"},
-      {"mpegaudio", "85", "712", "51308"},
-      {"mtrt", "62", "629", "24435"},
-      {"jack", "86", "743", "36253"},
-      {"SPECjbb2000", "132", "1778", "73608"}};
+    Rows.push_back(row(R.WorkloadName, R.ClassesLoaded, R.MethodsCompiled,
+                       R.BytecodesCompiled));
+  for (const PaperTable1Row &P : paperTable1())
+    Paper.push_back(row(P.Benchmark, P.Classes, P.Methods, P.Bytecodes));
   return "Table 1: benchmark characteristics (classes loaded, methods and "
          "bytecodes dynamically compiled)\n" +
          renderTable(Header, Rows) + "\nPaper reference values:\n" +
@@ -117,6 +122,47 @@ aoci::reportCompileTime(const GridResults &Results,
       Results, Policies, Depths, &GridResults::compileTimePercent);
 }
 
+std::vector<Figure6Bar>
+aoci::figure6Bars(const GridResults &Results,
+                  const std::vector<PolicyKind> &Policies,
+                  const std::vector<unsigned> &Depths) {
+  using SelectFn = std::function<const RunResult &(const std::string &)>;
+  auto bar = [&](const SelectFn &Select) {
+    Figure6Bar B;
+    for (unsigned C = 0; C != NumAosComponents; ++C) {
+      double Sum = 0;
+      for (const std::string &W : Results.workloads())
+        Sum += Select(W).componentFraction(static_cast<AosComponent>(C));
+      B.Share[C] = Sum / static_cast<double>(Results.workloads().size());
+      B.Total += B.Share[C];
+    }
+    return B;
+  };
+
+  std::vector<Figure6Bar> Bars;
+  Bars.push_back(bar([&](const std::string &W) -> const RunResult & {
+    return Results.baseline(W);
+  }));
+  Bars.back().Label = "cins";
+  Bars.back().IsCins = true;
+  const unsigned Compilation =
+      static_cast<unsigned>(AosComponent::Compilation);
+  const double CinsCompileShare = Bars.front().Share[Compilation];
+  for (PolicyKind Policy : Policies)
+    for (unsigned D : Depths) {
+      Figure6Bar B = bar([&](const std::string &W) -> const RunResult & {
+        return Results.cell(W, Policy, D);
+      });
+      B.Label = formatString("%s max=%u", policyKindName(Policy), D);
+      B.Policy = Policy;
+      B.Depth = D;
+      B.CompileShareChangePct =
+          percentChange(CinsCompileShare, B.Share[Compilation]);
+      Bars.push_back(B);
+    }
+  return Bars;
+}
+
 std::string aoci::reportFigure6(const GridResults &Results,
                                 const std::vector<PolicyKind> &Policies,
                                 const std::vector<unsigned> &Depths) {
@@ -128,121 +174,76 @@ std::string aoci::reportFigure6(const GridResults &Results,
     Header.push_back(aosComponentName(static_cast<AosComponent>(C)));
   Header.push_back("total");
 
-  using SelectFn = std::function<const RunResult &(const std::string &)>;
-  auto meanFraction = [&](const SelectFn &Select, AosComponent C) {
-    double Sum = 0;
-    for (const std::string &W : Results.workloads())
-      Sum += Select(W).componentFraction(C);
-    return Sum / static_cast<double>(Results.workloads().size());
-  };
-  auto averagedRow = [&](const std::string &Label, const SelectFn &Select) {
-    std::vector<std::string> Row = {Label};
-    double Total = 0;
-    for (unsigned C = 0; C != NumAosComponents; ++C) {
-      double Avg = meanFraction(Select, static_cast<AosComponent>(C));
-      Total += Avg;
-      Row.push_back(formatString("%.4f%%", Avg * 100.0));
-    }
-    Row.push_back(formatString("%.4f%%", Total * 100.0));
-    return Row;
-  };
-
-  const SelectFn Cins = [&](const std::string &W) -> const RunResult & {
-    return Results.baseline(W);
-  };
-  const double CinsCompileShare =
-      meanFraction(Cins, AosComponent::Compilation);
   std::vector<std::vector<std::string>> Rows;
-  Rows.push_back(averagedRow("cins", Cins));
   std::string ShareChange =
       "\nRelative change of the compilation-thread share vs cins "
       "(paper: 8-33% reductions):\n";
-  for (PolicyKind Policy : Policies)
-    for (unsigned D : Depths) {
-      const SelectFn Cell = [&](const std::string &W) -> const RunResult & {
-        return Results.cell(W, Policy, D);
-      };
-      Rows.push_back(averagedRow(
-          formatString("%s max=%u", policyKindName(Policy), D), Cell));
-      ShareChange += formatString(
-          "  %-10s max=%u: %+.1f%%\n", policyKindName(Policy), D,
-          percentChange(CinsCompileShare,
-                        meanFraction(Cell, AosComponent::Compilation)));
-    }
+  for (const Figure6Bar &B : figure6Bars(Results, Policies, Depths)) {
+    std::vector<std::string> Row = {B.Label};
+    for (double Share : B.Share)
+      Row.push_back(formatString("%.4f%%", Share * 100.0));
+    Row.push_back(formatString("%.4f%%", B.Total * 100.0));
+    Rows.push_back(std::move(Row));
+    if (!B.IsCins)
+      ShareChange += formatString("  %-10s max=%u: %+.1f%%\n",
+                                  policyKindName(B.Policy), B.Depth,
+                                  B.CompileShareChangePct);
+  }
   Out += renderTable(Header, Rows) + ShareChange;
   return Out;
 }
 
-std::string aoci::reportSection4(const std::vector<RunResult> &Runs) {
-  std::string Out =
-      "Section 4 trace statistics (from the instrumented trace "
-      "listener)\n";
-  std::vector<std::string> Header = {
-      "benchmark",       "samples",       "callee paramless",
-      "paramless<=5",    "classMeth<=2",  "large>=4",
-      "mean trace depth"};
-  std::vector<std::vector<std::string>> Rows;
-  for (const RunResult &R : Runs) {
-    const TraceStatistics &S = R.TraceStats;
-    Rows.push_back(
-        {R.WorkloadName,
-         formatString("%llu",
-                      static_cast<unsigned long long>(S.numSamples())),
-         formatString("%.0f%%", S.calleeParameterlessFraction() * 100),
-         formatString("%.0f%%", S.parameterlessWithin(5) * 100),
-         formatString("%.0f%%", S.classMethodWithin(2) * 100),
-         formatString("%.0f%%", S.largeMethodAtOrBeyond(4) * 100),
-         formatString("%.2f", S.meanRecordedDepth())});
+GridSummary aoci::summarizeGrid(const GridResults &Results,
+                                const std::vector<PolicyKind> &Policies,
+                                const std::vector<unsigned> &Depths) {
+  GridSummary S;
+  S.MinSpeedup = 1e9;
+  S.MaxSpeedup = -1e9;
+  std::vector<double> AllSpeedups, AllCode, AllCompile;
+  for (const std::string &W : Results.workloads()) {
+    for (PolicyKind Policy : Policies) {
+      for (unsigned D : Depths) {
+        double Speedup = Results.speedupPercent(W, Policy, D);
+        double Code = Results.codeSizePercent(W, Policy, D);
+        double Compile = Results.compileTimePercent(W, Policy, D);
+        AllSpeedups.push_back(Speedup);
+        AllCode.push_back(Code);
+        AllCompile.push_back(Compile);
+        S.MinSpeedup = std::min(S.MinSpeedup, Speedup);
+        S.MaxSpeedup = std::max(S.MaxSpeedup, Speedup);
+        S.LargestCodeReduction = std::min(S.LargestCodeReduction, Code);
+        S.LargestCompileReduction =
+            std::min(S.LargestCompileReduction, Compile);
+      }
+    }
   }
-  Out += renderTable(Header, Rows);
-  Out += "\nPaper reference bands: ~20% of callees immediately "
-         "parameterless; 50-80% of traces hit a parameterless call within "
-         "five levels; 50-80% hit a class method within two edges; ~50% "
-         "need four or more edges to reach a large method.\n";
-  return Out;
+  S.MeanSpeedup = arithmeticMean(AllSpeedups);
+  S.MeanCodeChange = arithmeticMean(AllCode);
+  S.MeanCompileChange = arithmeticMean(AllCompile);
+  return S;
 }
 
 std::string aoci::reportSummary(const GridResults &Results,
                                 const std::vector<PolicyKind> &Policies,
                                 const std::vector<unsigned> &Depths) {
-  double MinSpeedup = 1e9, MaxSpeedup = -1e9;
-  double MinCode = 1e9, MaxCodeReduction = 0;
-  double MaxCompileReduction = 0;
-  std::vector<double> AllSpeedups, AllCode, AllCompile;
-  for (const std::string &W : Results.workloads()) {
-    for (PolicyKind Policy : Policies) {
-      for (unsigned D : Depths) {
-        double S = Results.speedupPercent(W, Policy, D);
-        double C = Results.codeSizePercent(W, Policy, D);
-        double T = Results.compileTimePercent(W, Policy, D);
-        AllSpeedups.push_back(S);
-        AllCode.push_back(C);
-        AllCompile.push_back(T);
-        MinSpeedup = std::min(MinSpeedup, S);
-        MaxSpeedup = std::max(MaxSpeedup, S);
-        MinCode = std::min(MinCode, C);
-        MaxCodeReduction = std::min(MaxCodeReduction, C);
-        MaxCompileReduction = std::min(MaxCompileReduction, T);
-      }
-    }
-  }
+  const GridSummary S = summarizeGrid(Results, Policies, Depths);
   std::string Out = "Summary (paper's abstract: perf within +/-1% on "
                     "average, individual programs -4.2%..+5.3%; up to "
                     "33.0% compile-time and 56.7% code-space "
                     "reductions; ~10% average reductions)\n";
   Out += formatString("  mean speedup over all cells:      %s\n",
-                      formatPercent(arithmeticMean(AllSpeedups)).c_str());
+                      formatPercent(S.MeanSpeedup).c_str());
   Out += formatString("  speedup range:                    %s .. %s\n",
-                      formatPercent(MinSpeedup).c_str(),
-                      formatPercent(MaxSpeedup).c_str());
+                      formatPercent(S.MinSpeedup).c_str(),
+                      formatPercent(S.MaxSpeedup).c_str());
   Out += formatString("  mean code size change:            %s\n",
-                      formatPercent(arithmeticMean(AllCode)).c_str());
+                      formatPercent(S.MeanCodeChange).c_str());
   Out += formatString("  largest code space reduction:     %s\n",
-                      formatPercent(MaxCodeReduction).c_str());
+                      formatPercent(S.LargestCodeReduction).c_str());
   Out += formatString("  mean compile time change:         %s\n",
-                      formatPercent(arithmeticMean(AllCompile)).c_str());
+                      formatPercent(S.MeanCompileChange).c_str());
   Out += formatString("  largest compile time reduction:   %s\n",
-                      formatPercent(MaxCompileReduction).c_str());
+                      formatPercent(S.LargestCompileReduction).c_str());
   return Out;
 }
 

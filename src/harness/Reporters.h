@@ -9,8 +9,9 @@
 /// Renders the paper's tables and figures as text from harness results:
 /// Table 1 (benchmark characteristics), Figure 4 (wall-clock speedup
 /// grids), Figure 5 (code-size-change grids), Figure 6 (AOS component
-/// overhead breakdown), the Section 4 trace statistics, and the
-/// abstract's summary numbers.
+/// overhead breakdown) and the abstract's summary numbers. The numbers
+/// behind Table 1, Figure 6 and the summary are also exposed, for the
+/// claims table (harness/Claims.h) to check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,17 @@
 #include <vector>
 
 namespace aoci {
+
+/// One benchmark's row of the paper's Table 1.
+struct PaperTable1Row {
+  const char *Benchmark;
+  unsigned Classes;
+  unsigned Methods;
+  uint64_t Bytecodes;
+};
+
+/// The paper's Table 1, in workloadNames() order.
+const std::vector<PaperTable1Row> &paperTable1();
 
 /// Table 1: classes loaded, methods and bytecodes dynamically compiled,
 /// followed by the paper's Table 1 for comparison.
@@ -46,6 +58,27 @@ std::string reportCompileTime(const GridResults &Results,
                               const std::vector<PolicyKind> &Policies,
                               const std::vector<unsigned> &Depths);
 
+/// One configuration's Figure 6 bar: the fraction of wall cycles in each
+/// AOS component, averaged over the grid's workloads.
+struct Figure6Bar {
+  /// "cins", or a cell's "<policy> max=<depth>".
+  std::string Label;
+  /// True for the cins bar; Policy and Depth name a cell's otherwise.
+  bool IsCins = false;
+  PolicyKind Policy = PolicyKind::ContextInsensitive;
+  unsigned Depth = 1;
+  double Share[NumAosComponents] = {};
+  double Total = 0;
+  /// Relative change of the compilation-thread share vs cins, in
+  /// percent (0 for the cins bar).
+  double CompileShareChangePct = 0;
+};
+
+/// Figure 6's bars: cins first, then each policy x depth.
+std::vector<Figure6Bar> figure6Bars(const GridResults &Results,
+                                    const std::vector<PolicyKind> &Policies,
+                                    const std::vector<unsigned> &Depths);
+
 /// Figure 6: percent of execution time in each AOS component, averaged
 /// over the benchmarks, for cins plus each policy x depth, followed by
 /// each policy x depth's change of the compilation-thread share vs cins
@@ -54,8 +87,18 @@ std::string reportFigure6(const GridResults &Results,
                           const std::vector<PolicyKind> &Policies,
                           const std::vector<unsigned> &Depths);
 
-/// Section 4 statistics: parameterless/class/large chain positions.
-std::string reportSection4(const std::vector<RunResult> &Runs);
+/// The abstract's numbers over every policy x depth cell of a grid, in
+/// percent against each workload's cins baseline. A reduction is
+/// negative, and the largest reductions are never above 0.
+struct GridSummary {
+  double MeanSpeedup = 0, MinSpeedup = 0, MaxSpeedup = 0;
+  double MeanCodeChange = 0, LargestCodeReduction = 0;
+  double MeanCompileChange = 0, LargestCompileReduction = 0;
+};
+
+GridSummary summarizeGrid(const GridResults &Results,
+                          const std::vector<PolicyKind> &Policies,
+                          const std::vector<unsigned> &Depths);
 
 /// The abstract's summary numbers derived from a grid.
 std::string reportSummary(const GridResults &Results,

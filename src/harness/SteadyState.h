@@ -17,7 +17,8 @@
 /// stream — byte-deterministic like everything else in the harness.
 ///
 /// Consumers: RunMetrics (steady/warmup/steady-cycle columns), `aoci
-/// steady`, bench/steady_state.cpp, and the steady-gated CI perf job.
+/// steady`, and `aoci claims` (harness/Claims.h), whose steady-state,
+/// warm-start and budget rows gate on it in CI.
 ///
 //===----------------------------------------------------------------------===//
 

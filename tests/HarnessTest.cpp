@@ -175,16 +175,6 @@ TEST(ReporterTest, FigureSixListsAllComponents) {
   EXPECT_NE(Out.find("fixed max=2"), std::string::npos);
 }
 
-TEST(ReporterTest, SectionFourTable) {
-  RunConfig Config = smallConfig("jess", PolicyKind::Fixed, 5);
-  Config.CollectTraceStats = true;
-  std::vector<RunResult> Runs = {runExperiment(Config)};
-  std::string Out = reportSection4(Runs);
-  EXPECT_NE(Out.find("Section 4"), std::string::npos);
-  EXPECT_NE(Out.find("jess"), std::string::npos);
-  EXPECT_NE(Out.find("paramless<=5"), std::string::npos);
-}
-
 TEST(ReporterTest, SummaryHasAllLines) {
   GridResults Results = miniGrid();
   std::string Out = reportSummary(Results, {PolicyKind::Fixed}, {2});

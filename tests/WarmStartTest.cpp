@@ -138,7 +138,7 @@ TEST(WarmStartTest, WarmStartPreservesProgramSemantics) {
 
 TEST(WarmStartTest, WarmStartReachesSteadyStateSooner) {
   // The headline claim, pinned on one robust workload at test scale
-  // (the bench sweeps all eight): re-seeding from the same run's
+  // (`aoci claims` sweeps all eight): re-seeding from the same run's
   // profile front-loads the decisions the cold run had to learn.
   RunConfig Cold = smallConfig("jess", 0.5);
   auto Profile = captureProfile(Cold);

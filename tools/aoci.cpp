@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/Disassembler.h"
+#include "harness/Claims.h"
 #include "harness/CsvExport.h"
 #include "harness/Experiment.h"
 #include "harness/Fuzzer.h"
@@ -130,7 +131,7 @@ enum Group : unsigned {
   TraceFlags = 1u << 12,
   GridFlags = 1u << 13,
   FuzzFlags = 1u << 14,
-  SteadyFlags = 1u << 15,
+  JsonFlag = 1u << 15,
   ServeFlags = 1u << 16,
 };
 
@@ -257,7 +258,7 @@ const Flag Flags[] = {
     {"--known", "DIR", FuzzFlags,
      "exit 1 iff a differential not among DIR's .scn files is found",
      [](Options &O) -> std::string & { return O.KnownDir; }},
-    {"--json", "FILE", SteadyFlags, "write the verdicts as JSON",
+    {"--json", "FILE", JsonFlag, "write the verdicts as JSON",
      [](Options &O) -> std::string & { return O.Json; }},
     {"--tenants", "a[:N],b[:N]", ServeFlags,
      "the sessions: N of each workload or scenario (required)",
@@ -281,6 +282,7 @@ int cmdFuzz(Options &O);
 int cmdReplay(Options &O);
 int cmdSteady(Options &O);
 int cmdServe(Options &O);
+int cmdClaims(Options &O);
 
 struct Command {
   const char *Name;
@@ -319,8 +321,7 @@ const Command Commands[] = {
     {"replay", "<file.scn>", 1, 1, Target::None, 0, cmdReplay,
      "re-run a reproducer's expect block"},
     {"steady", "", 0, 0, Target::Run,
-     VmKnobs | PolicyKnobs | SeedKnob | TrialsFlag | WorkloadsFlag |
-         SteadyFlags,
+     VmKnobs | PolicyKnobs | SeedKnob | TrialsFlag | WorkloadsFlag | JsonFlag,
      cmdSteady,
      "each workload's warmup/steady split; exit 1 unless every run settled"},
     {"serve", "", 0, 0, Target::Serve,
@@ -329,6 +330,9 @@ const Command Commands[] = {
      cmdServe,
      "tenant sessions against one shared code cache; by default policy "
      "fixed at depth 4, with OSR on so shared evictions can deoptimize"},
+    {"claims", "", 0, 0, Target::None, JsonFlag, cmdClaims,
+     "check every claim (the paper's numbers, the design ablations, the "
+     "extensions' gates) against fresh runs; exit 1 if one fails"},
 };
 
 std::string describe(const Flag &F) {
@@ -366,16 +370,6 @@ int usage() {
   }
   std::fprintf(stderr, "%s", Out.c_str());
   return 1;
-}
-
-std::vector<std::string> splitList(const std::string &Text) {
-  std::vector<std::string> Out;
-  std::stringstream In(Text);
-  std::string Item;
-  while (std::getline(In, Item, ','))
-    if (!Item.empty())
-      Out.push_back(Item);
-  return Out;
 }
 
 // One parse per field type. Each reports its own diagnostic, naming the
@@ -471,14 +465,24 @@ bool parseInto(const Flag &F, const std::string &V,
   return false;
 }
 
-/// A comma-separated list; each item parses as a T.
+/// A comma-separated list; each item parses as a T. An empty item, and
+/// so an empty list, is an error.
 template <typename T>
 bool parseInto(const Flag &F, const std::string &V, std::vector<T> &Out) {
   std::vector<T> Items;
-  for (const std::string &Item : splitList(V)) {
-    Items.emplace_back();
-    if (!parseInto(F, Item, Items.back()))
+  for (size_t Begin = 0; Begin <= V.size();) {
+    const size_t End = std::min(V.find(',', Begin), V.size());
+    if (End == Begin) {
+      std::fprintf(stderr,
+                   "%s expects a comma-separated list without empty items, "
+                   "got '%s'\n",
+                   F.Name, V.c_str());
       return false;
+    }
+    Items.emplace_back();
+    if (!parseInto(F, V.substr(Begin, End - Begin), Items.back()))
+      return false;
+    Begin = End + 1;
   }
   Out = std::move(Items);
   return true;
@@ -1044,6 +1048,17 @@ int cmdServe(Options &O) {
       }))
     return 1;
   return 0;
+}
+
+int cmdClaims(Options &O) {
+  const ClaimsReport Report = runClaims(printLine);
+  std::printf("%s", Report.Text.c_str());
+  if (!O.Json.empty()) {
+    if (!writeFile(O.Json, Report.Json))
+      return 1;
+    std::fprintf(stderr, "claims written to %s\n", O.Json.c_str());
+  }
+  return Report.Pass ? 0 : 1;
 }
 
 int cmdDisasm(Options &O) {

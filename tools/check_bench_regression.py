@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Gate host-wall-time regressions between two BENCH_interp.json files.
+"""Gate regressions between two google-benchmark-shaped JSON files.
 
-Compares google-benchmark JSON exports (the artifacts the bench-release
-CI job uploads) benchmark-by-benchmark and fails when any benchmark
-present in both files got slower than the threshold. Simulated-cycle
-behaviour is pinned by goldens; this gate covers the other half of the
-contract — the host wall time those goldens deliberately ignore.
+Compares two runs' results (the artifacts the bench-release CI job
+uploads) benchmark-by-benchmark and fails when any benchmark present in
+both files got worse than the threshold. CI checks two such files:
+
+  BENCH_interp.json  the interpreter microbenchmarks (bench/micro_interp):
+                     host wall time, which the goldens deliberately
+                     ignore; gated at 10%.
+  BENCH_claims.json  `aoci claims --json`: simulated quantities from the
+                     claims studies (warmup cycles, compile-cycle bills),
+                     deterministic, so gated at 1%.
 
 Usage:
   tools/check_bench_regression.py BASELINE.json CURRENT.json [--threshold 10]
@@ -14,15 +19,18 @@ Exit status: 0 when no gated regression (or no usable baseline — a cold
 cache must not fail CI), 1 when at least one benchmark regressed beyond
 the threshold, 2 on malformed input.
 
-Throughput (items_per_second) is preferred when both sides report it,
-falling back to real_time; aggregate rows (mean/median/stddev) and
-error rows are skipped. Benchmarks that exist on only one side are
-reported but never gate — adding or retiring a benchmark is not a
-regression.
+A row is higher-is-better when both sides report items_per_second
+(throughput; `aoci claims` also puts the compile cycles serve mode's
+sharing saved there), and lower-is-better real_time otherwise.
+Aggregate rows (mean/median/stddev) and error rows are skipped; other
+keys, such as the claims file's "claims" array, are ignored. Benchmarks
+that exist on only one side are reported but never gate — adding or
+retiring a benchmark is not a regression.
 """
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -110,13 +118,15 @@ def main():
             continue
         b_ips, b_ns = base[name]
         c_ips, c_ns = cur[name]
-        if b_ns == 0 and not (b_ips and c_ips):
+        higher_is_better = b_ips is not None and c_ips is not None
+        if (b_ips if higher_is_better else b_ns) == 0:
             # A zero baseline cannot gate a ratio; report, never fail.
             print(f"{name:<44} {'(zero baseline)':>12}")
             continue
-        if b_ips and c_ips:
-            # Higher is better; slowdown = throughput loss.
-            slowdown_pct = (b_ips / c_ips - 1.0) * 100.0
+        if higher_is_better:
+            # Slowdown = the loss of throughput (or of savings); a fall to
+            # zero is an unbounded one.
+            slowdown_pct = (b_ips / c_ips - 1.0) * 100.0 if c_ips else math.inf
             b_disp, c_disp = f"{b_ips:.3g}/s", f"{c_ips:.3g}/s"
         else:
             # Lower is better; slowdown = wall-time growth.
@@ -133,7 +143,7 @@ def main():
 
     if regressions:
         print(f"\n{len(regressions)} benchmark(s) regressed more than "
-              f"{args.threshold:g}% in host wall time:", file=sys.stderr)
+              f"{args.threshold:g}%:", file=sys.stderr)
         for name, pct in regressions:
             print(f"  {name}: {pct:+.1f}%", file=sys.stderr)
         return 1
