@@ -9,12 +9,12 @@
 /// The event taxonomy of the observability subsystem: everything the
 /// adaptive loop does between a timer sample and an installed inline plan
 /// is representable as one fixed-size TraceEvent keyed to the simulated
-/// clock. OBSERVABILITY.md is the field-by-field reference; the Chrome
-/// trace-event JSON rendering lives in trace/TraceJson.h.
+/// clock. The JSON export (trace/TraceJson.h) names each kind's args and
+/// the slot each reads in one contract row; OBSERVABILITY.md documents it.
 ///
 /// Events are plain data on purpose: the sink appends them with no
 /// formatting, allocation, or clock charge, and the export layer turns
-/// them into named JSON arguments per kind.
+/// them into named JSON arguments by walking the kind's contract row.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,7 +113,7 @@ constexpr uint32_t TraceAllKinds = (1u << NumTraceEventKinds) - 1;
 /// becomes a set of named Perfetto tracks.
 using TraceTrack = uint8_t;
 constexpr TraceTrack TraceTrackVm = 0;
-/// Number of component tracks (TraceSink.cpp asserts this matches
+/// Number of component tracks (TraceJson.cpp asserts this matches
 /// NumAosComponents; the trace library stays bytecode/vm-independent).
 constexpr unsigned NumAosTraceTracks = 6;
 
@@ -124,8 +124,8 @@ const char *traceTrackName(TraceTrack Track);
 /// One recorded event. `Cycle` is the simulated clock at emission;
 /// `Seq` is the per-sink monotonic sequence number that makes the stable
 /// sort by (cycle, seq) — and therefore the exported byte stream — fully
-/// deterministic. The A..D / X..Z payload slots are kind-specific; see
-/// OBSERVABILITY.md for the per-kind field tables.
+/// deterministic. The A..E / X..Z payload slots are kind-specific; the
+/// kind's row in trace/TraceJson.cpp says which arg reads each one.
 struct TraceEvent {
   uint64_t Cycle = 0;
   uint64_t Seq = 0;

@@ -7,81 +7,9 @@
 
 #include "trace/TraceSink.h"
 
-#include "vm/Overhead.h"
-
 #include <algorithm>
-#include <sstream>
 
 using namespace aoci;
-
-static_assert(NumAosTraceTracks == NumAosComponents,
-              "component track count must match vm/Overhead.h");
-
-const char *aoci::traceEventKindName(TraceEventKind K) {
-  switch (K) {
-  case TraceEventKind::Sample:
-    return "sample";
-  case TraceEventKind::ListenerRecord:
-    return "listener-record";
-  case TraceEventKind::OrganizerWakeup:
-    return "organizer-wakeup";
-  case TraceEventKind::ControllerDecision:
-    return "controller-decision";
-  case TraceEventKind::CompileRequest:
-    return "compile-request";
-  case TraceEventKind::CompileComplete:
-    return "compile-complete";
-  case TraceEventKind::PlanInstall:
-    return "plan-install";
-  case TraceEventKind::PlanSite:
-    return "plan-site";
-  case TraceEventKind::GuardFallback:
-    return "guard-fallback";
-  case TraceEventKind::GcPause:
-    return "gc-pause";
-  case TraceEventKind::OsrEnter:
-    return "osr-enter";
-  case TraceEventKind::OsrExit:
-    return "osr-exit";
-  case TraceEventKind::Deopt:
-    return "deopt";
-  case TraceEventKind::CodeEvict:
-    return "code-evict";
-  case TraceEventKind::PhaseShift:
-    return "phase-shift";
-  case TraceEventKind::ProfileLoad:
-    return "profile-load";
-  case TraceEventKind::SharePublish:
-    return "share-publish";
-  case TraceEventKind::ShareHit:
-    return "share-hit";
-  case TraceEventKind::ShareEvict:
-    return "share-evict";
-  case TraceEventKind::BudgetDecision:
-    return "budget-decision";
-  }
-  return "<invalid>";
-}
-
-bool aoci::parseTraceEventKind(const std::string &Name, TraceEventKind &K) {
-  for (unsigned I = 0; I != NumTraceEventKinds; ++I) {
-    const TraceEventKind Candidate = static_cast<TraceEventKind>(I);
-    if (Name == traceEventKindName(Candidate)) {
-      K = Candidate;
-      return true;
-    }
-  }
-  return false;
-}
-
-const char *aoci::traceTrackName(TraceTrack Track) {
-  if (Track == TraceTrackVm)
-    return "VirtualMachine";
-  const unsigned Component = Track - 1;
-  if (Component < NumAosComponents)
-    return aosComponentName(static_cast<AosComponent>(Component));
-  return "<invalid>";
-}
 
 bool aoci::parseTraceFilter(const std::string &List, uint32_t &Mask,
                             std::string &Error) {
@@ -90,21 +18,22 @@ bool aoci::parseTraceFilter(const std::string &List, uint32_t &Mask,
     return true;
   }
   Mask = 0;
-  std::stringstream In(List);
-  std::string Token;
-  while (std::getline(In, Token, ',')) {
-    if (Token.empty())
-      continue;
+  for (size_t Begin = 0; Begin <= List.size();) {
+    const size_t End = std::min(List.find(',', Begin), List.size());
+    const std::string Token = List.substr(Begin, End - Begin);
+    if (Token.empty()) {
+      Error = "--trace-filter expects a comma-separated list without empty "
+              "items, got '" +
+              List + "'";
+      return false;
+    }
     TraceEventKind K;
     if (!parseTraceEventKind(Token, K)) {
       Error = "unknown trace event kind '" + Token + "'";
       return false;
     }
     Mask |= traceKindBit(K);
-  }
-  if (Mask == 0) {
-    Error = "empty trace filter";
-    return false;
+    Begin = End + 1;
   }
   return true;
 }

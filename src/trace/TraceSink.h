@@ -38,7 +38,7 @@ namespace aoci {
 
 /// Parses a comma-separated `--trace-filter` list ("sample,plan-site")
 /// into a kind bitmask. Returns false and names the offender in \p Error
-/// on an unknown token. An empty list means "all kinds".
+/// on an unknown token or an empty item. An empty list means "all kinds".
 bool parseTraceFilter(const std::string &List, uint32_t &Mask,
                       std::string &Error);
 

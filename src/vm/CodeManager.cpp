@@ -52,7 +52,8 @@ void emitPlanSites(TraceSink &Trace, const CodeVariant &V,
     E.A = Decision.Site;
     E.B = Depth;
     E.C = static_cast<int64_t>(Decision.Cases.size());
-    E.D = Guarded ? 1 : 0;
+    // The verdict code: 0 unguarded, 1 guarded-mono, 2 guarded-poly.
+    E.D = !Guarded ? 0 : Decision.Cases.size() <= 1 ? 1 : 2;
     E.E = Decision.Cases.empty() ? -1 : Decision.Cases.front().Callee;
     for (const InlineCase &Case : Decision.Cases)
       if (Case.Body)

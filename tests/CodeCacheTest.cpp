@@ -31,10 +31,10 @@
 #include "trace/TraceSink.h"
 #include "vm/VirtualMachine.h"
 
+#include "GoldenFile.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 using namespace aoci;
@@ -597,30 +597,6 @@ TEST(CodeCacheGridTest, ParallelGridCsvMatchesSerialWithEvictionOn) {
 // (5) Golden trace: the code-evict event stream's bytes are pinned.
 //===----------------------------------------------------------------------===//
 
-/// Same update-or-compare protocol as TraceTest / OsrTest:
-/// AOCI_UPDATE_GOLDEN=1 rewrites the fixture instead of comparing.
-void expectMatchesGolden(const std::string &Name, const std::string &Actual) {
-  const std::string Path = std::string(AOCI_GOLDEN_DIR) + "/" + Name;
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream OutFile(Path, std::ios::binary);
-    ASSERT_TRUE(OutFile) << "cannot write " << Path;
-    OutFile << Actual;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Actual)
-      << "code-evict trace export drifted from " << Path
-      << "; either the eviction sequence or the JSON serialization "
-         "changed. If intentional, rerun with AOCI_UPDATE_GOLDEN=1, "
-         "review the fixture diff, and update OBSERVABILITY.md if the "
-         "schema moved";
-}
-
 TEST(CodeCacheGoldenTest, EvictTraceJsonMatchesGolden) {
   // The hand-driven live-group eviction again — four deterministic
   // code-evict events (three cold baselines, then the planned variant
@@ -666,7 +642,9 @@ TEST(CodeCacheGoldenTest, EvictTraceJsonMatchesGolden) {
 
   std::ostringstream Json;
   writeChromeTrace(Json, Sink, "code-cache/evict");
-  expectMatchesGolden("trace_code_evict.golden", Json.str());
+  expectMatchesGolden(goldenPath("trace_code_evict.golden"), Json.str(),
+                      "either the eviction sequence or the JSON serialization "
+                      "changed");
 }
 
 //===----------------------------------------------------------------------===//

@@ -18,10 +18,10 @@
 #include "vm/VirtualMachine.h"
 #include "workload/Workload.h"
 
+#include "GoldenFile.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 using namespace aoci;
@@ -93,31 +93,12 @@ std::string fingerprintAll() {
   return Out.str();
 }
 
-/// Same update-or-compare protocol as GoldenTest: AOCI_UPDATE_GOLDEN=1
-/// rewrites the fixture instead of comparing.
-void expectMatchesGolden(const std::string &Name, const std::string &Actual) {
-  const std::string Path = std::string(AOCI_GOLDEN_DIR) + "/" + Name;
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream OutFile(Path, std::ios::binary);
-    ASSERT_TRUE(OutFile) << "cannot write " << Path;
-    OutFile << Actual;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Actual)
-      << "simulated cycles or counters drifted from " << Path
-      << "; host-side optimizations must be clock-neutral. If the cost "
-         "model or adaptive behaviour changed intentionally, rerun with "
-         "AOCI_UPDATE_GOLDEN=1 and review the fixture diff";
-}
-
 TEST(CycleFingerprintTest, AllWorkloadsAllPolicies) {
-  expectMatchesGolden("cycle_fingerprint.golden", fingerprintAll());
+  expectMatchesGolden(goldenPath("cycle_fingerprint.golden"), fingerprintAll(),
+                      "simulated cycles or counters changed. Host-side "
+                      "optimizations must be clock-neutral; only an intended "
+                      "cost-model or adaptive-behaviour change may "
+                      "regenerate it");
 }
 
 } // namespace

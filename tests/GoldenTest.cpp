@@ -15,43 +15,15 @@
 #include "harness/CsvExport.h"
 #include "opt/PlanPrinter.h"
 
-#include <gtest/gtest.h>
+#include "GoldenFile.h"
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <gtest/gtest.h>
 
 using namespace aoci;
 
 namespace {
 
-std::string goldenPath(const std::string &Name) {
-  return std::string(AOCI_GOLDEN_DIR) + "/" + Name;
-}
-
-/// Compares \p Actual against the checked-in fixture \p Name; with
-/// AOCI_UPDATE_GOLDEN=1 in the environment it rewrites the fixture
-/// instead.
-void expectMatchesGolden(const std::string &Name,
-                         const std::string &Actual) {
-  const std::string Path = goldenPath(Name);
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream Out(Path, std::ios::binary);
-    ASSERT_TRUE(Out) << "cannot write " << Path;
-    Out << Actual;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Actual)
-      << "report format drifted from " << Path
-      << "; if intentional, rerun with AOCI_UPDATE_GOLDEN=1 and review "
-         "the fixture diff";
-}
+constexpr const char *FormatHint = "the report format changed";
 
 /// A RunResult with every exported field filled from a small integer
 /// tag, so each CSV column exercises a distinct value.
@@ -97,7 +69,7 @@ TEST(GoldenTest, CsvExportFormat) {
   std::string Csv =
       exportCsv(Results, {PolicyKind::Fixed, PolicyKind::Parameterless},
                 {2, 3});
-  expectMatchesGolden("csv_export.golden", Csv);
+  expectMatchesGolden(goldenPath("csv_export.golden"), Csv, FormatHint);
 }
 
 TEST(GoldenTest, MetricsCsvFormat) {
@@ -151,7 +123,8 @@ TEST(GoldenTest, MetricsCsvFormat) {
   M.WarmupCycles = 990000;
   M.SteadyCycles = 0;
   Results.addMetrics(M);
-  expectMatchesGolden("metrics_csv.golden", exportMetricsCsv(Results));
+  expectMatchesGolden(goldenPath("metrics_csv.golden"),
+                      exportMetricsCsv(Results), FormatHint);
 }
 
 TEST(GoldenTest, PlanPrinterFormat) {
@@ -220,5 +193,6 @@ TEST(GoldenTest, PlanPrinterFormat) {
   GetCase2.BodyUnits = 12;
   Variant.Plan.recountStatistics();
 
-  expectMatchesGolden("plan_printer.golden", describeVariant(P, Variant));
+  expectMatchesGolden(goldenPath("plan_printer.golden"),
+                      describeVariant(P, Variant), FormatHint);
 }

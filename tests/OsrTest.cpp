@@ -25,10 +25,10 @@
 #include "trace/TraceSink.h"
 #include "vm/VirtualMachine.h"
 
+#include "GoldenFile.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 using namespace aoci;
@@ -559,30 +559,6 @@ TEST(OsrGridTest, ParallelGridCsvMatchesSerialWithOsrOn) {
 // Golden trace: the OSR event stream's exported bytes are pinned.
 //===----------------------------------------------------------------------===//
 
-/// Same update-or-compare protocol as TraceTest / FingerprintTest:
-/// AOCI_UPDATE_GOLDEN=1 rewrites the fixture instead of comparing.
-void expectMatchesGolden(const std::string &Name, const std::string &Actual) {
-  const std::string Path = std::string(AOCI_GOLDEN_DIR) + "/" + Name;
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream OutFile(Path, std::ios::binary);
-    ASSERT_TRUE(OutFile) << "cannot write " << Path;
-    OutFile << Actual;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Actual)
-      << "OSR trace export drifted from " << Path
-      << "; either the transition sequence or the JSON serialization "
-         "changed. If intentional, rerun with AOCI_UPDATE_GOLDEN=1, "
-         "review the fixture diff, and update OBSERVABILITY.md if the "
-         "schema moved";
-}
-
 TEST(OsrGoldenTest, DeoptAndOsrTraceJsonMatchesGolden) {
   // A fully hand-driven scenario (the stock workloads never deopt): a
   // deep inline group is deoptimized, the freed inner activation then
@@ -614,7 +590,9 @@ TEST(OsrGoldenTest, DeoptAndOsrTraceJsonMatchesGolden) {
 
   std::ostringstream Json;
   writeChromeTrace(Json, Sink, "osr/deopt-compose");
-  expectMatchesGolden("trace_osr_deopt.golden", Json.str());
+  expectMatchesGolden(goldenPath("trace_osr_deopt.golden"), Json.str(),
+                      "either the transition sequence or the JSON "
+                      "serialization changed");
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,10 +9,11 @@
 #include "profile/ProfileIo.h"
 #include "workload/FigureOne.h"
 
+#include "GoldenFile.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -260,22 +261,14 @@ TEST(ProfileIoTest, V2GoldenProfileRoundTripsBitExactly) {
   // ProfileData reproduces the fixture byte-for-byte, and parsing the
   // fixture then re-serializing is the identity (so the on-disk format
   // cannot drift without this test noticing).
-  const std::string Path = std::string(AOCI_GOLDEN_DIR) + "/profile_v2.golden";
-  const std::string Text = serializeProfileData(sampleProfileData());
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream Out(Path, std::ios::binary);
-    ASSERT_TRUE(Out) << "cannot write " << Path;
-    Out << Text;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
+  const std::string Path = goldenPath("profile_v2.golden");
+  expectMatchesGolden(Path, serializeProfileData(sampleProfileData()),
+                      "the v2 profile bytes changed");
+  if (IsSkipped() || HasFatalFailure())
+    return;
   std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
   std::stringstream Buffer;
   Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Text)
-      << "v2 profile bytes drifted from the checked-in fixture";
   ProfileData Back;
   std::string Error;
   ASSERT_TRUE(parseProfile(Buffer.str(), Back, Error)) << Error;

@@ -23,12 +23,12 @@
 #include "support/Audit.h"
 #include "profile/ProfileIo.h"
 
+#include "GoldenFile.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <sstream>
 
@@ -56,30 +56,6 @@ ServeConfig smallServe(const std::string &Workload, unsigned Count,
   Config.Tenants.push_back({Workload, Count});
   Config.Params.Scale = Scale;
   return Config;
-}
-
-/// Same update-or-compare protocol as TraceTest / CodeCacheTest:
-/// AOCI_UPDATE_GOLDEN=1 rewrites the fixture instead of comparing.
-void expectMatchesGolden(const std::string &Name, const std::string &Actual) {
-  const std::string Path = std::string(AOCI_GOLDEN_DIR) + "/" + Name;
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream OutFile(Path, std::ios::binary);
-    ASSERT_TRUE(OutFile) << "cannot write " << Path;
-    OutFile << Actual;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Actual)
-      << "share trace export drifted from " << Path
-      << "; either the share protocol or the JSON serialization "
-         "changed. If intentional, rerun with AOCI_UPDATE_GOLDEN=1, "
-         "review the fixture diff, and update OBSERVABILITY.md if the "
-         "schema moved";
 }
 
 } // namespace
@@ -445,5 +421,7 @@ TEST(ServeGoldenTest, ShareTraceJsonMatchesGolden) {
   const ServeResults Serve = runServe(Config, 1);
   std::ostringstream OS;
   exportServeTrace(OS, Serve);
-  expectMatchesGolden("trace_share.golden", OS.str());
+  expectMatchesGolden(goldenPath("trace_share.golden"), OS.str(),
+                      "either the share protocol or the JSON serialization "
+                      "changed");
 }

@@ -17,40 +17,15 @@
 #include "harness/SteadyState.h"
 #include "workload/scenario/ScenarioSpec.h"
 
-#include <gtest/gtest.h>
+#include "GoldenFile.h"
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <gtest/gtest.h>
 
 using namespace aoci;
 
 namespace {
 
-std::string goldenPath(const std::string &Name) {
-  return std::string(AOCI_GOLDEN_DIR) + "/" + Name;
-}
-
-void expectMatchesGolden(const std::string &Name,
-                         const std::string &Actual) {
-  const std::string Path = goldenPath(Name);
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream Out(Path, std::ios::binary);
-    ASSERT_TRUE(Out) << "cannot write " << Path;
-    Out << Actual;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Actual)
-      << "steady-state verdict drifted from " << Path
-      << "; if intentional, rerun with AOCI_UPDATE_GOLDEN=1 and review "
-         "the fixture diff";
-}
+constexpr const char *VerdictHint = "the steady-state verdict changed";
 
 void addCompileComplete(TraceSink &Sink, uint64_t Cycle, uint64_t Dur) {
   TraceEvent &E = Sink.append(TraceEventKind::CompileComplete, 2, Cycle);
@@ -90,7 +65,8 @@ TEST(SteadyStateTest, SettledRun) {
   EXPECT_TRUE(R.Reached);
   EXPECT_EQ(R.WarmupCycles, 100'000u); // compile end = 80k + 20k dur.
   EXPECT_EQ(R.SteadyCycles, 900'000u);
-  expectMatchesGolden("steady_settled.golden", formatSteadyState(R));
+  expectMatchesGolden(goldenPath("steady_settled.golden"),
+                      formatSteadyState(R), VerdictHint);
 }
 
 TEST(SteadyStateTest, CompilerNeverQuiet) {
@@ -101,7 +77,8 @@ TEST(SteadyStateTest, CompilerNeverQuiet) {
   SteadyStateResult R = detectSteadyState(Sink, 1'000'000);
   EXPECT_TRUE(R.Computed);
   EXPECT_FALSE(R.Reached);
-  expectMatchesGolden("steady_never_quiet.golden", formatSteadyState(R));
+  expectMatchesGolden(goldenPath("steady_never_quiet.golden"),
+                      formatSteadyState(R), VerdictHint);
 }
 
 TEST(SteadyStateTest, TailTooShort) {
@@ -112,7 +89,8 @@ TEST(SteadyStateTest, TailTooShort) {
   SteadyStateResult R = detectSteadyState(Sink, 1'000'000);
   EXPECT_TRUE(R.Computed);
   EXPECT_FALSE(R.Reached);
-  expectMatchesGolden("steady_short_tail.golden", formatSteadyState(R));
+  expectMatchesGolden(goldenPath("steady_short_tail.golden"),
+                      formatSteadyState(R), VerdictHint);
 }
 
 TEST(SteadyStateTest, UnstableWakeupDensity) {
@@ -127,8 +105,8 @@ TEST(SteadyStateTest, UnstableWakeupDensity) {
   SteadyStateResult R = detectSteadyState(Sink, 1'000'000);
   EXPECT_TRUE(R.Computed);
   EXPECT_FALSE(R.Reached);
-  expectMatchesGolden("steady_unstable_density.golden",
-                      formatSteadyState(R));
+  expectMatchesGolden(goldenPath("steady_unstable_density.golden"),
+                      formatSteadyState(R), VerdictHint);
 }
 
 TEST(SteadyStateTest, EmptyRun) {
@@ -137,7 +115,8 @@ TEST(SteadyStateTest, EmptyRun) {
   SteadyStateResult R = detectSteadyState(Sink, 0);
   EXPECT_TRUE(R.Computed);
   EXPECT_FALSE(R.Reached);
-  expectMatchesGolden("steady_empty.golden", formatSteadyState(R));
+  expectMatchesGolden(goldenPath("steady_empty.golden"),
+                      formatSteadyState(R), VerdictHint);
 }
 
 TEST(SteadyStateTest, InsufficientKindMaskMeansUnknown) {

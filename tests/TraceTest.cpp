@@ -17,10 +17,10 @@
 #include "trace/TraceJson.h"
 #include "trace/TraceSink.h"
 
+#include "GoldenFile.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 using namespace aoci;
@@ -70,6 +70,16 @@ TEST(TraceFilterTest, AllCommasIsAnEmptyFilterError) {
   std::string Error;
   EXPECT_FALSE(parseTraceFilter(",,,", Mask, Error));
   EXPECT_FALSE(Error.empty());
+}
+
+TEST(TraceFilterTest, EmptyItemIsAnErrorNamingTheList) {
+  for (const char *List : {"deopt,,sample", "deopt,", ",deopt"}) {
+    uint32_t Mask = 0;
+    std::string Error;
+    EXPECT_FALSE(parseTraceFilter(List, Mask, Error)) << List;
+    EXPECT_NE(Error.find(std::string("'") + List + "'"), std::string::npos)
+        << Error;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -344,30 +354,6 @@ TEST(TraceGridTest, GridKindMaskRestrictsEveryStream) {
 // (3) Golden JSON: the exported bytes themselves are pinned.
 //===----------------------------------------------------------------------===//
 
-/// Same update-or-compare protocol as FingerprintTest / GoldenTest:
-/// AOCI_UPDATE_GOLDEN=1 rewrites the fixture instead of comparing.
-void expectMatchesGolden(const std::string &Name, const std::string &Actual) {
-  const std::string Path = std::string(AOCI_GOLDEN_DIR) + "/" + Name;
-  if (const char *Update = std::getenv("AOCI_UPDATE_GOLDEN");
-      Update && Update[0] == '1') {
-    std::ofstream OutFile(Path, std::ios::binary);
-    ASSERT_TRUE(OutFile) << "cannot write " << Path;
-    OutFile << Actual;
-    GTEST_SKIP() << "regenerated " << Path;
-  }
-  std::ifstream In(Path, std::ios::binary);
-  ASSERT_TRUE(In) << "missing fixture " << Path
-                  << " (regenerate with AOCI_UPDATE_GOLDEN=1)";
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  EXPECT_EQ(Buffer.str(), Actual)
-      << "trace export drifted from " << Path
-      << "; either the adaptive system's event stream or the JSON "
-         "serialization changed. If intentional, rerun with "
-         "AOCI_UPDATE_GOLDEN=1, review the fixture diff, and update "
-         "OBSERVABILITY.md if the schema moved";
-}
-
 TEST(TraceGoldenTest, AdaptiveLoopTraceJsonMatchesGolden) {
   // The decision-level kinds only: high-volume per-sample kinds (sample,
   // listener-record, guard-fallback) would bloat the fixture without
@@ -391,7 +377,9 @@ TEST(TraceGoldenTest, AdaptiveLoopTraceJsonMatchesGolden) {
 
   std::ostringstream Json;
   writeChromeTrace(Json, Sink, "compress/fixed.d2");
-  expectMatchesGolden("trace_compress_fixed_d2.golden", Json.str());
+  expectMatchesGolden(goldenPath("trace_compress_fixed_d2.golden"), Json.str(),
+                      "either the adaptive system's event stream or the JSON "
+                      "serialization changed");
 }
 
 } // namespace
