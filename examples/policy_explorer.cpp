@@ -55,14 +55,14 @@ int main(int Argc, char **Argv) {
                           static_cast<double>(R.WallCycles) -
                       1.0) *
                      100.0;
-    std::printf("%-12s %14llu %9s %10llu %11llu %10llu %9u\n",
+    std::printf("%-12s %14llu %9s %10llu %11llu %10llu %9llu\n",
                 policyKindName(Kind),
                 static_cast<unsigned long long>(R.WallCycles),
                 formatPercent(Speedup).c_str(),
                 static_cast<unsigned long long>(R.OptBytesResident),
                 static_cast<unsigned long long>(R.OptCompileCycles),
                 static_cast<unsigned long long>(R.GuardFallbacks),
-                R.OptCompilations);
+                static_cast<unsigned long long>(R.OptCompilations));
   }
   std::printf("\n(speedup is relative to the cins row; negative resident "
               "deltas reproduce Figure 5's reductions)\n");

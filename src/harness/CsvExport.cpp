@@ -11,21 +11,33 @@
 
 using namespace aoci;
 
+std::string aoci::counterHeader(std::span<const std::string_view> Columns) {
+  std::string Out;
+  for (std::string_view Column : Columns)
+    Out.append(",").append(runCounter(Column).Column);
+  return Out;
+}
+
+std::string aoci::counterCells(std::span<const std::string_view> Columns,
+                               const RunResult &R) {
+  std::string Out;
+  for (std::string_view Column : Columns)
+    Out.append(",").append(std::to_string(R.*runCounter(Column).Field));
+  return Out;
+}
+
 namespace {
+
+constexpr std::string_view GridCounters[] = {
+    "wall_cycles",        "opt_bytes_resident", "opt_bytes_generated",
+    "opt_compile_cycles", "opt_compilations",   "guard_fallbacks",
+    "inlined_calls",      "samples"};
 
 void appendRunColumns(std::string &Out, const RunResult &R,
                       const char *PolicyName) {
-  Out += formatString(
-      "%s,%s,%u,%llu,%llu,%llu,%llu,%u,%llu,%llu,%llu",
-      R.WorkloadName.c_str(), PolicyName, R.MaxDepth,
-      static_cast<unsigned long long>(R.WallCycles),
-      static_cast<unsigned long long>(R.OptBytesResident),
-      static_cast<unsigned long long>(R.OptBytesGenerated),
-      static_cast<unsigned long long>(R.OptCompileCycles),
-      R.OptCompilations,
-      static_cast<unsigned long long>(R.GuardFallbacks),
-      static_cast<unsigned long long>(R.InlinedCalls),
-      static_cast<unsigned long long>(R.SamplesTaken));
+  Out += formatString("%s,%s,%u", R.WorkloadName.c_str(), PolicyName,
+                      R.MaxDepth) +
+         counterCells(GridCounters, R);
   for (unsigned C = 0; C != NumAosComponents; ++C)
     Out += formatString(",%.6f",
                         R.componentFraction(static_cast<AosComponent>(C)));
@@ -36,12 +48,10 @@ void appendRunColumns(std::string &Out, const RunResult &R,
 std::string aoci::exportCsv(const GridResults &Results,
                             const std::vector<PolicyKind> &Policies,
                             const std::vector<unsigned> &Depths) {
-  std::string Out =
-      "workload,policy,max_depth,wall_cycles,opt_bytes_resident,"
-      "opt_bytes_generated,opt_compile_cycles,opt_compilations,"
-      "guard_fallbacks,inlined_calls,samples,aos_listeners,"
-      "aos_compilation,aos_decay,aos_ai,aos_method,aos_controller,"
-      "speedup_pct,code_size_pct,compile_time_pct\n";
+  std::string Out = "workload,policy,max_depth" + counterHeader(GridCounters) +
+                    ",aos_listeners,aos_compilation,aos_decay,aos_ai,"
+                    "aos_method,aos_controller,speedup_pct,code_size_pct,"
+                    "compile_time_pct\n";
 
   for (const std::string &W : Results.workloads()) {
     appendRunColumns(Out, Results.baseline(W), "cins");
@@ -61,17 +71,20 @@ std::string aoci::exportCsv(const GridResults &Results,
 }
 
 std::string aoci::exportMetricsCsv(const GridResults &Results) {
+  constexpr std::string_view Counters[] = {
+      "warm_applied", "warm_dropped",    "opt_compile_cycles",
+      "share_hits",   "share_publishes", "share_saved_cycles",
+      "shared_bytes", "private_bytes",   "budget_spent",
+      "budget_pruned"};
   std::string Out =
       "workload,policy,max_depth,kind,worker,queue_ns,host_ns,run_cycles,"
-      "steady,warmup_cycles,steady_cycles,warm_start,warm_applied,"
-      "warm_dropped,opt_compile_cycles,share_hits,share_publishes,"
-      "share_saved_cycles,shared_bytes,private_bytes,budget_spent,"
-      "budget_pruned,estimate_err_pct\n";
+      "steady,warmup_cycles,steady_cycles,warm_start" +
+      counterHeader(Counters) + ",estimate_err_pct\n";
   for (const RunMetrics &M : Results.metrics()) {
     const RunResult &R = Results.result(M);
+    // run_cycles is wall_cycles under the name this CSV has always used.
     Out += formatString(
-        "%s,%s,%u,%s,%u,%llu,%llu,%llu,%s,%llu,%llu,%s,%llu,%llu,%llu,"
-        "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.4f\n",
+        "%s,%s,%u,%s,%u,%llu,%llu,%llu,%s,%llu,%llu,%s",
         M.WorkloadName.c_str(),
         M.IsBaseline ? "cins" : policyKindName(M.Policy), M.MaxDepth,
         M.IsBaseline ? "baseline" : "cell", M.Worker,
@@ -81,18 +94,9 @@ std::string aoci::exportMetricsCsv(const GridResults &Results) {
         !M.SteadyKnown ? "n/a" : M.SteadyReached ? "yes" : "no",
         static_cast<unsigned long long>(M.WarmupCycles),
         static_cast<unsigned long long>(M.SteadyCycles),
-        R.WarmStarted ? "yes" : "no",
-        static_cast<unsigned long long>(R.WarmStartApplied),
-        static_cast<unsigned long long>(R.WarmStartDropped),
-        static_cast<unsigned long long>(R.OptCompileCycles),
-        static_cast<unsigned long long>(R.ShareHits),
-        static_cast<unsigned long long>(R.SharePublishes),
-        static_cast<unsigned long long>(R.ShareCyclesSaved),
-        static_cast<unsigned long long>(R.SharedCodeBytes),
-        static_cast<unsigned long long>(R.PrivateCodeBytes),
-        static_cast<unsigned long long>(R.BudgetUnitsSpent),
-        static_cast<unsigned long long>(R.BudgetCandidatesPruned),
-        R.EstimateErrorPct);
+        R.WarmStarted ? "yes" : "no");
+    Out += counterCells(Counters, R) +
+           formatString(",%.4f\n", R.EstimateErrorPct);
   }
   return Out;
 }

@@ -18,33 +18,31 @@
 
 #include "harness/Experiment.h"
 
+#include <span>
 #include <string>
+#include <string_view>
 
 namespace aoci {
 
-/// Renders \p Results as CSV. Columns:
-///   workload,policy,max_depth,wall_cycles,opt_bytes_resident,
-///   opt_bytes_generated,opt_compile_cycles,opt_compilations,
-///   guard_fallbacks,inlined_calls,samples,
-///   aos_listeners,aos_compilation,aos_decay,aos_ai,aos_method,
-///   aos_controller,speedup_pct,code_size_pct,compile_time_pct
-/// Baseline rows carry empty delta columns. Rows are ordered by
-/// workload, then baseline first, then policies x depths as given.
+/// A CSV's counter columns, named once: one list of runCounters() columns
+/// gives both the header and each row's cells, each after a comma. Both
+/// throw std::invalid_argument for a name the table lacks.
+std::string counterHeader(std::span<const std::string_view> Columns);
+std::string counterCells(std::span<const std::string_view> Columns,
+                         const RunResult &R);
+
+/// Renders \p Results as CSV, one row per run: its identity, its counters,
+/// the Figure 6 fractions, and the Figure 4/5 and compile-time deltas
+/// (empty on baseline rows). Rows are ordered by workload, then baseline
+/// first, then policies x depths as given.
 std::string exportCsv(const GridResults &Results,
                       const std::vector<PolicyKind> &Policies,
                       const std::vector<unsigned> &Depths);
 
 /// Renders the harness-side execution record (GridResults::metrics()),
 /// each row joined with its run's RunResult counters, as CSV, one row per
-/// run in grid order. Columns:
-///   workload,policy,max_depth,kind,worker,queue_ns,host_ns,run_cycles,
-///   steady,warmup_cycles,steady_cycles,warm_start,warm_applied,
-///   warm_dropped,opt_compile_cycles,share_hits,share_publishes,
-///   share_saved_cycles,shared_bytes,private_bytes,budget_spent,
-///   budget_pruned,estimate_err_pct
-/// `steady` is n/a for untraced runs (see SteadyState.h), else yes/no.
-/// The share_* columns are the shared-code-cache ledger (zero outside
-/// serve mode; see harness/Serve.h).
+/// run in grid order. `steady` is n/a for untraced runs (see
+/// SteadyState.h), else yes/no.
 /// Kept separate from exportCsv(): simulated results are bit-identical
 /// across thread counts, host timings and worker assignments are not.
 std::string exportMetricsCsv(const GridResults &Results);

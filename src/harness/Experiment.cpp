@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstring>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 using namespace aoci;
@@ -63,42 +64,14 @@ RunResult Session::result() const {
   R.WorkloadName = W->Name;
   R.Policy = Config.Policy;
   R.MaxDepth = Config.MaxDepth;
-  R.WallCycles = VM.cycles();
-  R.OptBytesGenerated = VM.codeManager().optimizedBytesGenerated();
-  R.OptBytesResident = VM.codeManager().optimizedBytesResident();
-  R.OptCompileCycles = VM.codeManager().optCompileCycles();
-  R.BaselineCompileCycles = VM.codeManager().baselineCompileCycles();
+#define RUN_COUNTER(Field, Column, Unit, Read) R.Field = Read;
+#include "harness/RunCounters.def"
   for (unsigned C = 0; C != NumAosComponents; ++C)
     R.ComponentCycles[C] =
         VM.overheadMeter().cycles(static_cast<AosComponent>(C));
-  R.GcCycles = VM.counters().GcCycles;
-  R.OptCompilations = Aos.stats().OptCompilations;
-  R.GuardTests = VM.counters().GuardTestsExecuted;
-  R.GuardFallbacks = VM.counters().GuardFallbacks;
-  R.InlinedCalls = VM.counters().InlinedCallsEntered;
-  R.SamplesTaken = VM.counters().SamplesTaken;
   R.ProgramResult = VM.threads().front()->Result.asInt();
-  R.OsrEntries = Aos.osrStats().OsrEntries;
-  R.Deopts = Aos.osrStats().Deopts;
-  R.OsrTransitionCycles = Aos.osrStats().TransitionCyclesCharged;
-  R.OsrCyclesRecovered = Aos.osrStats().CyclesRecoveredEstimate;
-  R.LiveCodeBytes = VM.codeManager().liveCodeBytes();
-  R.PeakCodeBytes = VM.codeManager().peakCodeBytes();
-  R.Evictions = VM.codeManager().numEvictions();
-  R.RecompilesAfterEvict = VM.codeManager().recompilesAfterEvict();
-  R.ShareHits = Aos.stats().ShareHits;
-  R.SharePublishes = Aos.stats().SharePublishes;
-  R.ShareCyclesSaved = Aos.stats().ShareCyclesSaved;
-  R.SharedCodeBytes = VM.codeManager().sharedInBytesLive();
-  R.PrivateCodeBytes = R.LiveCodeBytes - R.SharedCodeBytes;
-  R.BudgetUnitsSpent = Aos.stats().BudgetUnitsSpent;
-  R.BudgetCandidatesAccepted = Aos.stats().BudgetCandidatesAccepted;
-  R.BudgetCandidatesPruned = Aos.stats().BudgetCandidatesPruned;
   R.EstimateErrorPct = Aos.calibration().meanAbsErrorPct();
   R.WarmStarted = Config.WarmStart != nullptr;
-  R.WarmStartApplied = Warm.applied();
-  R.WarmStartDropped = Warm.dropped();
-  R.DecayEntriesDropped = Aos.stats().DecayEntriesDropped;
   if (Config.CaptureProfile)
     R.CapturedProfile =
         serializeProfileData(Aos.snapshotProfile(W->Name));
@@ -113,6 +86,23 @@ RunResult Session::result() const {
   if (Config.CollectTraceStats)
     R.TraceStats = Aos.traceListener().statistics();
   return R;
+}
+
+std::span<const RunCounter> aoci::runCounters() {
+  static constexpr RunCounter Table[] = {
+#define RUN_COUNTER(Field, Column, Unit, Read)                                 \
+  {Column, Unit, &RunResult::Field},
+#include "harness/RunCounters.def"
+  };
+  return Table;
+}
+
+const RunCounter &aoci::runCounter(std::string_view Column) {
+  for (const RunCounter &C : runCounters())
+    if (Column == C.Column)
+      return C;
+  throw std::invalid_argument("no run counter has the column '" +
+                              std::string(Column) + "'");
 }
 
 RunResult aoci::runExperiment(const RunConfig &Config) {

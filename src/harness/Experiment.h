@@ -29,7 +29,9 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace aoci {
@@ -80,86 +82,21 @@ struct RunResult {
   PolicyKind Policy = PolicyKind::ContextInsensitive;
   unsigned MaxDepth = 1;
 
-  /// Wall-clock: the VM's cycle counter at completion (Figure 4's basis).
-  uint64_t WallCycles = 0;
-  /// Cumulative optimized-code bytes generated, counting code later
-  /// obsoleted by recompilation.
-  uint64_t OptBytesGenerated = 0;
-  /// Bytes of optimized code still installed at completion (Figure 5's
-  /// basis; see GridResults::codeSizePercent).
-  uint64_t OptBytesResident = 0;
-  /// Optimizing-compiler cycles (the compile-time claim's basis).
-  uint64_t OptCompileCycles = 0;
-  uint64_t BaselineCompileCycles = 0;
+  /// The run's counters: one uint64_t field per line of RunCounters.def,
+  /// which says what each counts. Only some reach the frozen grid CSV;
+  /// runCounters() lists them all.
+#define RUN_COUNTER(Field, Column, Unit, Read) uint64_t Field = 0;
+#include "harness/RunCounters.def"
+
   /// Per-AOS-component cycles (Figure 6's basis).
   uint64_t ComponentCycles[NumAosComponents] = {0, 0, 0, 0, 0, 0};
-  uint64_t GcCycles = 0;
-
-  unsigned OptCompilations = 0;
-  uint64_t GuardTests = 0;
-  uint64_t GuardFallbacks = 0;
-  uint64_t InlinedCalls = 0;
-  uint64_t SamplesTaken = 0;
   int64_t ProgramResult = 0;
-
-  /// OSR subsystem activity (all zero when RunConfig's Aos.Osr.Enabled
-  /// is off — see src/osr/OsrConfig.h for the counter semantics). Kept
-  /// out of the frozen grid CSV; surfaced by reportRunMetrics() and the
-  /// CLI run report.
-  uint64_t OsrEntries = 0;
-  uint64_t Deopts = 0;
-  uint64_t OsrTransitionCycles = 0;
-  uint64_t OsrCyclesRecovered = 0;
-
-  /// Bounded code cache activity (all zero with the cache off, i.e.
-  /// Model.CodeCache.CapacityBytes == 0). Live/peak bytes count *all*
-  /// installed code — baseline and optimized — which is what the cache's
-  /// capacity bounds; the OptBytes* fields above remain optimized-only.
-  /// Kept out of the frozen grid CSV, like the OSR counters.
-  uint64_t LiveCodeBytes = 0;
-  uint64_t PeakCodeBytes = 0;
-  uint64_t Evictions = 0;
-  uint64_t RecompilesAfterEvict = 0;
-
-  /// Shared-code-cache activity (all zero without a CodeShareClient,
-  /// i.e. outside serve mode — see src/share/ and harness/Serve.h).
-  /// SharedCodeBytes/PrivateCodeBytes split LiveCodeBytes by
-  /// CodeVariant::SharedIn. Kept out of the frozen grid CSV; the metrics
-  /// CSV carries them
-  /// (`share_hits,share_publishes,share_saved_cycles,shared_bytes,
-  /// private_bytes`).
-  uint64_t ShareHits = 0;
-  uint64_t SharePublishes = 0;
-  uint64_t ShareCyclesSaved = 0;
-  uint64_t SharedCodeBytes = 0;
-  uint64_t PrivateCodeBytes = 0;
-
-  /// Budget-organizer activity (all zero under the default threshold
-  /// organizer; see core/BudgetOrganizer.h). EstimateErrorPct is the
-  /// size-estimator calibration's running mean absolute error — fed on
-  /// every install regardless of organizer, so it is nonzero whenever
-  /// anything compiled. Kept out of the frozen grid CSV like the OSR and
-  /// share counters; the metrics CSV carries them
-  /// (`budget_spent,budget_pruned,estimate_err_pct`).
-  uint64_t BudgetUnitsSpent = 0;
-  uint64_t BudgetCandidatesAccepted = 0;
-  uint64_t BudgetCandidatesPruned = 0;
+  /// The size-estimator calibration's running mean absolute error, fed on
+  /// every install regardless of organizer, so nonzero whenever anything
+  /// compiled.
   double EstimateErrorPct = 0.0;
-
-  /// Warm-start provenance (all zero/false on a cold start, i.e. without
-  /// RunConfig::WarmStart). Applied/Dropped aggregate every profile
-  /// section (traces, decisions, hot methods, refusals); a large Dropped
-  /// count is the signature of a stale profile. Kept out of the frozen
-  /// grid CSV; the metrics CSV carries them
-  /// (`warm_start,warm_applied,warm_dropped`).
+  /// True when RunConfig::WarmStart seeded the run.
   bool WarmStarted = false;
-  uint64_t WarmStartApplied = 0;
-  uint64_t WarmStartDropped = 0;
-  /// DCG entries the decay organizer dropped below the retention
-  /// threshold (AosStats::DecayEntriesDropped). Surfaced here because a
-  /// stale warm start must visibly fade out through decay — the claims
-  /// table's `warm.stale_decay` row needs it nonzero on its stale legs.
-  uint64_t DecayEntriesDropped = 0;
   /// The serialized v2 profile snapshot taken after the run when
   /// RunConfig::CaptureProfile is set; empty otherwise. runBestOf keeps
   /// the best trial's snapshot, matching every other reported field.
@@ -184,6 +121,21 @@ struct RunResult {
            static_cast<double>(WallCycles);
   }
 };
+
+/// One line of RunCounters.def: the counter's CSV column, what it counts,
+/// and its RunResult field.
+struct RunCounter {
+  const char *Column;
+  const char *Unit;
+  uint64_t RunResult::*Field;
+};
+
+/// Every run counter, in RunCounters.def's order.
+std::span<const RunCounter> runCounters();
+
+/// The counter whose column is \p Column; throws std::invalid_argument
+/// for a name the table lacks.
+const RunCounter &runCounter(std::string_view Column);
 
 /// Builds the program \p Config runs: its Scenario when set, else the
 /// registry workload WorkloadName, under its Params. A built program is

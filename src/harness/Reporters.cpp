@@ -249,13 +249,10 @@ std::string aoci::reportSummary(const GridResults &Results,
 
 std::string aoci::reportRunMetrics(const GridResults &Results) {
   const std::vector<RunMetrics> &Metrics = Results.metrics();
+  const std::span<const RunCounter> Counters = runCounters();
   std::vector<std::vector<std::string>> Rows;
-  uint64_t TotalHostNs = 0, TotalQueueNs = 0, TotalCycles = 0;
-  uint64_t TotalOsrEntries = 0, TotalDeopts = 0;
-  uint64_t TotalEvictions = 0;
-  uint64_t TotalShareHits = 0, TotalSharePublishes = 0, TotalShareSaved = 0;
-  uint64_t TotalBudgetSpent = 0, TotalBudgetPruned = 0;
-  uint64_t WarmRuns = 0, TotalWarmApplied = 0, TotalWarmDropped = 0;
+  std::vector<uint64_t> Totals(Counters.size());
+  uint64_t TotalHostNs = 0, TotalQueueNs = 0, WarmRuns = 0;
   unsigned MaxWorker = 0;
   unsigned SteadyKnown = 0, SteadyReached = 0;
   for (const RunMetrics &M : Metrics) {
@@ -272,20 +269,11 @@ std::string aoci::reportRunMetrics(const GridResults &Results) {
                             : formatString(
                                   "%.2f",
                                   static_cast<double>(M.WarmupCycles) / 1e6)});
+    for (size_t I = 0; I != Counters.size(); ++I)
+      Totals[I] += R.*Counters[I].Field;
     TotalHostNs += M.HostNs;
     TotalQueueNs += M.QueueLatencyNs;
-    TotalCycles += R.WallCycles;
-    TotalOsrEntries += R.OsrEntries;
-    TotalDeopts += R.Deopts;
-    TotalEvictions += R.Evictions;
-    TotalShareHits += R.ShareHits;
-    TotalSharePublishes += R.SharePublishes;
-    TotalShareSaved += R.ShareCyclesSaved;
-    TotalBudgetSpent += R.BudgetUnitsSpent;
-    TotalBudgetPruned += R.BudgetCandidatesPruned;
     WarmRuns += R.WarmStarted;
-    TotalWarmApplied += R.WarmStartApplied;
-    TotalWarmDropped += R.WarmStartDropped;
     SteadyKnown += M.SteadyKnown;
     SteadyReached += M.SteadyReached;
     MaxWorker = std::max(MaxWorker, M.Worker);
@@ -299,41 +287,20 @@ std::string aoci::reportRunMetrics(const GridResults &Results) {
   double N = static_cast<double>(Metrics.size());
   Out += formatString(
       "  %zu runs on %u worker(s): %.1f host ms of run work, "
-      "mean queue latency %.1f us, %.1f simulated Mcycles\n",
+      "mean queue latency %.1f us\n",
       Metrics.size(), MaxWorker + 1,
       static_cast<double>(TotalHostNs) / 1e6,
-      static_cast<double>(TotalQueueNs) / 1e3 / N,
-      static_cast<double>(TotalCycles) / 1e6);
-  if (TotalOsrEntries != 0 || TotalDeopts != 0)
-    Out += formatString(
-        "  osr: %llu on-stack replacements, %llu deoptimizations across "
-        "the sweep\n",
-        static_cast<unsigned long long>(TotalOsrEntries),
-        static_cast<unsigned long long>(TotalDeopts));
-  if (TotalEvictions != 0)
-    Out += formatString(
-        "  code cache: %llu evictions across the sweep\n",
-        static_cast<unsigned long long>(TotalEvictions));
-  if (TotalShareHits + TotalSharePublishes != 0)
-    Out += formatString(
-        "  shared code cache: %llu hits / %llu publishes, %llu compile "
-        "cycles saved across the sweep\n",
-        static_cast<unsigned long long>(TotalShareHits),
-        static_cast<unsigned long long>(TotalSharePublishes),
-        static_cast<unsigned long long>(TotalShareSaved));
-  if (TotalBudgetSpent + TotalBudgetPruned != 0)
-    Out += formatString(
-        "  budget organizer: %llu candidate units accepted, %llu "
-        "candidates pruned across the sweep\n",
-        static_cast<unsigned long long>(TotalBudgetSpent),
-        static_cast<unsigned long long>(TotalBudgetPruned));
+      static_cast<double>(TotalQueueNs) / 1e3 / N);
+  Out += "  sweep totals of the nonzero run counters:\n";
+  for (size_t I = 0; I != Counters.size(); ++I)
+    if (Totals[I] != 0)
+      Out += formatString("    %-24s %16llu %s\n", Counters[I].Column,
+                          static_cast<unsigned long long>(Totals[I]),
+                          Counters[I].Unit);
   if (WarmRuns != 0)
     Out += formatString(
-        "  warm start: %llu run(s) seeded from a profile (%llu entries "
-        "applied, %llu dropped as stale)\n",
-        static_cast<unsigned long long>(WarmRuns),
-        static_cast<unsigned long long>(TotalWarmApplied),
-        static_cast<unsigned long long>(TotalWarmDropped));
+        "  warm start: %llu run(s) seeded from a profile\n",
+        static_cast<unsigned long long>(WarmRuns));
   if (SteadyKnown != 0)
     Out += formatString(
         "  steady state: %u of %u traced runs settled (warm Mcy column "

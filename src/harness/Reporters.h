@@ -106,7 +106,8 @@ std::string reportSummary(const GridResults &Results,
                           const std::vector<unsigned> &Depths);
 
 /// Harness execution report: one row per run (worker, queue latency,
-/// host time, simulated cycles) plus aggregate throughput lines. Host
+/// host time, simulated cycles), an aggregate throughput line, and the
+/// sweep total of every run counter that is nonzero in some run. Host
 /// timings are nondeterministic by nature; this report is about the
 /// runner, not the simulation.
 std::string reportRunMetrics(const GridResults &Results);

@@ -7,6 +7,7 @@
 
 #include "harness/Serve.h"
 
+#include "harness/CsvExport.h"
 #include "support/Audit.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
@@ -202,11 +203,8 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
         Row.IsScenario = findBuiltinScenario(S->TenantName) != nullptr;
         Row.StartRound = S->StartRound;
         Row.RoundsRun = S->RoundsRun;
-        if (ShareSession *Bridge = S->Run->share()) {
+        if (ShareSession *Bridge = S->Run->share())
           Bridge->sessionEnded();
-          Row.SharedEvictionsApplied = Bridge->sharedEvictionsApplied();
-          Row.PinnedSharedEvicts = Bridge->pinnedSharedEvicts();
-        }
         S->Run.reset();
       }
       if (Config.ShareEnabled) {
@@ -264,58 +262,41 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
   return R;
 }
 
-uint64_t ServeResults::totalCompileCyclesPaid() const {
+uint64_t ServeResults::total(uint64_t RunResult::*Counter) const {
   uint64_t Sum = 0;
   for (const ServeSessionResult &S : Sessions)
-    Sum += S.OptCompileCycles;
-  return Sum;
-}
-
-uint64_t ServeResults::totalCompileCyclesSaved() const {
-  uint64_t Sum = 0;
-  for (const ServeSessionResult &S : Sessions)
-    Sum += S.ShareCyclesSaved;
+    Sum += S.*Counter;
   return Sum;
 }
 
 double ServeResults::hitRate() const {
-  uint64_t Hits = 0, Lookups = 0;
-  for (const ServeSessionResult &S : Sessions) {
-    Hits += S.ShareHits;
-    Lookups += S.ShareHits + S.SharePublishes;
-  }
+  const uint64_t Hits = total(&RunResult::ShareHits);
+  const uint64_t Lookups = Hits + total(&RunResult::SharePublishes);
   if (Lookups == 0)
     return 0;
   return static_cast<double>(Hits) / static_cast<double>(Lookups);
 }
 
 std::string aoci::exportServeCsv(const ServeResults &Results) {
-  std::string Out =
-      "session,tenant,kind,start_round,rounds,wall_cycles,result,"
-      "opt_compilations,opt_compile_cycles,share_hits,share_publishes,"
-      "share_saved_cycles,share_evicts_applied,share_evicts_pinned,"
-      "shared_bytes,private_bytes,evictions,deopts,osr_entries\n";
+  // The program's result is no counter, so it splits the counter columns.
+  constexpr std::string_view Clock[] = {"wall_cycles"};
+  constexpr std::string_view Counters[] = {
+      "opt_compilations",    "opt_compile_cycles", "share_hits",
+      "share_publishes",     "share_saved_cycles", "share_evicts_applied",
+      "share_evicts_pinned", "shared_bytes",       "private_bytes",
+      "evictions",           "deopts",             "osr_entries"};
+  std::string Out = "session,tenant,kind,start_round,rounds" +
+                    counterHeader(Clock) + ",result" +
+                    counterHeader(Counters) + "\n";
   for (const ServeSessionResult &S : Results.Sessions)
-    Out += formatString(
-        "%u,%s,%s,%llu,%llu,%llu,%lld,%u,%llu,%llu,%llu,%llu,%llu,%llu,"
-        "%llu,%llu,%llu,%llu,%llu\n",
-        S.SessionId, S.TenantName.c_str(),
-        S.IsScenario ? "scenario" : "workload",
-        static_cast<unsigned long long>(S.StartRound),
-        static_cast<unsigned long long>(S.RoundsRun),
-        static_cast<unsigned long long>(S.WallCycles),
-        static_cast<long long>(S.ProgramResult), S.OptCompilations,
-        static_cast<unsigned long long>(S.OptCompileCycles),
-        static_cast<unsigned long long>(S.ShareHits),
-        static_cast<unsigned long long>(S.SharePublishes),
-        static_cast<unsigned long long>(S.ShareCyclesSaved),
-        static_cast<unsigned long long>(S.SharedEvictionsApplied),
-        static_cast<unsigned long long>(S.PinnedSharedEvicts),
-        static_cast<unsigned long long>(S.SharedCodeBytes),
-        static_cast<unsigned long long>(S.PrivateCodeBytes),
-        static_cast<unsigned long long>(S.Evictions),
-        static_cast<unsigned long long>(S.Deopts),
-        static_cast<unsigned long long>(S.OsrEntries));
+    Out += formatString("%u,%s,%s,%llu,%llu", S.SessionId,
+                        S.TenantName.c_str(),
+                        S.IsScenario ? "scenario" : "workload",
+                        static_cast<unsigned long long>(S.StartRound),
+                        static_cast<unsigned long long>(S.RoundsRun)) +
+           counterCells(Clock, S) +
+           formatString(",%lld", static_cast<long long>(S.ProgramResult)) +
+           counterCells(Counters, S) + "\n";
   return Out;
 }
 
@@ -326,10 +307,11 @@ std::string aoci::reportServe(const ServeResults &Results) {
       "shared B", "priv B");
   for (const ServeSessionResult &S : Results.Sessions)
     Out += formatString(
-        "%-4u %-22s %6llu %10.2f %8u %6llu %6llu %10llu %10llu %8llu\n",
+        "%-4u %-22s %6llu %10.2f %8llu %6llu %6llu %10llu %10llu %8llu\n",
         S.SessionId, S.TenantName.c_str(),
         static_cast<unsigned long long>(S.RoundsRun),
-        static_cast<double>(S.WallCycles) / 1e6, S.OptCompilations,
+        static_cast<double>(S.WallCycles) / 1e6,
+        static_cast<unsigned long long>(S.OptCompilations),
         static_cast<unsigned long long>(S.ShareHits),
         static_cast<unsigned long long>(S.SharePublishes),
         static_cast<unsigned long long>(S.ShareCyclesSaved),

@@ -85,19 +85,14 @@ struct ServeConfig {
 };
 
 /// What one session did: its run's counters (a session is a Session, so
-/// they are exactly a solo run's RunResult fields) plus its place in the
-/// schedule.
+/// they are exactly a solo run's RunResult fields, its share counters
+/// included) plus its place in the schedule.
 struct ServeSessionResult : RunResult {
   unsigned SessionId = 0;
   std::string TenantName;
   bool IsScenario = false;
   uint64_t StartRound = 0;
   uint64_t RoundsRun = 0;
-  /// Shared-index evictions this session applied to its own code, and
-  /// those it could not because the variant was pinned (zero with
-  /// sharing off).
-  uint64_t SharedEvictionsApplied = 0;
-  uint64_t PinnedSharedEvicts = 0;
 };
 
 /// Results of one serve invocation: per-session rows plus the shared
@@ -119,10 +114,16 @@ struct ServeResults {
   std::vector<TraceSink> Traces;
   std::vector<std::string> TraceNames;
 
+  /// Sum over sessions of \p Counter, a RunCounters.def field.
+  uint64_t total(uint64_t RunResult::*Counter) const;
   /// Sum over sessions of optimizing-compile cycles actually charged.
-  uint64_t totalCompileCyclesPaid() const;
+  uint64_t totalCompileCyclesPaid() const {
+    return total(&RunResult::OptCompileCycles);
+  }
   /// Sum over sessions of cycles shared hits avoided charging.
-  uint64_t totalCompileCyclesSaved() const;
+  uint64_t totalCompileCyclesSaved() const {
+    return total(&RunResult::ShareCyclesSaved);
+  }
   /// Shared-cache hit rate over all optimizing compilations:
   /// hits / (hits + publish attempts). 0 when nothing compiled.
   double hitRate() const;
@@ -141,12 +142,9 @@ ServeResults
 runServe(const ServeConfig &Config, unsigned Jobs,
          const std::function<void(const std::string &)> &Progress = nullptr);
 
-/// Renders per-session results as CSV (deterministic: no host times).
-/// Columns:
-///   session,tenant,kind,start_round,rounds,wall_cycles,result,
-///   opt_compilations,opt_compile_cycles,share_hits,share_publishes,
-///   share_saved_cycles,share_evicts_applied,share_evicts_pinned,
-///   shared_bytes,private_bytes,evictions,deopts,osr_entries
+/// Renders per-session results as CSV (deterministic: no host times), one
+/// row per session: its place in the schedule, then its counters and the
+/// program's result.
 std::string exportServeCsv(const ServeResults &Results);
 
 /// Human-readable serve report: the per-session table plus the shared

@@ -23,6 +23,8 @@
 #include "workload/FigureOne.h"
 #include "workload/Workload.h"
 
+#include "SameResult.h"
+
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -344,13 +346,7 @@ TEST(BudgetHarnessTest, RunTwiceIsBitIdenticalWithBudgetOrganizer) {
   Config.Aos.Organizer = InlineOrganizerKind::Budget;
   RunResult A = runExperiment(Config);
   RunResult B = runExperiment(Config);
-  EXPECT_EQ(A.WallCycles, B.WallCycles);
-  EXPECT_EQ(A.InlinedCalls, B.InlinedCalls);
-  EXPECT_EQ(A.OptBytesGenerated, B.OptBytesGenerated);
-  EXPECT_EQ(A.BudgetUnitsSpent, B.BudgetUnitsSpent);
-  EXPECT_EQ(A.BudgetCandidatesAccepted, B.BudgetCandidatesAccepted);
-  EXPECT_EQ(A.BudgetCandidatesPruned, B.BudgetCandidatesPruned);
-  EXPECT_DOUBLE_EQ(A.EstimateErrorPct, B.EstimateErrorPct);
+  expectSameResult(A, B);
   EXPECT_GT(A.BudgetUnitsSpent, 0u) << "the organizer actually ran";
 }
 

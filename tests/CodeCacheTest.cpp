@@ -32,6 +32,7 @@
 #include "vm/VirtualMachine.h"
 
 #include "GoldenFile.h"
+#include "SameResult.h"
 
 #include <gtest/gtest.h>
 
@@ -232,32 +233,6 @@ void expectSameValues(const FrameSnapshot &S, const ThreadState &T,
     EXPECT_TRUE(S.Stack[I].equals(Now.Stack[I])) << "stack slot " << I;
 }
 
-/// Every deterministic field of two runs agrees, the code-cache counters
-/// included.
-void expectIdenticalResults(const RunResult &A, const RunResult &B) {
-  EXPECT_EQ(A.WallCycles, B.WallCycles);
-  EXPECT_EQ(A.OptBytesGenerated, B.OptBytesGenerated);
-  EXPECT_EQ(A.OptBytesResident, B.OptBytesResident);
-  EXPECT_EQ(A.OptCompileCycles, B.OptCompileCycles);
-  EXPECT_EQ(A.BaselineCompileCycles, B.BaselineCompileCycles);
-  for (unsigned C = 0; C != NumAosComponents; ++C)
-    EXPECT_EQ(A.ComponentCycles[C], B.ComponentCycles[C]) << "component " << C;
-  EXPECT_EQ(A.GcCycles, B.GcCycles);
-  EXPECT_EQ(A.OptCompilations, B.OptCompilations);
-  EXPECT_EQ(A.GuardTests, B.GuardTests);
-  EXPECT_EQ(A.GuardFallbacks, B.GuardFallbacks);
-  EXPECT_EQ(A.InlinedCalls, B.InlinedCalls);
-  EXPECT_EQ(A.SamplesTaken, B.SamplesTaken);
-  EXPECT_EQ(A.ProgramResult, B.ProgramResult);
-  EXPECT_EQ(A.OsrEntries, B.OsrEntries);
-  EXPECT_EQ(A.Deopts, B.Deopts);
-  EXPECT_EQ(A.OsrTransitionCycles, B.OsrTransitionCycles);
-  EXPECT_EQ(A.LiveCodeBytes, B.LiveCodeBytes);
-  EXPECT_EQ(A.PeakCodeBytes, B.PeakCodeBytes);
-  EXPECT_EQ(A.Evictions, B.Evictions);
-  EXPECT_EQ(A.RecompilesAfterEvict, B.RecompilesAfterEvict);
-}
-
 //===----------------------------------------------------------------------===//
 // (1) A capacity that never binds is byte-identical to the cache off.
 //===----------------------------------------------------------------------===//
@@ -275,7 +250,7 @@ TEST(CodeCacheOffTest, HugeCapacityIsByteIdenticalToUnbounded) {
 
   RunResult A = runExperiment(Off);
   RunResult B = runExperiment(Huge);
-  expectIdenticalResults(A, B);
+  expectSameResult(A, B);
   EXPECT_EQ(A.Evictions, 0u);
   EXPECT_EQ(B.Evictions, 0u);
   EXPECT_EQ(A.RecompilesAfterEvict, 0u);
@@ -317,7 +292,7 @@ TEST(CodeCacheExperimentTest, CapacityBoundsAndRecompilesOnMpegaudio) {
   // Victim selection is a pure function of simulated state: the same
   // configuration evicts identically every time.
   RunResult Again = runExperiment(Config);
-  expectIdenticalResults(R, Again);
+  expectSameResult(R, Again);
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,8 @@
 #include "harness/CsvExport.h"
 #include "harness/Experiment.h"
 
+#include "SameResult.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,31 +23,6 @@
 using namespace aoci;
 
 namespace {
-
-/// Field-by-field equality of everything a RunResult measures.
-void expectIdenticalResults(const RunResult &A, const RunResult &B) {
-  EXPECT_EQ(A.WorkloadName, B.WorkloadName);
-  EXPECT_EQ(A.Policy, B.Policy);
-  EXPECT_EQ(A.MaxDepth, B.MaxDepth);
-  EXPECT_EQ(A.WallCycles, B.WallCycles);
-  EXPECT_EQ(A.OptBytesGenerated, B.OptBytesGenerated);
-  EXPECT_EQ(A.OptBytesResident, B.OptBytesResident);
-  EXPECT_EQ(A.OptCompileCycles, B.OptCompileCycles);
-  EXPECT_EQ(A.BaselineCompileCycles, B.BaselineCompileCycles);
-  for (unsigned C = 0; C != NumAosComponents; ++C)
-    EXPECT_EQ(A.ComponentCycles[C], B.ComponentCycles[C])
-        << "component " << C;
-  EXPECT_EQ(A.GcCycles, B.GcCycles);
-  EXPECT_EQ(A.OptCompilations, B.OptCompilations);
-  EXPECT_EQ(A.GuardTests, B.GuardTests);
-  EXPECT_EQ(A.GuardFallbacks, B.GuardFallbacks);
-  EXPECT_EQ(A.InlinedCalls, B.InlinedCalls);
-  EXPECT_EQ(A.SamplesTaken, B.SamplesTaken);
-  EXPECT_EQ(A.ProgramResult, B.ProgramResult);
-  EXPECT_EQ(A.ClassesLoaded, B.ClassesLoaded);
-  EXPECT_EQ(A.MethodsCompiled, B.MethodsCompiled);
-  EXPECT_EQ(A.BytecodesCompiled, B.BytecodesCompiled);
-}
 
 /// The reduced benchmark x policy x depth matrix the differential
 /// sweeps use: small enough for TSan, large enough to exercise several
@@ -64,10 +41,10 @@ void expectIdenticalGrids(const GridResults &Serial,
                           const GridConfig &Config) {
   ASSERT_EQ(Serial.workloads(), Parallel.workloads());
   for (const std::string &W : Config.Workloads) {
-    expectIdenticalResults(Serial.baseline(W), Parallel.baseline(W));
+    expectSameResult(Serial.baseline(W), Parallel.baseline(W));
     for (PolicyKind Policy : Config.Policies)
       for (unsigned D : Config.Depths)
-        expectIdenticalResults(Serial.cell(W, Policy, D),
+        expectSameResult(Serial.cell(W, Policy, D),
                                Parallel.cell(W, Policy, D));
   }
 }
@@ -86,7 +63,7 @@ TEST(DeterminismTest, SameConfigTwiceIsBitIdentical) {
   Config.Params.Scale = 0.15;
   RunResult A = runExperiment(Config);
   RunResult B = runExperiment(Config);
-  expectIdenticalResults(A, B);
+  expectSameResult(A, B);
 }
 
 TEST(DeterminismTest, BestOfTrialsIsBitIdenticalAcrossInvocations) {
@@ -97,7 +74,7 @@ TEST(DeterminismTest, BestOfTrialsIsBitIdenticalAcrossInvocations) {
   Config.Params.Scale = 0.1;
   RunResult A = runBestOf(Config, 3);
   RunResult B = runBestOf(Config, 3);
-  expectIdenticalResults(A, B);
+  expectSameResult(A, B);
 }
 
 //===----------------------------------------------------------------------===//

@@ -40,7 +40,7 @@ RunResult syntheticRun(const std::string &Workload, PolicyKind Policy,
   R.BaselineCompileCycles = 50000 + Tag;
   for (unsigned C = 0; C != NumAosComponents; ++C)
     R.ComponentCycles[C] = (Tag + 1) * 100 * (C + 1);
-  R.OptCompilations = static_cast<unsigned>(30 + Tag);
+  R.OptCompilations = 30 + Tag;
   R.GuardFallbacks = 500 + Tag * 7;
   R.InlinedCalls = 80000 + Tag * 23;
   R.SamplesTaken = 400 + Tag;

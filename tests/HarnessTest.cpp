@@ -10,6 +10,8 @@
 #include "harness/Reporters.h"
 #include "support/StringUtils.h"
 
+#include "SameResult.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,10 +55,7 @@ TEST(ExperimentTest, RunCollectsAllMetrics) {
 TEST(ExperimentTest, RunsAreDeterministic) {
   RunResult A = runExperiment(smallConfig("jess", PolicyKind::Fixed, 3));
   RunResult B = runExperiment(smallConfig("jess", PolicyKind::Fixed, 3));
-  EXPECT_EQ(A.WallCycles, B.WallCycles);
-  EXPECT_EQ(A.OptBytesGenerated, B.OptBytesGenerated);
-  EXPECT_EQ(A.ProgramResult, B.ProgramResult);
-  EXPECT_EQ(A.SamplesTaken, B.SamplesTaken);
+  expectSameResult(A, B);
 }
 
 TEST(ExperimentTest, TraceStatsOnlyWhenRequested) {
@@ -227,53 +226,6 @@ TEST(TrialsTest, JitterSeedChangesTimelineNotSemantics) {
 }
 
 namespace {
-
-/// Field-by-field equality of every RunResult field.
-void expectSameResult(const RunResult &A, const RunResult &B) {
-  EXPECT_EQ(A.WorkloadName, B.WorkloadName);
-  EXPECT_EQ(A.Policy, B.Policy);
-  EXPECT_EQ(A.MaxDepth, B.MaxDepth);
-  EXPECT_EQ(A.WallCycles, B.WallCycles);
-  EXPECT_EQ(A.OptBytesGenerated, B.OptBytesGenerated);
-  EXPECT_EQ(A.OptBytesResident, B.OptBytesResident);
-  EXPECT_EQ(A.OptCompileCycles, B.OptCompileCycles);
-  EXPECT_EQ(A.BaselineCompileCycles, B.BaselineCompileCycles);
-  for (unsigned C = 0; C != NumAosComponents; ++C)
-    EXPECT_EQ(A.ComponentCycles[C], B.ComponentCycles[C]) << "component " << C;
-  EXPECT_EQ(A.GcCycles, B.GcCycles);
-  EXPECT_EQ(A.OptCompilations, B.OptCompilations);
-  EXPECT_EQ(A.GuardTests, B.GuardTests);
-  EXPECT_EQ(A.GuardFallbacks, B.GuardFallbacks);
-  EXPECT_EQ(A.InlinedCalls, B.InlinedCalls);
-  EXPECT_EQ(A.SamplesTaken, B.SamplesTaken);
-  EXPECT_EQ(A.ProgramResult, B.ProgramResult);
-  EXPECT_EQ(A.OsrEntries, B.OsrEntries);
-  EXPECT_EQ(A.Deopts, B.Deopts);
-  EXPECT_EQ(A.OsrTransitionCycles, B.OsrTransitionCycles);
-  EXPECT_EQ(A.OsrCyclesRecovered, B.OsrCyclesRecovered);
-  EXPECT_EQ(A.LiveCodeBytes, B.LiveCodeBytes);
-  EXPECT_EQ(A.PeakCodeBytes, B.PeakCodeBytes);
-  EXPECT_EQ(A.Evictions, B.Evictions);
-  EXPECT_EQ(A.RecompilesAfterEvict, B.RecompilesAfterEvict);
-  EXPECT_EQ(A.ShareHits, B.ShareHits);
-  EXPECT_EQ(A.SharePublishes, B.SharePublishes);
-  EXPECT_EQ(A.ShareCyclesSaved, B.ShareCyclesSaved);
-  EXPECT_EQ(A.SharedCodeBytes, B.SharedCodeBytes);
-  EXPECT_EQ(A.PrivateCodeBytes, B.PrivateCodeBytes);
-  EXPECT_EQ(A.BudgetUnitsSpent, B.BudgetUnitsSpent);
-  EXPECT_EQ(A.BudgetCandidatesAccepted, B.BudgetCandidatesAccepted);
-  EXPECT_EQ(A.BudgetCandidatesPruned, B.BudgetCandidatesPruned);
-  EXPECT_EQ(A.EstimateErrorPct, B.EstimateErrorPct);
-  EXPECT_EQ(A.WarmStarted, B.WarmStarted);
-  EXPECT_EQ(A.WarmStartApplied, B.WarmStartApplied);
-  EXPECT_EQ(A.WarmStartDropped, B.WarmStartDropped);
-  EXPECT_EQ(A.DecayEntriesDropped, B.DecayEntriesDropped);
-  EXPECT_EQ(A.CapturedProfile, B.CapturedProfile);
-  EXPECT_EQ(A.ClassesLoaded, B.ClassesLoaded);
-  EXPECT_EQ(A.MethodsCompiled, B.MethodsCompiled);
-  EXPECT_EQ(A.BytecodesCompiled, B.BytecodesCompiled);
-  EXPECT_EQ(A.TraceStats.numSamples(), B.TraceStats.numSamples());
-}
 
 /// Runs \p A and \p B as two Sessions on one build of their program
 /// (they must name the same one), first stepped alternately one slice at

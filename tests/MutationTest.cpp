@@ -21,6 +21,8 @@
 #include "workload/Workload.h"
 #include "workload/scenario/ScenarioSpec.h"
 
+#include "SameResult.h"
+
 #include <gtest/gtest.h>
 
 using namespace aoci;
@@ -154,11 +156,7 @@ TEST(MutationTest, ChurnScenarioSurvivesEvictionPlusOsrAudited) {
   // The interleaving is a pure function of the configuration.
   RunResult Again = runExperiment(Config);
   audit::setEnabled(WasAudited);
-  EXPECT_EQ(R.WallCycles, Again.WallCycles);
-  EXPECT_EQ(R.Evictions, Again.Evictions);
-  EXPECT_EQ(R.OsrEntries, Again.OsrEntries);
-  EXPECT_EQ(R.Deopts, Again.Deopts);
-  EXPECT_EQ(R.ProgramResult, Again.ProgramResult);
+  expectSameResult(R, Again);
 }
 
 TEST(MutationTest, EveryWorkloadSurvivesHarmlessWorkMutations) {

@@ -26,6 +26,7 @@
 #include "vm/VirtualMachine.h"
 
 #include "GoldenFile.h"
+#include "SameResult.h"
 
 #include <gtest/gtest.h>
 
@@ -436,26 +437,6 @@ TEST(OsrDeoptTest, DeoptComposesWithOsrEntry) {
 // (2) OSR off is byte-identical; on, it must actually pay off somewhere.
 //===----------------------------------------------------------------------===//
 
-void expectIdenticalResults(const RunResult &A, const RunResult &B) {
-  EXPECT_EQ(A.WallCycles, B.WallCycles);
-  EXPECT_EQ(A.OptBytesGenerated, B.OptBytesGenerated);
-  EXPECT_EQ(A.OptBytesResident, B.OptBytesResident);
-  EXPECT_EQ(A.OptCompileCycles, B.OptCompileCycles);
-  EXPECT_EQ(A.BaselineCompileCycles, B.BaselineCompileCycles);
-  for (unsigned C = 0; C != NumAosComponents; ++C)
-    EXPECT_EQ(A.ComponentCycles[C], B.ComponentCycles[C]) << "component " << C;
-  EXPECT_EQ(A.GcCycles, B.GcCycles);
-  EXPECT_EQ(A.OptCompilations, B.OptCompilations);
-  EXPECT_EQ(A.GuardTests, B.GuardTests);
-  EXPECT_EQ(A.GuardFallbacks, B.GuardFallbacks);
-  EXPECT_EQ(A.InlinedCalls, B.InlinedCalls);
-  EXPECT_EQ(A.SamplesTaken, B.SamplesTaken);
-  EXPECT_EQ(A.ProgramResult, B.ProgramResult);
-  EXPECT_EQ(A.OsrEntries, B.OsrEntries);
-  EXPECT_EQ(A.Deopts, B.Deopts);
-  EXPECT_EQ(A.OsrTransitionCycles, B.OsrTransitionCycles);
-}
-
 TEST(OsrExperimentTest, OsrOffIsByteIdenticalToTheDefault) {
   RunConfig Default;
   Default.WorkloadName = "compress";
@@ -468,7 +449,7 @@ TEST(OsrExperimentTest, OsrOffIsByteIdenticalToTheDefault) {
 
   RunResult A = runExperiment(Default);
   RunResult B = runExperiment(Off);
-  expectIdenticalResults(A, B);
+  expectSameResult(A, B);
   EXPECT_EQ(A.OsrEntries, 0u);
   EXPECT_EQ(A.Deopts, 0u);
   EXPECT_EQ(A.OsrTransitionCycles, 0u);
@@ -515,7 +496,7 @@ TEST(OsrTraceTest, TracingAnOsrRunChargesZeroCycles) {
   Traced.Trace = &Sink;
   RunResult WithTrace = runExperiment(Traced);
 
-  expectIdenticalResults(Plain, WithTrace);
+  expectSameResult(Plain, WithTrace);
   ASSERT_GT(Plain.OsrEntries, 0u);
   uint64_t OsrEvents = 0;
   Sink.forEach([&](const TraceEvent &E) {

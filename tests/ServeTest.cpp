@@ -24,6 +24,7 @@
 #include "profile/ProfileIo.h"
 
 #include "GoldenFile.h"
+#include "SameResult.h"
 
 #include <gtest/gtest.h>
 
@@ -339,9 +340,7 @@ TEST(ServeTest, SharingOffReproducesSoloRunsExactly) {
 
   ASSERT_EQ(Serve.Sessions.size(), 2u);
   for (const ServeSessionResult &S : Serve.Sessions) {
-    EXPECT_EQ(S.WallCycles, Solo.WallCycles);
-    EXPECT_EQ(S.ProgramResult, Solo.ProgramResult);
-    EXPECT_EQ(S.OptCompileCycles, Solo.OptCompileCycles);
+    expectSameResult(S, Solo);
     EXPECT_EQ(S.ShareHits + S.SharePublishes + S.ShareCyclesSaved, 0u);
     EXPECT_EQ(S.SharedCodeBytes, 0u);
   }

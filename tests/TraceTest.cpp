@@ -18,6 +18,7 @@
 #include "trace/TraceSink.h"
 
 #include "GoldenFile.h"
+#include "SameResult.h"
 
 #include <gtest/gtest.h>
 
@@ -167,25 +168,6 @@ TEST(TraceSinkTest, AdoptEventsTakesTheOtherStream) {
 // (1) Zero simulated cost: traced and untraced runs are bit-identical.
 //===----------------------------------------------------------------------===//
 
-/// The result fields the cost contract promises are unaffected by
-/// tracing (everything the CSVs export).
-void expectIdenticalResults(const RunResult &A, const RunResult &B) {
-  EXPECT_EQ(A.WallCycles, B.WallCycles);
-  EXPECT_EQ(A.OptBytesGenerated, B.OptBytesGenerated);
-  EXPECT_EQ(A.OptBytesResident, B.OptBytesResident);
-  EXPECT_EQ(A.OptCompileCycles, B.OptCompileCycles);
-  EXPECT_EQ(A.BaselineCompileCycles, B.BaselineCompileCycles);
-  for (unsigned C = 0; C != NumAosComponents; ++C)
-    EXPECT_EQ(A.ComponentCycles[C], B.ComponentCycles[C]) << "component " << C;
-  EXPECT_EQ(A.GcCycles, B.GcCycles);
-  EXPECT_EQ(A.OptCompilations, B.OptCompilations);
-  EXPECT_EQ(A.GuardTests, B.GuardTests);
-  EXPECT_EQ(A.GuardFallbacks, B.GuardFallbacks);
-  EXPECT_EQ(A.InlinedCalls, B.InlinedCalls);
-  EXPECT_EQ(A.SamplesTaken, B.SamplesTaken);
-  EXPECT_EQ(A.ProgramResult, B.ProgramResult);
-}
-
 RunConfig smallRun() {
   RunConfig Config;
   Config.WorkloadName = "compress";
@@ -205,7 +187,7 @@ TEST(TraceCostTest, TracingDoesNotMoveTheSimulatedClock) {
   Traced.Trace = &Sink;
   RunResult WithTrace = runExperiment(Traced);
 
-  expectIdenticalResults(Plain, WithTrace);
+  expectSameResult(Plain, WithTrace);
   EXPECT_GT(Sink.numEvents(), 0u);
 }
 
@@ -215,7 +197,7 @@ TEST(TraceCostTest, AttachedButDisabledSinkRecordsNothing) {
   Config.Trace = &Sink;
   RunResult R = runExperiment(Config);
   EXPECT_EQ(Sink.numEvents(), 0u);
-  expectIdenticalResults(runExperiment(smallRun()), R);
+  expectSameResult(runExperiment(smallRun()), R);
 }
 
 TEST(TraceCostTest, KindMaskFiltersAtTheHook) {
@@ -294,7 +276,7 @@ TEST(TraceEventsTest, BestOfKeepsExactlyTheBestTrialsStream) {
   RunResult RA = runBestOf(Config, 3);
   Config.Trace = &B;
   RunResult RB = runBestOf(Config, 3);
-  EXPECT_EQ(RA.WallCycles, RB.WallCycles);
+  expectSameResult(RA, RB);
   // Pure function of the config: both invocations keep the same trial,
   // hence byte-identical exports.
   std::ostringstream JsonA, JsonB;

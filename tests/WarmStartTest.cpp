@@ -18,6 +18,8 @@
 #include "harness/SteadyState.h"
 #include "profile/ProfileIo.h"
 
+#include "SameResult.h"
+
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -117,9 +119,7 @@ TEST(WarmStartTest, WarmRunIsDeterministic) {
   Warm.WarmStart = Profile;
   const RunResult A = runExperiment(Warm);
   const RunResult B = runExperiment(Warm);
-  EXPECT_EQ(A.WallCycles, B.WallCycles);
-  EXPECT_EQ(A.ProgramResult, B.ProgramResult);
-  EXPECT_EQ(A.WarmStartApplied, B.WarmStartApplied);
+  expectSameResult(A, B);
   EXPECT_GT(A.WarmStartApplied, 0u);
   EXPECT_TRUE(A.WarmStarted);
 }

@@ -577,27 +577,39 @@ bool loadWarmStart(const std::string &Path,
   return true;
 }
 
-/// Writes \p Bytes to \p Path, reporting failures to stderr.
-bool writeFile(const std::string &Path, const std::string &Bytes) {
+/// Streams what \p Render writes into \p Path. A failed open, write or
+/// close is reported on stderr, naming the path, and returns false.
+bool writeStream(const std::string &Path,
+                 const std::function<void(std::ostream &)> &Render) {
   std::ofstream Out(Path, std::ios::binary);
-  if (!Out) {
-    std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
-    return false;
+  if (Out) {
+    Render(Out);
+    Out.close();
   }
-  Out << Bytes;
+  if (Out)
+    return true;
+  std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
+  return false;
+}
+
+/// Writes \p Bytes to \p Path, as writeStream does; once the file is
+/// closed, says "<What> written to <Path>" unless \p What is null.
+bool writeFile(const std::string &Path, const std::string &Bytes,
+               const char *What = nullptr) {
+  if (!writeStream(Path, [&](std::ostream &OS) { OS << Bytes; }))
+    return false;
+  if (What)
+    std::fprintf(stderr, "%s written to %s\n", What, Path.c_str());
   return true;
 }
 
 /// Streams the Chrome trace JSON \p Render writes into \p Path (a grid's
-/// merged trace can be large, so it is never held as one string).
+/// merged trace can be large, so it is never held as one string), and
+/// says so once the file is closed.
 bool writeTrace(const std::string &Path,
                 const std::function<void(std::ostream &)> &Render) {
-  std::ofstream Out(Path, std::ios::binary);
-  if (!Out) {
-    std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
+  if (!writeStream(Path, Render))
     return false;
-  }
-  Render(Out);
   std::fprintf(stderr, "trace written to %s (load it at ui.perfetto.dev)\n",
                Path.c_str());
   return true;
@@ -813,16 +825,13 @@ int cmdGrid(Options &O) {
                   Report(Results, Config.Policies, Config.Depths).c_str());
   if (O.Metrics)
     std::printf("%s\n", reportRunMetrics(Results).c_str());
-  if (!O.Csv.empty()) {
-    if (!writeFile(O.Csv, exportCsv(Results, Config.Policies, Config.Depths)))
-      return 1;
-    std::fprintf(stderr, "csv written to %s\n", O.Csv.c_str());
-  }
-  if (!O.MetricsCsv.empty()) {
-    if (!writeFile(O.MetricsCsv, exportMetricsCsv(Results)))
-      return 1;
-    std::fprintf(stderr, "metrics csv written to %s\n", O.MetricsCsv.c_str());
-  }
+  if (!O.Csv.empty() &&
+      !writeFile(O.Csv, exportCsv(Results, Config.Policies, Config.Depths),
+                 "csv"))
+    return 1;
+  if (!O.MetricsCsv.empty() &&
+      !writeFile(O.MetricsCsv, exportMetricsCsv(Results), "metrics csv"))
+    return 1;
   if (!O.TraceOut.empty() &&
       !writeTrace(O.TraceOut, [&](std::ostream &OS) {
         exportGridTrace(OS, Results);
@@ -933,10 +942,8 @@ int cmdFuzz(Options &O) {
       std::filesystem::create_directories(O.OutDir);
       const std::filesystem::path Path =
           std::filesystem::path(O.OutDir) / (D.Spec.Name + ".scn");
-      if (!writeFile(Path.string(), Text))
+      if (!writeFile(Path.string(), Text, "reproducer"))
         return 1;
-      std::fprintf(stderr, "reproducer written to %s\n",
-                   Path.string().c_str());
     }
   }
   if (FoundNew) {
@@ -1009,11 +1016,8 @@ int cmdSteady(Options &O) {
   }
   Json += formatString("],\"allReached\":%s}\n",
                        AllReached ? "true" : "false");
-  if (!O.Json.empty()) {
-    if (!writeFile(O.Json, Json))
-      return 1;
-    std::fprintf(stderr, "verdict written to %s\n", O.Json.c_str());
-  }
+  if (!O.Json.empty() && !writeFile(O.Json, Json, "verdict"))
+    return 1;
   return AllReached ? 0 : 1;
 }
 
@@ -1037,11 +1041,9 @@ int cmdServe(Options &O) {
 
   const ServeResults Results = runServe(Config, O.Jobs, printLine);
   std::printf("%s", reportServe(Results).c_str());
-  if (!O.Csv.empty()) {
-    if (!writeFile(O.Csv, exportServeCsv(Results)))
-      return 1;
-    std::fprintf(stderr, "serve csv written to %s\n", O.Csv.c_str());
-  }
+  if (!O.Csv.empty() &&
+      !writeFile(O.Csv, exportServeCsv(Results), "serve csv"))
+    return 1;
   if (!O.TraceOut.empty() &&
       !writeTrace(O.TraceOut, [&](std::ostream &OS) {
         exportServeTrace(OS, Results);
@@ -1053,11 +1055,8 @@ int cmdServe(Options &O) {
 int cmdClaims(Options &O) {
   const ClaimsReport Report = runClaims(printLine);
   std::printf("%s", Report.Text.c_str());
-  if (!O.Json.empty()) {
-    if (!writeFile(O.Json, Report.Json))
-      return 1;
-    std::fprintf(stderr, "claims written to %s\n", O.Json.c_str());
-  }
+  if (!O.Json.empty() && !writeFile(O.Json, Report.Json, "claims"))
+    return 1;
   return Report.Pass ? 0 : 1;
 }
 
@@ -1081,6 +1080,15 @@ int cmdDisasm(Options &O) {
   return 0;
 }
 
+/// Flushes standard output: a command whose output could not be written
+/// (to a full disk, say) fails, whatever \p Status it returned.
+int flushStdout(int Status) {
+  if (std::cout.flush() && std::fflush(stdout) == 0 && !std::ferror(stdout))
+    return Status;
+  std::fprintf(stderr, "cannot write standard output\n");
+  return 1;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -1091,7 +1099,7 @@ int main(int Argc, char **Argv) {
     O.bind(C.Configs);
     if (!parseArgs(Argc, Argv, C, O))
       return 1;
-    return C.Main(O);
+    return flushStdout(C.Main(O));
   }
   return usage();
 }
