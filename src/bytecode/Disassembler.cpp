@@ -36,7 +36,8 @@ std::string aoci::disassembleInstruction(const Program &P,
   case Opcode::InvokeVirtual:
   case Opcode::InvokeInterface:
   case Opcode::InvokeSpecial:
-    Out += " " + P.qualifiedName(static_cast<MethodId>(I.Operand));
+    Out += ' ';
+    Out += P.qualifiedName(static_cast<MethodId>(I.Operand));
     if (I.ConstArgMask != 0)
       Out += formatString(" constargs=%#x", I.ConstArgMask);
     break;

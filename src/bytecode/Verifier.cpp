@@ -9,7 +9,6 @@
 
 #include "support/StringUtils.h"
 
-#include <algorithm>
 #include <vector>
 
 using namespace aoci;
@@ -236,8 +235,9 @@ bool aoci::verifyMethod(const Program &P, const Method &M,
     }
     int NewDepth = Depth - static_cast<int>(Effect.Pops) +
                    static_cast<int>(Effect.Pushes);
-    if (NewDepth > 255) {
-      error(formatString("operand stack deeper than 255 at pc %u", PC));
+    if (NewDepth > static_cast<int>(MaxOperandStackDepth)) {
+      error(formatString("operand stack deeper than %u at pc %u",
+                         MaxOperandStackDepth, PC));
       break;
     }
 
@@ -253,52 +253,6 @@ bool aoci::verifyMethod(const Program &P, const Method &M,
   }
 
   return Errors.size() == Before;
-}
-
-unsigned aoci::maxOperandStackDepth(const Program &P, const Method &M) {
-  if (M.Body.empty())
-    return 0;
-  const unsigned Size = static_cast<unsigned>(M.Body.size());
-  std::vector<int> DepthAt(Size, -1);
-  std::vector<unsigned> Worklist;
-  DepthAt[0] = 0;
-  Worklist.push_back(0);
-  unsigned Max = 0;
-
-  auto propagate = [&](unsigned PC, int Depth) {
-    if (PC >= Size || DepthAt[PC] != -1)
-      return;
-    DepthAt[PC] = Depth;
-    Worklist.push_back(PC);
-  };
-
-  while (!Worklist.empty()) {
-    const unsigned PC = Worklist.back();
-    Worklist.pop_back();
-    const Instruction &I = M.Body[PC];
-    const int Depth = DepthAt[PC];
-
-    StackEffect Effect = stackEffect(I.Op);
-    if (isInvoke(I.Op)) {
-      const Method &Callee = P.method(static_cast<MethodId>(I.Operand));
-      Effect.Pops = Callee.numArgSlots();
-      Effect.Pushes = Callee.ReturnsValue ? 1 : 0;
-    }
-    const int After = Depth - static_cast<int>(Effect.Pops) +
-                      static_cast<int>(Effect.Pushes);
-    Max = std::max(Max, static_cast<unsigned>(std::max(Depth, After)));
-
-    if (isReturn(I.Op))
-      continue;
-    if (I.Op == Opcode::Goto) {
-      propagate(static_cast<unsigned>(I.Operand), After);
-      continue;
-    }
-    if (isBranch(I.Op))
-      propagate(static_cast<unsigned>(I.Operand), After);
-    propagate(PC + 1, After);
-  }
-  return Max;
 }
 
 std::vector<std::string> aoci::verifyProgram(const Program &P) {

@@ -7,10 +7,11 @@
 ///
 /// \file
 /// A bytecode verifier: checks operand ranges, branch targets, invoke
-/// signatures, and stack discipline (no underflow, consistent depth at
-/// merge points, no fall-through past the end of a body). The VM asserts
-/// that programs it runs verify cleanly, so interpreter bugs and workload
-/// generator bugs are caught before execution.
+/// signatures, and stack discipline (no underflow, no deeper than
+/// MaxOperandStackDepth, consistent depth at merge points, no fall-through
+/// past the end of a body). The VM asserts that programs it runs verify
+/// cleanly, so interpreter bugs and workload generator bugs are caught
+/// before execution, and sizes every frame by the depth bound.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,12 @@
 
 namespace aoci {
 
+/// The deepest operand stack a verified method can reach: the stack-depth
+/// dataflow rejects any instruction that leaves more values than this.
+/// The interpreter reserves this many slab slots above each frame's
+/// locals at entry, so stack pushes never need a bounds check.
+constexpr unsigned MaxOperandStackDepth = 255;
+
 /// Checks \p M (belonging to \p P) and appends human-readable problems to
 /// \p Errors. Returns true when no problems were found.
 bool verifyMethod(const Program &P, const Method &M,
@@ -33,12 +40,6 @@ bool verifyMethod(const Program &P, const Method &M,
 /// entry point, supertype registration order). Returns the full list of
 /// problems; empty means the program is well formed.
 std::vector<std::string> verifyProgram(const Program &P);
-
-/// Maximum operand-stack depth \p M can reach, from the same dataflow the
-/// verifier runs (the verifier bounds it at 255). The interpreter's frame
-/// arena uses this to reserve each frame's full extent at entry so stack
-/// pushes never need a bounds check. \p M must verify cleanly.
-unsigned maxOperandStackDepth(const Program &P, const Method &M);
 
 } // namespace aoci
 

@@ -66,8 +66,7 @@ AdaptiveSystem::AdaptiveSystem(VirtualMachine &VM, ContextPolicy &Policy,
       TraceL(Policy, Config.TraceBufferCapacity, Config.InlineAwareWalk),
       AiOrg(Config.Ai), BudgetOrg(Config.Budget),
       Ctrl(VM.program(), VM.costModel(), Config.ControllerCfg),
-      Compiler(VM.program(), VM.hierarchy(), VM.costModel()),
-      OsrMgr(Config.Osr) {
+      Compiler(VM.program(), VM.hierarchy(), VM.costModel()) {
   // The OSR gate is the controller's analytic model; the indirection
   // keeps src/osr/ independent of the core layer.
   OsrMgr.setPolicy([this](MethodId M, const CodeVariant &From,

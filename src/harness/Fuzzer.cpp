@@ -19,7 +19,8 @@ using namespace aoci;
 
 std::string aoci::scenarioSearchKey(const ScenarioSpec &S) {
   ScenarioSpec Canon = S;
-  Canon.Name = "k";
+  Canon.Name.clear();
+  Canon.Name += 'k';
   Canon.HasExpectation = false;
   Canon.Expect = ScenarioExpectation();
   return printScenario(Canon);

@@ -20,19 +20,13 @@
 
 namespace aoci {
 
-/// OSR subsystem switches. Part of AosSystemConfig, so they flow through
+/// The OSR subsystem switch. Part of AosSystemConfig, so it flows through
 /// RunConfig / GridConfig and the `--osr on|off` CLI flag.
 struct OsrConfig {
   /// Master switch. Off by default: every pre-existing entry point and
   /// golden fixture reproduces the paper's "future invocations only"
   /// semantics byte for byte (see tests/OsrTest.cpp's differential).
   bool Enabled = false;
-
-  /// Allow deoptimization of activations caught inside stale inlined
-  /// bodies (the Enabled switch gates this too). Ablation knob: with
-  /// this off, stale inlined frames simply run to completion and only
-  /// physical top frames OSR.
-  bool AllowDeopt = true;
 };
 
 /// Activity counters, surfaced on RunResult and the `aoci

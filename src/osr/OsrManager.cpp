@@ -17,7 +17,7 @@ using namespace aoci;
 bool OsrManager::onStaleBackedge(VirtualMachine &VM, ThreadState &T) {
   assert(!T.Frames.empty() && "backedge on an empty stack");
   if (T.Frames.back().Inlined)
-    return Config.AllowDeopt && deoptimize(VM, T);
+    return deoptimize(VM, T);
   return osrEnter(VM, T);
 }
 
@@ -187,8 +187,6 @@ void OsrManager::remapGroupToBaseline(VirtualMachine &VM, ThreadState &T,
 }
 
 bool OsrManager::onEvictVariant(VirtualMachine &VM, const CodeVariant &V) {
-  if (!Config.AllowDeopt)
-    return false;
   for (const auto &TPtr : VM.threads()) {
     ThreadState &T = *TPtr;
     for (size_t I = 0; I < T.Frames.size();) {

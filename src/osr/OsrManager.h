@@ -56,14 +56,11 @@ public:
                                       uint64_t TransitionCycles,
                                       double *Savings)>;
 
-  explicit OsrManager(OsrConfig Config = OsrConfig()) : Config(Config) {}
-
   /// Installs the cost/benefit gate (AdaptiveSystem wires this to
   /// Controller::worthOsr). Null restores the default level-upgrade-only
   /// gate.
   void setPolicy(PolicyFn Fn) { Policy = std::move(Fn); }
 
-  const OsrConfig &config() const { return Config; }
   const OsrStats &stats() const { return Stats; }
 
   bool onStaleBackedge(VirtualMachine &VM, ThreadState &T) override;
@@ -74,8 +71,7 @@ public:
   /// re-established on baseline frames so the variant can be reclaimed.
   /// Unlike backedge deopt there is no cost/benefit gate — the cache has
   /// already decided — but each group still pays DeoptFrameCycles per
-  /// frame. Returns false when Config.AllowDeopt is off (the variant then
-  /// stays pinned).
+  /// frame. Returns true: no activation is left on \p V.
   bool onEvictVariant(VirtualMachine &VM, const CodeVariant &V) override;
 
 private:
@@ -94,7 +90,6 @@ private:
   /// did in the replacement code, repriced at the stale variant's rate.
   uint64_t segmentRecovered(const VirtualMachine &VM, const Frame &F) const;
 
-  OsrConfig Config;
   PolicyFn Policy;
   OsrStats Stats;
 };

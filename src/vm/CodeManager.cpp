@@ -198,12 +198,11 @@ uint64_t CodeManager::optimizedBytesResident() const {
 
 namespace {
 
-/// Deterministic victim order: least-recently-invoked first under Lru
-/// (install sequence breaking ties), pure install order under Fifo. Both
-/// keys derive from the simulated clock alone.
-bool victimBefore(EvictPolicy Policy, const CodeVariant &A,
-                  const CodeVariant &B) {
-  if (Policy == EvictPolicy::Lru && A.LastUsedCycle != B.LastUsedCycle)
+/// Deterministic victim order: least-recently-invoked first, install
+/// sequence breaking ties. Both keys derive from the simulated clock
+/// alone, so serial and parallel runs pick the same victims.
+bool victimBefore(const CodeVariant &A, const CodeVariant &B) {
+  if (A.LastUsedCycle != B.LastUsedCycle)
     return A.LastUsedCycle < B.LastUsedCycle;
   return A.InstallSeq < B.InstallSeq;
 }
@@ -227,11 +226,10 @@ void CodeManager::enforceCapacity(const CodeVariant *JustInstalled) {
         continue;
       // The controller's prefer-keep hook only reorders: preferred
       // variants lose to any non-preferred candidate, and within a tier
-      // the policy order decides.
+      // the LRU order decides.
       bool Preferred = PreferKeep && PreferKeep(V->M);
       if (!Victim || (VictimPreferred && !Preferred) ||
-          (VictimPreferred == Preferred &&
-           victimBefore(Model.CodeCache.Policy, *V, *Victim))) {
+          (VictimPreferred == Preferred && victimBefore(*V, *Victim))) {
         Victim = V;
         VictimPreferred = Preferred;
       }

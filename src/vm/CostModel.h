@@ -40,32 +40,11 @@ inline const char *optLevelName(OptLevel L) {
   return "<invalid>";
 }
 
-/// Victim-selection order of the bounded code cache.
-enum class EvictPolicy : uint8_t {
-  /// Least-recently-invoked first, ties broken by install sequence. Both
-  /// keys are pure simulated state, so serial and parallel runs pick the
-  /// same victims.
-  Lru = 0,
-  /// Oldest install sequence first, ignoring use recency.
-  Fifo = 1,
-};
-
-inline const char *evictPolicyName(EvictPolicy P) {
-  switch (P) {
-  case EvictPolicy::Lru:
-    return "lru";
-  case EvictPolicy::Fifo:
-    return "fifo";
-  }
-  return "<invalid>";
-}
-
 /// Bounded-code-cache knob. CapacityBytes == 0 (the default) disables
 /// eviction entirely: CodeManager then behaves exactly like the unbounded
 /// registry and every pre-cache golden reproduces byte-for-byte.
 struct CodeCacheConfig {
   uint64_t CapacityBytes = 0;
-  EvictPolicy Policy = EvictPolicy::Lru;
 
   bool enabled() const { return CapacityBytes != 0; }
 };

@@ -44,54 +44,36 @@ void VirtualMachine::setTraceSink(TraceSink *T) {
                           });
 }
 
-MethodHotData &VirtualMachine::hotData(MethodId M) {
+const uint32_t *VirtualMachine::frameCostTable(MethodId M, OptLevel L,
+                                               bool Inlined) {
   assert(static_cast<size_t>(M) < HotData.size() && "method id out of range");
-  MethodHotData &Hot = HotData[M];
-  if (!Hot.Body) [[unlikely]]
-    buildHotData(M, Hot);
-  return Hot;
-}
-
-void VirtualMachine::buildHotData(MethodId M, MethodHotData &Hot) {
-  const Method &Meth = P.method(M);
-  assert(!Meth.Body.empty() && "entering a method with no body");
-  Hot.Body = Meth.Body.data();
-  Hot.BodySize = static_cast<uint32_t>(Meth.Body.size());
-  Hot.NumLocals = Meth.NumLocals;
-  Hot.NumArgSlots = static_cast<uint16_t>(Meth.numArgSlots());
-  Hot.MaxStack = maxOperandStackDepth(P, Meth);
-}
-
-const uint32_t *VirtualMachine::costTable(MethodHotData &H, OptLevel L,
-                                          bool Inlined) {
   std::unique_ptr<uint32_t[]> &Table =
-      H.Cost[static_cast<unsigned>(L) * 2 + (Inlined ? 1 : 0)];
+      HotData[M].Cost[static_cast<unsigned>(L) * 2 + (Inlined ? 1 : 0)];
   if (!Table) [[unlikely]]
-    buildCostTable(Table, H, L, Inlined);
+    buildCostTable(Table, M, L, Inlined);
   return Table.get();
 }
 
 void VirtualMachine::buildCostTable(std::unique_ptr<uint32_t[]> &Table,
-                                    const MethodHotData &H, OptLevel L,
-                                    bool Inlined) {
-  auto Built = std::make_unique_for_overwrite<uint32_t[]>(H.BodySize);
+                                    MethodId M, OptLevel L, bool Inlined) {
+  const std::vector<Instruction> &Body = P.method(M).Body;
+  const auto Size = static_cast<uint32_t>(Body.size());
+  auto Built = std::make_unique_for_overwrite<uint32_t[]>(Size);
   const uint64_t PerUnit = Model.cyclesPerUnit(L);
-  for (uint32_t PC = 0; PC != H.BodySize; ++PC) {
-    uint64_t Cost = H.Body[PC].machineSize() * PerUnit;
+  for (uint32_t PC = 0; PC != Size; ++PC) {
+    uint64_t Cost = Body[PC].machineSize() * PerUnit;
     // Inlined bodies see the scope benefit of cross-call optimization.
     if (Inlined)
       Cost = Cost * Model.ScopeBonusNum / Model.ScopeBonusDen;
     // Entries are 32-bit to halve the tables; a charge that does not fit
     // stops the run rather than advancing a truncated clock.
-    if (Cost > UINT32_MAX) [[unlikely]] {
-      const auto M = static_cast<MethodId>(&H - HotData.data()); // H's index
+    if (Cost > UINT32_MAX) [[unlikely]]
       throw std::runtime_error(
           "cycle charge " + std::to_string(Cost) + " of " +
           P.qualifiedName(M) + " at pc " + std::to_string(PC) + " (" +
           optLevelName(L) + (Inlined ? ", inlined" : "") +
           ") exceeds the 32-bit cost-table entry; lower the CostModel's "
           "CyclesPerUnit or the instruction's size");
-    }
     Built[PC] = static_cast<uint32_t>(Cost);
   }
   Table = std::move(Built);
@@ -112,13 +94,12 @@ void VirtualMachine::pushFrame(ThreadState &T, MethodId Callee,
   if (T.Frames.size() >= Model.MaxFrameDepth) [[unlikely]]
     throwRecursionLimit(T, Callee);
 
-  // Both lookups are built out of line on first use, so a warm push pays
-  // one null test for each.
-  MethodHotData &Hot = hotData(Callee);
-  const uint32_t *Cost = costTable(Hot, Variant->Level, Inlined);
+  const Method &M = P.method(Callee);
+  const unsigned NumArgSlots = M.numArgSlots();
+  const uint32_t *Cost = frameCostTable(Callee, Variant->Level, Inlined);
   assert((T.Frames.empty()
-              ? T.SlabTop == 0 && Hot.NumArgSlots == 0
-              : T.SlabTop - T.Frames.back().StackBase >= Hot.NumArgSlots) &&
+              ? T.SlabTop == 0 && NumArgSlots == 0
+              : T.SlabTop - T.Frames.back().StackBase >= NumArgSlots) &&
          "missing call arguments");
 
   // A physical invocation is the code cache's recency signal. Simulated
@@ -128,14 +109,16 @@ void VirtualMachine::pushFrame(ThreadState &T, MethodId Callee,
     Variant->LastUsedCycle = Clock;
 
   // The args the caller pushed become the callee's first locals in place.
-  const uint32_t LocalsBase = T.SlabTop - Hot.NumArgSlots;
-  const uint32_t StackBase = LocalsBase + Hot.NumLocals;
-  const size_t Need = static_cast<size_t>(StackBase) + Hot.MaxStack;
+  // The verifier bounds every operand stack, so reserving that bound above
+  // the locals lets the interpreter push without a capacity check.
+  const uint32_t LocalsBase = T.SlabTop - NumArgSlots;
+  const uint32_t StackBase = LocalsBase + M.NumLocals;
+  const size_t Need = static_cast<size_t>(StackBase) + MaxOperandStackDepth;
   if (T.Slab.size() < Need) [[unlikely]]
     T.Slab.resize(std::max(Need, T.Slab.size() * 2));
 
   Value *Locals = T.Slab.data() + LocalsBase;
-  for (unsigned S = Hot.NumArgSlots; S < Hot.NumLocals; ++S)
+  for (unsigned S = NumArgSlots; S < M.NumLocals; ++S)
     Locals[S] = Value();
   T.SlabTop = StackBase;
 
@@ -143,9 +126,8 @@ void VirtualMachine::pushFrame(ThreadState &T, MethodId Callee,
   F.Method = Callee;
   F.Variant = Variant;
   F.PlanNode = Plan;
-  F.Body = Hot.Body;
+  F.Body = M.Body.data();
   F.Cost = Cost;
-  F.Hot = &Hot;
   F.LocalsBase = LocalsBase;
   F.StackBase = StackBase;
   F.Inlined = Inlined;
@@ -318,10 +300,10 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
     // Monomorphic inline cache: resolveVirtual is a pure function of
     // (receiver class, override root), so memoizing the last receiver per
     // site can only skip the hierarchy walk, never change its answer.
-    MethodHotData &Hot = *F.Hot;
+    MethodHotData &Hot = HotData[F.Method];
     if (!Hot.InlineCaches)
-      Hot.InlineCaches =
-          std::make_unique<MethodHotData::IcEntry[]>(Hot.BodySize);
+      Hot.InlineCaches = std::make_unique<MethodHotData::IcEntry[]>(
+          P.method(F.Method).Body.size());
     MethodHotData::IcEntry &Ic = Hot.InlineCaches[F.PC];
     if (Ic.Receiver == Obj.Klass) {
       Target = Ic.Target;
@@ -421,9 +403,9 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
   // Outer loop: (re-)derive the cached view of the top frame. The inner
   // loop executes with PC and the operand-stack top in locals, spilling
   // them back only where someone else can observe them — frame entry/exit
-  // (Refresh) and sample delivery. The frame reserved StackBase + MaxStack
-  // slab slots at entry, so pushes within the verifier's depth bound need
-  // no per-push capacity check.
+  // (Refresh) and sample delivery. The frame reserved StackBase +
+  // MaxOperandStackDepth slab slots at entry, so pushes within the
+  // verifier's depth bound need no per-push capacity check.
   while (!T.Finished && Clock < StopClock && MaxInstr != 0) {
     Frame &F = T.Frames.back();
     const Instruction *const Body = F.Body;
@@ -437,13 +419,13 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
     bool Refresh = false;
 #ifndef NDEBUG
     const uint32_t StackBase = F.StackBase;
-    const uint32_t MaxStack = F.Hot->MaxStack;
-    const uint32_t BodySize = F.Hot->BodySize;
-    const uint16_t NumLocals = F.Hot->NumLocals;
+    const size_t BodySize = P.method(F.Method).Body.size();
+    const uint16_t NumLocals = P.method(F.Method).NumLocals;
 #endif
 
     auto push = [&](Value V) {
-      assert(Top - StackBase < MaxStack && "operand stack overflow");
+      assert(Top - StackBase < MaxOperandStackDepth &&
+             "operand stack overflow");
       Slab[Top++] = V;
     };
     auto popValue = [&]() {
@@ -827,9 +809,9 @@ void VirtualMachine::auditState(const char *Where) const {
                    std::string(Where) + ": thread " + std::to_string(TPtr->Id) +
                        " has a frame on evicted code of method " +
                        std::to_string(F.Variant ? F.Variant->M : F.Method));
-      audit::check(F.Hot != nullptr && F.Body == F.Hot->Body, "vm",
+      audit::check(F.Body == P.method(F.Method).Body.data(), "vm",
                    std::string(Where) + ": thread " + std::to_string(TPtr->Id) +
-                       " frame body pointer diverged from hot data of method " +
+                       " frame body pointer diverged from the body of method " +
                        std::to_string(F.Method));
     }
   }

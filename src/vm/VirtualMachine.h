@@ -41,23 +41,15 @@ namespace aoci {
 class TraceSink;
 class OsrDriver;
 
-/// Host-side interpreter metadata for one source method, built lazily at
-/// first frame entry. Everything here is a pure cache over immutable
-/// Program/CostModel state: it exists to make the host interpreter fast
-/// and must never change what the simulated clock or counters record
-/// (see DESIGN.md, "Host fast path vs. simulated clock"). Every VM keeps
-/// one per method of its program, so the tables are exact-size arrays.
+/// Host-side interpreter state for one source method that belongs to this
+/// VM: cycle-charge tables computed from its CostModel and inline caches
+/// its calls fill. Body, locals and argument slots are read from the
+/// Program's Method. Everything here is a pure cache: it exists to make
+/// the host interpreter fast and must never change what the simulated
+/// clock or counters record (see DESIGN.md, "Host fast path vs. simulated
+/// clock"). Every VM keeps one per method of its program, so the tables
+/// are exact-size arrays, allocated on first use.
 struct MethodHotData {
-  /// Raw pointer into the method's (stable) bytecode body; null until the
-  /// entry is built.
-  const Instruction *Body = nullptr;
-  uint32_t BodySize = 0;
-  uint16_t NumLocals = 0;
-  uint16_t NumArgSlots = 0;
-  /// Verifier-dataflow bound on the operand-stack depth. Frames reserve
-  /// NumLocals + MaxStack arena slots at entry, so stack pushes are plain
-  /// stores with no bounds check.
-  uint32_t MaxStack = 0;
   /// Exact per-instruction cycle charge for one (OptLevel, Inlined) pair,
   /// indexed [level * 2 + inlined][pc]; null until first use per pair.
   /// Each entry is bit-identical to the machineSize * cyclesPerUnit (*
@@ -95,12 +87,10 @@ struct Frame {
   /// body runs without an inline plan (baseline code, or nothing inlined).
   const InlineNode *PlanNode = nullptr;
   /// Dispatch state cached at frame entry so the hot loop never re-derives
-  /// it per instruction: the body pointer, the per-PC cycle-charge table
-  /// for this frame's (variant level, inlined) pair, and the method's hot
-  /// data (inline caches, sizes).
+  /// it per instruction: the method's body and the per-PC cycle-charge
+  /// table for this frame's (variant level, inlined) pair.
   const Instruction *Body = nullptr;
   const uint32_t *Cost = nullptr;
-  MethodHotData *Hot = nullptr;
   /// Arena offsets into ThreadState::Slab (see struct comment).
   uint32_t LocalsBase = 0;
   uint32_t StackBase = 0;
@@ -241,17 +231,16 @@ public:
   const CodeVariant *ensureBaseline(MethodId M);
 
   /// The per-PC cycle-charge table of \p M under (\p L, \p Inlined),
-  /// built on first use. Exposed for the OSR frame mapper, which must
-  /// retarget a frame's cached Cost pointer when it swaps the variant;
-  /// the table contents are a pure function of the inputs, so handing
-  /// them out cannot perturb execution.
-  const uint32_t *frameCostTable(MethodId M, OptLevel L, bool Inlined) {
-    return costTable(hotData(M), L, Inlined);
-  }
+  /// built on first use with arithmetic bit-identical to the pre-table
+  /// interpreter. Frame entry reads it, and so does the OSR frame mapper,
+  /// which must retarget a frame's cached Cost pointer when it swaps the
+  /// variant; the table contents are a pure function of the inputs, so
+  /// handing them out cannot perturb execution.
+  const uint32_t *frameCostTable(MethodId M, OptLevel L, bool Inlined);
 
   /// Cross-checks the VM-level cache/dispatch invariants (see
   /// support/Audit.h): no live frame executes evicted code, and every
-  /// frame's cached body pointer matches its method's hot data. Throws
+  /// frame's cached body pointer is its method's body. Throws
   /// audit::AuditError on violation; no-op unless auditing is enabled.
   /// The code manager calls this after installs and evictions (through
   /// the delegate); the OSR manager after transfers.
@@ -278,23 +267,16 @@ private:
   void enterPhysicalFrame(ThreadState &T, MethodId Callee,
                           const CodeVariant *Variant);
   void enterInlinedFrame(ThreadState &T, const InlineCase &Case);
-  /// Pushes a frame for \p Callee whose NumArgSlots arguments are the top
-  /// of the current operand stack (they become the callee's first locals
-  /// in place — no copy). Enforces Model.MaxFrameDepth.
+  /// Pushes a frame for \p Callee whose numArgSlots() arguments are the
+  /// top of the current operand stack (they become the callee's first
+  /// locals in place — no copy). Enforces Model.MaxFrameDepth.
   void pushFrame(ThreadState &T, MethodId Callee, const CodeVariant *Variant,
                  const InlineNode *Plan, bool Inlined);
-  /// Lazily-built hot data for \p M (see MethodHotData).
-  MethodHotData &hotData(MethodId M);
-  /// The per-PC charge table for (\p L, \p Inlined), building it on first
-  /// use with arithmetic bit-identical to the pre-table interpreter.
-  const uint32_t *costTable(MethodHotData &H, OptLevel L, bool Inlined);
-  /// The first-use builds behind hotData() and costTable(), kept out of
-  /// line so every frame push after the first runs only the two tests.
-  [[gnu::cold, gnu::noinline]] void buildHotData(MethodId M,
-                                                 MethodHotData &Hot);
+  /// The first-use build behind frameCostTable(), kept out of line so
+  /// every frame push after the first runs only its null test.
   [[gnu::cold, gnu::noinline]] void
-  buildCostTable(std::unique_ptr<uint32_t[]> &Table, const MethodHotData &H,
-                 OptLevel L, bool Inlined);
+  buildCostTable(std::unique_ptr<uint32_t[]> &Table, MethodId M, OptLevel L,
+                 bool Inlined);
   [[noreturn]] void throwRecursionLimit(const ThreadState &T,
                                         MethodId Callee) const;
   void charge(uint64_t Cycles) {

@@ -93,9 +93,10 @@ void buildChurn(ScenarioContext &Cx, unsigned Churn) {
   const ClassId K = B.addClass("ScnChurn");
   std::vector<MethodId> Rotation;
   for (unsigned J = 0; J != Churn; ++J) {
-    const MethodId M =
-        B.declareMethod(K, "c" + std::to_string(J), MethodKind::Static,
-                        /*NumParams=*/1, /*ReturnsValue=*/true);
+    std::string Name = "c";
+    Name += std::to_string(J);
+    const MethodId M = B.declareMethod(K, Name, MethodKind::Static,
+                                       /*NumParams=*/1, /*ReturnsValue=*/true);
     CodeEmitter E = B.code(M);
     // Vary body size across the rotation so eviction ordering is not
     // degenerate (uniform sizes would make every victim equivalent).

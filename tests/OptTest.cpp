@@ -400,9 +400,11 @@ TEST(CompilerTest, DepthLimitStopsNestedInlining) {
   ClassId C = B.addClass("C");
   std::vector<MethodId> Chain;
   const unsigned Depth = 12;
-  for (unsigned I = 0; I != Depth; ++I)
-    Chain.push_back(B.declareMethod(C, "f" + std::to_string(I),
-                                    MethodKind::Static, 0, true));
+  for (unsigned I = 0; I != Depth; ++I) {
+    std::string Name = "f";
+    Name += std::to_string(I);
+    Chain.push_back(B.declareMethod(C, Name, MethodKind::Static, 0, true));
+  }
   for (unsigned I = 0; I != Depth; ++I) {
     CodeEmitter E = B.code(Chain[I]);
     if (I + 1 != Depth)

@@ -9,12 +9,16 @@
 // the contract that those differentials stay real. A failure here means
 // a policy/cost-model change erased (or flipped) a known differential —
 // which may be intentional, in which case regenerate the corpus with
-// the `aoci fuzz` invocation documented in EXPERIMENTS.md.
+// the `aoci fuzz` invocation documented in EXPERIMENTS.md. It also
+// checks that every scenario program the fuzzer can reach verifies.
 //
 //===----------------------------------------------------------------------===//
 
+#include "bytecode/Verifier.h"
 #include "harness/Fuzzer.h"
+#include "workload/scenario/ScenarioMutator.h"
 #include "workload/scenario/ScenarioSpec.h"
+#include "workload/scenario/ScenarioWorkload.h"
 
 #include <gtest/gtest.h>
 
@@ -97,5 +101,34 @@ TEST(ScenarioReplayTest, EveryReproducerStillReproduces) {
         << "%, replayed " << Delta << "%";
     EXPECT_EQ(replayScenario(E.Spec), Delta)
         << "replay must be deterministic";
+  }
+}
+
+TEST(ScenarioReplayTest, EveryScenarioProgramVerifies) {
+  // Release builds run no verifier, and the interpreter sizes each frame
+  // by the verifier's operand-stack bound, so every program a scenario
+  // compiles to must verify: the built-ins, the reproducers, and chains
+  // of mutants from each of them, as the fuzzer walks them.
+  std::vector<ScenarioSpec> Specs = builtinScenarios();
+  for (CorpusEntry &E : loadCorpus())
+    Specs.push_back(std::move(E.Spec));
+  ASSERT_GE(Specs.size(), 12u) << "four built-ins and eight reproducers";
+  const size_t Parents = Specs.size();
+  ScenarioMutator Mut(24);
+  for (size_t Parent = 0; Parent != Parents; ++Parent) {
+    ScenarioSpec S = Specs[Parent];
+    for (int Step = 0; Step != 20; ++Step) {
+      S = Mut.mutate(S);
+      Specs.push_back(S);
+    }
+  }
+  for (size_t I = 0; I != Specs.size(); ++I) {
+    WorkloadParams Params;
+    Params.Seed = I + 1; // also vary the procedural cold library
+    const Workload W = makeScenarioWorkload(Specs[I], Params);
+    for (const std::string &Error : verifyProgram(W.Prog))
+      ADD_FAILURE() << "spec " << I << " (" << Specs[I].Name
+                    << "): " << Error << "\n"
+                    << printScenario(Specs[I]);
   }
 }

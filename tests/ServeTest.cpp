@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <sstream>
 
 using namespace aoci;
@@ -422,5 +423,34 @@ TEST(ServeGoldenTest, ShareTraceJsonMatchesGolden) {
   exportServeTrace(OS, Serve);
   expectMatchesGolden(goldenPath("trace_share.golden"), OS.str(),
                       "either the share protocol or the JSON serialization "
+                      "changed");
+}
+
+// The serve CSV's bytes are pinned on a run whose share, eviction and
+// code-byte counters are nonzero and differ within a row, so giving one
+// counter another's column name changes the file.
+TEST(ServeGoldenTest, CsvMatchesGolden) {
+  ServeConfig Config;
+  Config.Tenants = {{"compress", 2}, {"jess", 2}};
+  Config.Params.Scale = 0.05;
+  // Both caches bounded. Without an OSR driver a live variant pins the
+  // shared evictions that reach it, so the pinned column counts too.
+  Config.Model.CodeCache.CapacityBytes = 8000;
+  Config.ShareCapacityBytes = 6000;
+  Config.Aos.Osr.Enabled = false;
+  const ServeResults Serve = runServe(Config, 1);
+  const std::string Csv = exportServeCsv(Serve);
+  EXPECT_TRUE(std::any_of(
+      Serve.Sessions.begin(), Serve.Sessions.end(),
+      [](const ServeSessionResult &S) {
+        const std::set<uint64_t> Values = {
+            S.ShareHits, S.SharePublishes, S.ShareCyclesSaved,
+            S.SharedEvictionsApplied, S.PinnedSharedEvicts,
+            S.SharedCodeBytes, S.PrivateCodeBytes, S.Evictions};
+        return Values.size() == 8 && !Values.contains(0);
+      }))
+      << "no row tells these columns apart:\n" << Csv;
+  expectMatchesGolden(goldenPath("serve_csv.golden"), Csv,
+                      "a serve counter, its column, or the share protocol "
                       "changed");
 }

@@ -189,10 +189,12 @@ Program randomProgram(uint64_t Seed, unsigned NumMethods) {
   // Declare first so call targets exist (only calls to higher ids are
   // emitted, keeping the call graph acyclic).
   std::vector<MethodId> Methods;
-  for (unsigned I = 0; I != NumMethods; ++I)
-    Methods.push_back(B.declareMethod(C, "f" + std::to_string(I),
-                                      MethodKind::Static,
+  for (unsigned I = 0; I != NumMethods; ++I) {
+    std::string Name = "f";
+    Name += std::to_string(I);
+    Methods.push_back(B.declareMethod(C, Name, MethodKind::Static,
                                       /*NumParams=*/1, true));
+  }
 
   for (unsigned I = 0; I != NumMethods; ++I) {
     CodeEmitter E = B.code(Methods[I]);

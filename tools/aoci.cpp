@@ -348,7 +348,9 @@ int usage() {
     for (const Flag &F : Flags) {
       if (!(F.Groups & C.Groups))
         continue;
-      const std::string Item = "[" + describe(F) + "]";
+      std::string Item = "[";
+      Item += describe(F);
+      Item += ']';
       if (Column == 0 || Column + 1 + Item.size() > 78) {
         Out += Column == 0 ? "     " : "\n     ";
         Column = 5;
