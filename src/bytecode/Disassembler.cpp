@@ -14,34 +14,25 @@ using namespace aoci;
 std::string aoci::disassembleInstruction(const Program &P,
                                          const Instruction &I) {
   std::string Out = opcodeName(I.Op);
-  switch (I.Op) {
-  case Opcode::IConst:
-  case Opcode::LoadLocal:
-  case Opcode::StoreLocal:
-  case Opcode::GetField:
-  case Opcode::PutField:
-  case Opcode::Goto:
-  case Opcode::IfZero:
-  case Opcode::IfNonZero:
-  case Opcode::IfNull:
-  case Opcode::IfNonNull:
-  case Opcode::Work:
+  switch (opcodeInfo(I.Op).Operand) {
+  case OperandKind::None:
+    break;
+  case OperandKind::Int:
+  case OperandKind::Local:
+  case OperandKind::Field:
+  case OperandKind::Target:
+  case OperandKind::Units:
     Out += formatString(" %lld", static_cast<long long>(I.Operand));
     break;
-  case Opcode::New:
-  case Opcode::InstanceOf:
-    Out += " " + P.klass(static_cast<ClassId>(I.Operand)).Name;
+  case OperandKind::Class:
+    Out += ' ';
+    Out += P.klass(static_cast<ClassId>(I.Operand)).Name;
     break;
-  case Opcode::InvokeStatic:
-  case Opcode::InvokeVirtual:
-  case Opcode::InvokeInterface:
-  case Opcode::InvokeSpecial:
+  case OperandKind::Method:
     Out += ' ';
     Out += P.qualifiedName(static_cast<MethodId>(I.Operand));
     if (I.ConstArgMask != 0)
       Out += formatString(" constargs=%#x", I.ConstArgMask);
-    break;
-  default:
     break;
   }
   return Out;

@@ -11,7 +11,7 @@
 /// to encode the behavioural signatures of the paper's benchmarks:
 /// arithmetic loops, object allocation, field traffic, arrays, conditional
 /// control flow, and all four invocation kinds (static, virtual, interface,
-/// special).
+/// special). Each opcode's facts are one row of Opcodes.def.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,81 +19,97 @@
 #define AOCI_BYTECODE_OPCODE_H
 
 #include <cstdint>
+#include <iterator>
 
 namespace aoci {
 
-/// Bytecode opcodes. Stack effects are documented per opcode; "A" refers
-/// to the instruction's immediate operand.
+/// Bytecode opcodes, one per row of Opcodes.def (which documents each
+/// one's semantics).
 enum class Opcode : uint8_t {
-  Nop,         ///< No effect.
-  IConst,      ///< push A.
-  ConstNull,   ///< push null reference.
-  LoadLocal,   ///< push locals[A].
-  StoreLocal,  ///< locals[A] = pop.
-  Dup,         ///< push top-of-stack again.
-  Pop,         ///< discard top-of-stack.
-  Swap,        ///< exchange the two top stack values.
-  IAdd,        ///< b = pop, a = pop, push a + b.
-  ISub,        ///< b = pop, a = pop, push a - b.
-  IMul,        ///< b = pop, a = pop, push a * b.
-  IDiv,        ///< b = pop, a = pop, push a / b (0 if b == 0).
-  IRem,        ///< b = pop, a = pop, push a % b (0 if b == 0).
-  IAnd,        ///< b = pop, a = pop, push a & b.
-  IOr,         ///< b = pop, a = pop, push a | b.
-  IXor,        ///< b = pop, a = pop, push a ^ b.
-  IShl,        ///< b = pop, a = pop, push a << (b & 63).
-  IShr,        ///< b = pop, a = pop, push a >> (b & 63).
-  INeg,        ///< a = pop, push -a.
-  ICmpEq,      ///< b = pop, a = pop, push a == b ? 1 : 0.
-  ICmpNe,      ///< Likewise for !=.
-  ICmpLt,      ///< Likewise for <.
-  ICmpLe,      ///< Likewise for <=.
-  ICmpGt,      ///< Likewise for >.
-  ICmpGe,      ///< Likewise for >=.
-  Goto,        ///< pc = A.
-  IfZero,      ///< a = pop, if a == 0 then pc = A.
-  IfNonZero,   ///< a = pop, if a != 0 then pc = A.
-  IfNull,      ///< r = pop, if r is null then pc = A.
-  IfNonNull,   ///< r = pop, if r is non-null then pc = A.
-  New,         ///< push new instance of class A.
-  GetField,    ///< r = pop, push r.fields[A].
-  PutField,    ///< v = pop, r = pop, r.fields[A] = v.
-  NewArray,    ///< n = pop, push new array of length n (elements null/0).
-  ArrayLoad,   ///< i = pop, r = pop, push r[i].
-  ArrayStore,  ///< v = pop, i = pop, r = pop, r[i] = v.
-  ArrayLength, ///< r = pop, push length(r).
-  InstanceOf,  ///< r = pop, push (r non-null && class(r) <: A) ? 1 : 0.
-  Work,        ///< Pure computation consuming A abstract work units.
-  InvokeStatic,    ///< Call static method A; pops its arguments.
-  InvokeVirtual,   ///< Call virtual method A; pops arguments then receiver.
-  InvokeInterface, ///< Interface dispatch to method A; same stack effect.
-  InvokeSpecial,   ///< Non-virtual instance call to A (ctors, private).
-  Return,      ///< Return void from the current method.
-  ValueReturn, ///< v = pop, return v.
+#define OPCODE(Name, Mnemonic, Pops, Pushes, Weight, Operand) Name,
+#include "bytecode/Opcodes.def"
 };
 
-/// Number of distinct opcodes; kept in sync with the enum for table sizing.
-constexpr unsigned NumOpcodes = static_cast<unsigned>(Opcode::ValueReturn) + 1;
+/// What an instruction's immediate operand holds.
+enum class OperandKind : uint8_t {
+  None,   ///< No operand.
+  Int,    ///< An integer constant.
+  Local,  ///< A local-variable slot of the method.
+  Field,  ///< A field index of the receiver object.
+  Target, ///< A branch target pc; the opcode is a branch.
+  Class,  ///< A ClassId.
+  Units,  ///< A positive count of abstract work units.
+  Method, ///< A MethodId; the opcode is an invoke.
+};
+
+/// One row of Opcodes.def.
+struct OpcodeInfo {
+  Opcode Op;
+  const char *Mnemonic;
+  /// Operand-stack values consumed and produced (0 for invokes, whose
+  /// effect is the callee's argument slots and return value).
+  uint8_t Pops, Pushes;
+  /// Machine instructions the optimizing compiler emits; per unit for a
+  /// Units operand.
+  uint8_t Weight;
+  OperandKind Operand;
+};
+
+/// Opcodes.def's rows, indexed by Opcode.
+inline constexpr OpcodeInfo OpcodeTable[] = {
+#define OPCODE(Name, Mnemonic, Pops, Pushes, Weight, Operand)                  \
+  {Opcode::Name, Mnemonic, Pops, Pushes, Weight, OperandKind::Operand},
+#include "bytecode/Opcodes.def"
+};
+
+/// Number of distinct opcodes.
+constexpr unsigned NumOpcodes = std::size(OpcodeTable);
+
+static_assert(
+    [] {
+      for (unsigned I = 0; I != NumOpcodes; ++I)
+        if (OpcodeTable[I].Op != static_cast<Opcode>(I))
+          return false;
+      return true;
+    }(),
+    "OpcodeTable row i must describe Opcode i");
+
+/// Returns \p Op's row of Opcodes.def.
+constexpr const OpcodeInfo &opcodeInfo(Opcode Op) {
+  return OpcodeTable[static_cast<unsigned>(Op)];
+}
 
 /// Returns the mnemonic for \p Op (e.g. "invokevirtual").
-const char *opcodeName(Opcode Op);
+constexpr const char *opcodeName(Opcode Op) { return opcodeInfo(Op).Mnemonic; }
 
 /// Returns true for the four Invoke* opcodes.
-bool isInvoke(Opcode Op);
+constexpr bool isInvoke(Opcode Op) {
+  return opcodeInfo(Op).Operand == OperandKind::Method;
+}
 
 /// Returns true for opcodes that transfer control (Goto and conditional
 /// branches); invokes and returns are not included.
-bool isBranch(Opcode Op);
+constexpr bool isBranch(Opcode Op) {
+  return opcodeInfo(Op).Operand == OperandKind::Target;
+}
 
 /// Returns true for Return and ValueReturn.
-bool isReturn(Opcode Op);
+constexpr bool isReturn(Opcode Op) {
+  return Op == Opcode::Return || Op == Opcode::ValueReturn;
+}
 
 /// Estimated number of machine instructions the optimizing compiler would
 /// emit for \p Op. This drives the paper's size classification of methods
 /// (tiny/small/medium/large are defined as multiples of the size of a call,
 /// Section 3.1) and the bytes-of-machine-code accounting behind Figure 5.
-/// \p Operand is consulted for Work, whose cost scales with its immediate.
-unsigned machineWeight(Opcode Op, int64_t Operand);
+/// Work models straight-line compute kernels, so its footprint scales with
+/// its immediate \p Operand (at least one unit).
+constexpr unsigned machineWeight(Opcode Op, int64_t Operand) {
+  const OpcodeInfo &Info = opcodeInfo(Op);
+  if (Info.Operand != OperandKind::Units)
+    return Info.Weight;
+  return (Operand < 1 ? 1u : static_cast<unsigned>(Operand)) * Info.Weight;
+}
 
 } // namespace aoci
 

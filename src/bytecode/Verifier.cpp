@@ -13,79 +13,6 @@
 
 using namespace aoci;
 
-namespace {
-
-/// Per-opcode stack behaviour: how many values it pops and pushes.
-/// Invokes are handled separately since their effect depends on the callee.
-struct StackEffect {
-  unsigned Pops;
-  unsigned Pushes;
-};
-
-StackEffect stackEffect(Opcode Op) {
-  switch (Op) {
-  case Opcode::Nop:
-  case Opcode::Goto:
-  case Opcode::Work:
-  case Opcode::Return:
-    return {0, 0};
-  case Opcode::IConst:
-  case Opcode::ConstNull:
-  case Opcode::LoadLocal:
-  case Opcode::New:
-    return {0, 1};
-  case Opcode::StoreLocal:
-  case Opcode::Pop:
-  case Opcode::IfZero:
-  case Opcode::IfNonZero:
-  case Opcode::IfNull:
-  case Opcode::IfNonNull:
-  case Opcode::ValueReturn:
-    return {1, 0};
-  case Opcode::Dup:
-    return {1, 2};
-  case Opcode::Swap:
-    return {2, 2};
-  case Opcode::IAdd:
-  case Opcode::ISub:
-  case Opcode::IMul:
-  case Opcode::IDiv:
-  case Opcode::IRem:
-  case Opcode::IAnd:
-  case Opcode::IOr:
-  case Opcode::IXor:
-  case Opcode::IShl:
-  case Opcode::IShr:
-  case Opcode::ICmpEq:
-  case Opcode::ICmpNe:
-  case Opcode::ICmpLt:
-  case Opcode::ICmpLe:
-  case Opcode::ICmpGt:
-  case Opcode::ICmpGe:
-    return {2, 1};
-  case Opcode::INeg:
-  case Opcode::ArrayLength:
-  case Opcode::InstanceOf:
-  case Opcode::GetField:
-  case Opcode::NewArray:
-    return {1, 1};
-  case Opcode::PutField:
-    return {2, 0};
-  case Opcode::ArrayLoad:
-    return {2, 1};
-  case Opcode::ArrayStore:
-    return {3, 0};
-  case Opcode::InvokeStatic:
-  case Opcode::InvokeVirtual:
-  case Opcode::InvokeInterface:
-  case Opcode::InvokeSpecial:
-    return {0, 0}; // Computed from the callee signature.
-  }
-  return {0, 0};
-}
-
-} // namespace
-
 bool aoci::verifyMethod(const Program &P, const Method &M,
                         std::vector<std::string> &Errors) {
   const size_t Before = Errors.size();
@@ -113,24 +40,18 @@ bool aoci::verifyMethod(const Program &P, const Method &M,
       error(formatString("pc %u (%s): ", PC, opcodeName(I.Op)) + Msg);
     };
 
-    switch (I.Op) {
-    case Opcode::LoadLocal:
-    case Opcode::StoreLocal:
+    switch (opcodeInfo(I.Op).Operand) {
+    case OperandKind::Local:
       if (I.Operand < 0 || I.Operand >= M.NumLocals)
         instrError(formatString("local slot %lld out of range (%u locals)",
                                 static_cast<long long>(I.Operand),
                                 M.NumLocals));
       break;
-    case Opcode::Goto:
-    case Opcode::IfZero:
-    case Opcode::IfNonZero:
-    case Opcode::IfNull:
-    case Opcode::IfNonNull:
+    case OperandKind::Target:
       if (I.Operand < 0 || I.Operand >= Size)
         instrError("branch target out of range");
       break;
-    case Opcode::New:
-    case Opcode::InstanceOf: {
+    case OperandKind::Class:
       if (I.Operand < 0 || I.Operand >= P.numClasses()) {
         instrError("class id out of range");
         break;
@@ -139,15 +60,11 @@ bool aoci::verifyMethod(const Program &P, const Method &M,
           !P.klass(static_cast<ClassId>(I.Operand)).isInstantiable())
         instrError("new of a non-instantiable class");
       break;
-    }
-    case Opcode::Work:
+    case OperandKind::Units:
       if (I.Operand <= 0)
         instrError("work units must be positive");
       break;
-    case Opcode::InvokeStatic:
-    case Opcode::InvokeVirtual:
-    case Opcode::InvokeInterface:
-    case Opcode::InvokeSpecial: {
+    case OperandKind::Method: {
       if (I.Operand < 0 || I.Operand >= P.numMethods()) {
         instrError("method id out of range");
         break;
@@ -180,17 +97,15 @@ bool aoci::verifyMethod(const Program &P, const Method &M,
         instrError("const-arg mask names a nonexistent parameter");
       break;
     }
-    case Opcode::ValueReturn:
-      if (!M.ReturnsValue)
-        instrError("value return from a void method");
-      break;
-    case Opcode::Return:
-      if (M.ReturnsValue)
-        instrError("void return from a value-returning method");
-      break;
-    default:
+    case OperandKind::None:
+    case OperandKind::Int:
+    case OperandKind::Field:
       break;
     }
+    if (I.Op == Opcode::ValueReturn && !M.ReturnsValue)
+      instrError("value return from a void method");
+    if (I.Op == Opcode::Return && M.ReturnsValue)
+      instrError("void return from a value-returning method");
   }
   if (Errors.size() != Before)
     return false;
@@ -222,19 +137,18 @@ bool aoci::verifyMethod(const Program &P, const Method &M,
     const Instruction &I = M.Body[PC];
     int Depth = DepthAt[PC];
 
-    StackEffect Effect = stackEffect(I.Op);
+    unsigned Pops = opcodeInfo(I.Op).Pops, Pushes = opcodeInfo(I.Op).Pushes;
     if (isInvoke(I.Op)) {
       const Method &Callee = P.method(static_cast<MethodId>(I.Operand));
-      Effect.Pops = Callee.numArgSlots();
-      Effect.Pushes = Callee.ReturnsValue ? 1 : 0;
+      Pops = Callee.numArgSlots();
+      Pushes = Callee.ReturnsValue ? 1 : 0;
     }
-    if (Depth < static_cast<int>(Effect.Pops)) {
+    if (Depth < static_cast<int>(Pops)) {
       error(formatString("stack underflow at pc %u (%s): depth %d, needs %u",
-                         PC, opcodeName(I.Op), Depth, Effect.Pops));
+                         PC, opcodeName(I.Op), Depth, Pops));
       break;
     }
-    int NewDepth = Depth - static_cast<int>(Effect.Pops) +
-                   static_cast<int>(Effect.Pushes);
+    int NewDepth = Depth - static_cast<int>(Pops) + static_cast<int>(Pushes);
     if (NewDepth > static_cast<int>(MaxOperandStackDepth)) {
       error(formatString("operand stack deeper than %u at pc %u",
                          MaxOperandStackDepth, PC));

@@ -676,9 +676,9 @@ void section4Study(Studies &S) {
          LargeAt4 = 0;
   for (const TraceStatistics &T : Stats) {
     CalleeParamless += T.calleeParameterlessFraction();
-    ParamWithin5 += T.parameterlessWithin(5);
-    ClassWithin2 += T.classMethodWithin(2);
-    LargeAt4 += T.largeMethodAtOrBeyond(4);
+    ParamWithin5 += T.stopWithin(ChainStop::Parameterless, 5);
+    ClassWithin2 += T.stopWithin(ChainStop::ClassMethod, 2);
+    LargeAt4 += T.stopAtOrBeyond(ChainStop::Large, 4);
   }
   const double Percent = 100.0 / static_cast<double>(Stats.size());
   S.record("sec4.callee_paramless", CalleeParamless * Percent);

@@ -111,6 +111,13 @@ RunResult aoci::runExperiment(const RunConfig &Config) {
   return S.result();
 }
 
+std::string aoci::runTraceName(const RunConfig &Config) {
+  std::string Name = Config.WorkloadName + "/" + policyKindName(Config.Policy);
+  if (Config.Policy != PolicyKind::ContextInsensitive)
+    Name.append(".d").append(std::to_string(Config.MaxDepth));
+  return Name;
+}
+
 uint64_t aoci::deriveRunSeed(const RunConfig &Config, unsigned Trial) {
   // Trial 0 keeps the configured seed so a single-trial grid cell is
   // exactly the configured run.
@@ -314,15 +321,6 @@ RunMetrics makeMetrics(const PlannedRun &Run, const RunResult &Result,
   return M;
 }
 
-/// Display name of one grid run's trace stream ("workload/policy.dN").
-std::string runTraceName(const PlannedRun &Run) {
-  if (Run.IsBaseline)
-    return Run.Config.WorkloadName + "/cins";
-  return Run.Config.WorkloadName + "/" +
-         policyKindName(Run.Config.Policy) + ".d" +
-         std::to_string(Run.Config.MaxDepth);
-}
-
 /// Builds one enabled per-run sink per planned run (the lock-free
 /// discipline: a sink is only ever appended to by the worker executing
 /// its run). Empty when the grid is not tracing.
@@ -352,7 +350,7 @@ GridResults assembleGrid(std::vector<PlannedRun> &Plan,
       Results.addCell(std::move(Runs[I]));
     Results.addMetrics(std::move(Metrics[I]));
     if (!Sinks.empty())
-      Results.addTrace(std::move(Sinks[I]), runTraceName(Plan[I]));
+      Results.addTrace(std::move(Sinks[I]), runTraceName(Plan[I].Config));
   }
   return Results;
 }

@@ -193,6 +193,10 @@ private:
 /// Runs one experiment to completion.
 RunResult runExperiment(const RunConfig &Config);
 
+/// The run's name in traces: "<workload>/<policy>.d<depth>", without the
+/// depth for the context-insensitive policy (whose depth is always 1).
+std::string runTraceName(const RunConfig &Config);
+
 /// Derives the sampling-jitter seed for trial \p Trial of \p Config.
 /// The seed is a pure function of the run's configuration (workload,
 /// policy, depth, workload params, base jitter seed) and the trial

@@ -14,6 +14,19 @@
 
 using namespace aoci;
 
+namespace {
+
+/// Windows the steady tail is cut into for the wakeup-density check.
+constexpr unsigned TailWindows = 8;
+/// Allowed per-window deviation from the mean wakeup count, as a
+/// fraction of the mean (plus one absolute wakeup of slack).
+constexpr double DensitySlack = 1.0;
+/// The steady tail must be at least this fraction of the run, or the run
+/// never settled.
+constexpr double MinSteadyFraction = 0.10;
+
+} // namespace
+
 uint32_t aoci::steadyStateKindMask() {
   return traceKindBit(TraceEventKind::CompileRequest) |
          traceKindBit(TraceEventKind::CompileComplete) |
@@ -22,8 +35,7 @@ uint32_t aoci::steadyStateKindMask() {
 }
 
 SteadyStateResult aoci::detectSteadyState(const TraceSink &Sink,
-                                          uint64_t WallCycles,
-                                          const SteadyStateConfig &Config) {
+                                          uint64_t WallCycles) {
   SteadyStateResult R;
   if (!Sink.enabled() ||
       (Sink.kindMask() & steadyStateKindMask()) != steadyStateKindMask()) {
@@ -72,7 +84,7 @@ SteadyStateResult aoci::detectSteadyState(const TraceSink &Sink,
   }
   const uint64_t Tail = WallCycles - Split;
   if (static_cast<double>(Tail) <
-      Config.MinSteadyFraction * static_cast<double>(WallCycles)) {
+      MinSteadyFraction * static_cast<double>(WallCycles)) {
     R.Why = "steady tail too short";
     R.WarmupCycles = Split;
     return R;
@@ -82,25 +94,24 @@ SteadyStateResult aoci::detectSteadyState(const TraceSink &Sink,
   // method organizers tick on fixed simulated periods, so their counts
   // per equal-width window should be near-uniform. A run still adapting
   // (bursty listener traffic, phase churn) shows lumpy windows.
-  const unsigned NumWindows = std::max(1u, Config.TailWindows);
-  std::vector<uint64_t> PerWindow(NumWindows, 0);
+  std::vector<uint64_t> PerWindow(TailWindows, 0);
   for (const uint64_t C : Wakeups) {
     if (C < Split)
       continue;
     ++R.TailWakeups;
     const uint64_t Offset = C - Split;
     unsigned W = static_cast<unsigned>(
-        (static_cast<unsigned __int128>(Offset) * NumWindows) / Tail);
-    if (W >= NumWindows)
-      W = NumWindows - 1;
+        (static_cast<unsigned __int128>(Offset) * TailWindows) / Tail);
+    if (W >= TailWindows)
+      W = TailWindows - 1;
     ++PerWindow[W];
   }
-  if (R.TailWakeups >= 2ull * NumWindows) {
-    const double Mean = static_cast<double>(R.TailWakeups) / NumWindows;
+  if (R.TailWakeups >= 2ull * TailWindows) {
+    const double Mean = static_cast<double>(R.TailWakeups) / TailWindows;
     for (const uint64_t Count : PerWindow) {
       const double Dev =
           std::abs(static_cast<double>(Count) - Mean);
-      if (Dev > Config.DensitySlack * Mean + 1.0) {
+      if (Dev > DensitySlack * Mean + 1.0) {
         R.Why = "organizer wakeup density unstable";
         R.WarmupCycles = Split;
         return R;

@@ -32,28 +32,14 @@
 
 namespace aoci {
 
-/// Detector knobs. Defaults fit runs a few million cycles long (scale
-/// ~1); the detector degrades gracefully on shorter runs by reporting
-/// "not reached" rather than guessing.
-struct SteadyStateConfig {
-  /// Windows the steady tail is cut into for the wakeup-density check.
-  unsigned TailWindows = 8;
-  /// Allowed per-window deviation from the mean wakeup count, as a
-  /// fraction of the mean (plus one absolute wakeup of slack).
-  double DensitySlack = 1.0;
-  /// The steady tail must be at least this fraction of the run, or the
-  /// run never settled.
-  double MinSteadyFraction = 0.10;
-};
-
 /// The verdict for one run.
 struct SteadyStateResult {
   /// False when the sink lacked the kinds detection needs (see
   /// steadyStateKindMask()); every other field is then meaningless.
   bool Computed = false;
   /// True when the run settled: compilation went quiet with a steady
-  /// tail of at least MinSteadyFraction of the run and a stable
-  /// organizer-wakeup density.
+  /// tail of at least a tenth of the run and a stable organizer-wakeup
+  /// density.
   bool Reached = false;
   /// Cycles before the split point (the whole run when not reached).
   uint64_t WarmupCycles = 0;
@@ -75,10 +61,11 @@ struct SteadyStateResult {
 uint32_t steadyStateKindMask();
 
 /// Computes the verdict for a finished run traced into \p Sink, whose
-/// final VM clock was \p WallCycles.
+/// final VM clock was \p WallCycles. The thresholds fit runs a few
+/// million cycles long (scale ~1); on shorter runs detection reports
+/// "not reached" rather than guessing.
 SteadyStateResult detectSteadyState(const TraceSink &Sink,
-                                    uint64_t WallCycles,
-                                    const SteadyStateConfig &Config = {});
+                                    uint64_t WallCycles);
 
 /// Renders \p R as stable `key: value` lines (golden-test friendly).
 std::string formatSteadyState(const SteadyStateResult &R);

@@ -186,7 +186,7 @@ void OsrManager::remapGroupToBaseline(VirtualMachine &VM, ThreadState &T,
   Stats.DeoptFramesRemapped += NumFrames;
 }
 
-bool OsrManager::onEvictVariant(VirtualMachine &VM, const CodeVariant &V) {
+void OsrManager::onEvictVariant(VirtualMachine &VM, const CodeVariant &V) {
   for (const auto &TPtr : VM.threads()) {
     ThreadState &T = *TPtr;
     for (size_t I = 0; I < T.Frames.size();) {
@@ -225,7 +225,6 @@ bool OsrManager::onEvictVariant(VirtualMachine &VM, const CodeVariant &V) {
     }
   }
   VM.auditState("evict-deopt");
-  return true;
 }
 
 void OsrManager::onOsrFrameReturn(VirtualMachine &VM, ThreadState &T,

@@ -71,8 +71,8 @@ public:
   /// re-established on baseline frames so the variant can be reclaimed.
   /// Unlike backedge deopt there is no cost/benefit gate — the cache has
   /// already decided — but each group still pays DeoptFrameCycles per
-  /// frame. Returns true: no activation is left on \p V.
-  bool onEvictVariant(VirtualMachine &VM, const CodeVariant &V) override;
+  /// frame. No activation is left on \p V.
+  void onEvictVariant(VirtualMachine &VM, const CodeVariant &V) override;
 
 private:
   bool osrEnter(VirtualMachine &VM, ThreadState &T);

@@ -12,120 +12,143 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 using namespace aoci;
 
-ContextPolicy::~ContextPolicy() = default;
+namespace {
 
-unsigned ContextPolicy::traceDepth(const Program &P,
-                                   const std::vector<MethodId> &Chain,
-                                   BytecodeIndex InnermostSite) const {
-  assert(Chain.size() >= 2 && "a sample needs a callee and one caller");
-  const unsigned Available = static_cast<unsigned>(Chain.size()) - 1;
-  unsigned Cap = std::min(maxDepth(), Available);
+constexpr uint8_t stopBit(ChainStop S) {
+  return static_cast<uint8_t>(1u << static_cast<unsigned>(S));
+}
 
-  // Per-site depth limit (adaptive imprecision) applies on top of the cap.
-  Cap = std::min(
-      Cap, std::max(1u, depthLimit(P, Chain[1], InnermostSite, Chain[0])));
+/// One policy kind: everything that tells the kinds apart.
+struct PolicyRow {
+  PolicyKind Kind;
+  /// Figure-style name; the CLI's --policy value.
+  const char *Name;
+  /// The depth cap of every policy of this kind, whatever cap was
+  /// requested; 0 takes the requested cap.
+  unsigned FixedDepth;
+  /// stopBit() of each chain property the walk ends at.
+  uint8_t Stops;
+  /// Caps each sample at its innermost call site's ImprecisionTable depth.
+  bool SiteDepths;
+};
 
-  // Early-termination walk: first chain method the predicate stops at.
-  for (unsigned I = 0; I <= Cap && I < Chain.size(); ++I)
-    if (stopAt(P, Chain[I]))
-      return std::max(1u, std::min(I, Cap));
-  return Cap;
+constexpr uint8_t Param = stopBit(ChainStop::Parameterless);
+constexpr uint8_t Class = stopBit(ChainStop::ClassMethod);
+constexpr uint8_t Large = stopBit(ChainStop::Large);
+
+/// Every policy kind, in PolicyKind (figure) order.
+constexpr PolicyRow PolicyTable[] = {
+    // {Kind, Name, FixedDepth, Stops, SiteDepths}
+    {PolicyKind::ContextInsensitive,  "cins",        1, 0,             false},
+    {PolicyKind::Fixed,               "fixed",       0, 0,             false},
+    {PolicyKind::Parameterless,       "paramLess",   0, Param,         false},
+    {PolicyKind::ClassMethods,        "class",       0, Class,         false},
+    {PolicyKind::LargeMethods,        "large",       0, Large,         false},
+    {PolicyKind::HybridParamClass,    "hybrid1",     0, Param | Class, false},
+    {PolicyKind::HybridParamLarge,    "hybrid2",     0, Param | Large, false},
+    {PolicyKind::AdaptiveImprecision, "imprecision", 0, 0,             true},
+};
+
+static_assert(
+    [] {
+      for (unsigned I = 0; I != std::size(PolicyTable); ++I)
+        if (PolicyTable[I].Kind != static_cast<PolicyKind>(I))
+          return false;
+      return std::size(PolicyTable) ==
+             static_cast<unsigned>(PolicyKind::AdaptiveImprecision) + 1;
+    }(),
+    "PolicyTable row i must describe PolicyKind i");
+
+const PolicyRow &row(PolicyKind K) {
+  return PolicyTable[static_cast<unsigned>(K)];
+}
+
+/// True when method \p M has any of the chain properties in \p Stops.
+bool hasAnyStop(const Program &P, MethodId M, uint8_t Stops) {
+  for (unsigned S = 0; S != NumChainStops; ++S)
+    if ((Stops & stopBit(static_cast<ChainStop>(S))) &&
+        isChainStop(P, M, static_cast<ChainStop>(S)))
+      return true;
+  return false;
+}
+
+} // namespace
+
+bool aoci::isChainStop(const Program &P, MethodId M, ChainStop Stop) {
+  const Method &Meth = P.method(M);
+  switch (Stop) {
+  case ChainStop::Parameterless:
+    return Meth.isParameterless();
+  case ChainStop::ClassMethod:
+    return Meth.Kind == MethodKind::Static;
+  case ChainStop::Large:
+    return classifyMethod(Meth) == SizeClass::Large;
+  }
+  return false;
 }
 
 const std::vector<PolicyKind> &aoci::allPolicyKinds() {
-  static const std::vector<PolicyKind> Kinds = {
-      PolicyKind::ContextInsensitive, PolicyKind::Fixed,
-      PolicyKind::Parameterless,      PolicyKind::ClassMethods,
-      PolicyKind::LargeMethods,       PolicyKind::HybridParamClass,
-      PolicyKind::HybridParamLarge,   PolicyKind::AdaptiveImprecision};
+  static const std::vector<PolicyKind> Kinds = [] {
+    std::vector<PolicyKind> All;
+    for (const PolicyRow &R : PolicyTable)
+      All.push_back(R.Kind);
+    return All;
+  }();
   return Kinds;
 }
 
-const char *aoci::policyKindName(PolicyKind K) {
-  switch (K) {
-  case PolicyKind::ContextInsensitive:
-    return "cins";
-  case PolicyKind::Fixed:
-    return "fixed";
-  case PolicyKind::Parameterless:
-    return "paramLess";
-  case PolicyKind::ClassMethods:
-    return "class";
-  case PolicyKind::LargeMethods:
-    return "large";
-  case PolicyKind::HybridParamClass:
-    return "hybrid1";
-  case PolicyKind::HybridParamLarge:
-    return "hybrid2";
-  case PolicyKind::AdaptiveImprecision:
-    return "imprecision";
-  }
-  return "<invalid>";
-}
+const char *aoci::policyKindName(PolicyKind K) { return row(K).Name; }
 
 bool aoci::parsePolicyKind(const std::string &Name, PolicyKind &K) {
-  for (PolicyKind Candidate : allPolicyKinds())
-    if (Name == policyKindName(Candidate)) {
-      K = Candidate;
+  for (const PolicyRow &R : PolicyTable)
+    if (Name == R.Name) {
+      K = R.Kind;
       return true;
     }
   return false;
 }
 
-std::string FixedPolicy::name() const {
-  return formatString("fixed(max=%u)", maxDepth());
+ContextPolicy::ContextPolicy(PolicyKind Kind, unsigned MaxDepth)
+    : Kind(Kind), MaxDepth(row(Kind).FixedDepth ? row(Kind).FixedDepth
+                                                : std::max(1u, MaxDepth)) {}
+
+std::string ContextPolicy::name() const {
+  const PolicyRow &R = row(Kind);
+  if (R.FixedDepth)
+    return R.Name;
+  return formatString("%s(max=%u)", R.Name, MaxDepth);
 }
 
-std::string ParameterlessPolicy::name() const {
-  return formatString("paramLess(max=%u)", maxDepth());
+ImprecisionTable *ContextPolicy::imprecisionTable() {
+  return row(Kind).SiteDepths ? &Table : nullptr;
 }
 
-bool ParameterlessPolicy::stopAt(const Program &P,
-                                 MethodId ChainMethod) const {
-  return P.method(ChainMethod).isParameterless();
-}
+unsigned ContextPolicy::traceDepth(const Program &P,
+                                   const std::vector<MethodId> &Chain,
+                                   BytecodeIndex InnermostSite) const {
+  assert(Chain.size() >= 2 && "a sample needs a callee and one caller");
+  const PolicyRow &R = row(Kind);
+  const unsigned Available = static_cast<unsigned>(Chain.size()) - 1;
+  unsigned Cap = std::min(MaxDepth, Available);
 
-std::string ClassMethodsPolicy::name() const {
-  return formatString("class(max=%u)", maxDepth());
-}
+  // Per-site depth limit (adaptive imprecision) applies on top of the cap.
+  if (R.SiteDepths)
+    Cap = std::min(Cap,
+                   std::max(1u, Table.depthFor(Chain[1], InnermostSite)));
 
-bool ClassMethodsPolicy::stopAt(const Program &P, MethodId ChainMethod) const {
-  return P.method(ChainMethod).Kind == MethodKind::Static;
-}
-
-std::string LargeMethodsPolicy::name() const {
-  return formatString("large(max=%u)", maxDepth());
-}
-
-bool LargeMethodsPolicy::stopAt(const Program &P, MethodId ChainMethod) const {
-  return classifyMethod(P.method(ChainMethod)) == SizeClass::Large;
-}
-
-std::string HybridParamClassPolicy::name() const {
-  return formatString("hybrid1(max=%u)", maxDepth());
-}
-
-bool HybridParamClassPolicy::stopAt(const Program &P,
-                                    MethodId ChainMethod) const {
-  const Method &M = P.method(ChainMethod);
-  return M.isParameterless() || M.Kind == MethodKind::Static;
-}
-
-std::string HybridParamLargePolicy::name() const {
-  return formatString("hybrid2(max=%u)", maxDepth());
-}
-
-bool HybridParamLargePolicy::stopAt(const Program &P,
-                                    MethodId ChainMethod) const {
-  const Method &M = P.method(ChainMethod);
-  return M.isParameterless() || classifyMethod(M) == SizeClass::Large;
+  // Early-termination walk: the first chain method with a stop property.
+  for (unsigned I = 0; R.Stops != 0 && I <= Cap && I < Chain.size(); ++I)
+    if (hasAnyStop(P, Chain[I], R.Stops))
+      return std::max(1u, std::min(I, Cap));
+  return Cap;
 }
 
 //===----------------------------------------------------------------------===//
-// ImprecisionTable / AdaptiveImprecisionPolicy
+// ImprecisionTable
 //===----------------------------------------------------------------------===//
 
 unsigned ImprecisionTable::depthFor(MethodId Caller,
@@ -175,39 +198,7 @@ bool ImprecisionTable::isResolved(MethodId Caller, BytecodeIndex Site) const {
   return It != Entries.end() && It->second.Resolved;
 }
 
-std::string AdaptiveImprecisionPolicy::name() const {
-  return formatString("imprecision(max=%u)", maxDepth());
-}
-
-unsigned AdaptiveImprecisionPolicy::depthLimit(const Program &P,
-                                               MethodId Caller,
-                                               BytecodeIndex Site,
-                                               MethodId Callee) const {
-  (void)P;
-  (void)Callee;
-  return Table->depthFor(Caller, Site);
-}
-
 std::unique_ptr<ContextPolicy> aoci::makePolicy(PolicyKind K,
                                                 unsigned MaxDepth) {
-  switch (K) {
-  case PolicyKind::ContextInsensitive:
-    return std::make_unique<ContextInsensitivePolicy>();
-  case PolicyKind::Fixed:
-    return std::make_unique<FixedPolicy>(MaxDepth);
-  case PolicyKind::Parameterless:
-    return std::make_unique<ParameterlessPolicy>(MaxDepth);
-  case PolicyKind::ClassMethods:
-    return std::make_unique<ClassMethodsPolicy>(MaxDepth);
-  case PolicyKind::LargeMethods:
-    return std::make_unique<LargeMethodsPolicy>(MaxDepth);
-  case PolicyKind::HybridParamClass:
-    return std::make_unique<HybridParamClassPolicy>(MaxDepth);
-  case PolicyKind::HybridParamLarge:
-    return std::make_unique<HybridParamLargePolicy>(MaxDepth);
-  case PolicyKind::AdaptiveImprecision:
-    return std::make_unique<AdaptiveImprecisionPolicy>(
-        MaxDepth, std::make_shared<ImprecisionTable>());
-  }
-  return nullptr;
+  return std::make_unique<ContextPolicy>(K, MaxDepth);
 }

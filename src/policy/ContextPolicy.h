@@ -11,21 +11,25 @@
 /// records a sample:
 ///
 ///  - a hard maximum depth (Section 4.2's fixed-level sensitivity), and
-///  - an early-termination predicate evaluated on the chain of methods
-///    [callee, caller1, caller2, ...] as the walk proceeds (Section 4.3's
-///    adaptive policies), and
+///  - the chain properties (ChainStop) where the walk ends early, tested
+///    on the chain of methods [callee, caller1, caller2, ...] as the walk
+///    proceeds (Section 4.3's adaptive policies), and
 ///  - an optional per-call-site depth limit (the "adaptively resolving
 ///    imprecisions" policy, which the paper describes but did not
 ///    implement; we implement it as the extension deliverable).
 ///
+/// Each policy kind is one row of the table in ContextPolicy.cpp: its
+/// figure-style name, fixed depth, stop properties and per-site limit.
+///
 /// Trace-depth convention: with the chain indexed callee = chain[0],
 /// caller_i = chain[i], the recorded trace has depth
 ///   d = min(maxDepth, max(1, i*)),
-/// where i* is the index of the first chain method the predicate stops
-/// at (d = maxDepth when nothing stops). Rationale: if chain[i] receives
-/// no state from above (parameterless / static) or can never be inlined
-/// upward (large), callers beyond it cannot influence behaviour at the
-/// sampled call, so pairs above (caller_i, site_i) carry no information.
+/// where i* is the index of the first chain method with one of the
+/// policy's stop properties (d = maxDepth when nothing stops). Rationale:
+/// if chain[i] receives no state from above (parameterless / static) or
+/// can never be inlined upward (large), callers beyond it cannot
+/// influence behaviour at the sampled call, so pairs above (caller_i,
+/// site_i) carry no information.
 /// A depth-1 trace is always recorded — inlining needs at least the
 /// direct (caller, callsite, callee) edge.
 ///
@@ -43,63 +47,23 @@
 
 namespace aoci {
 
-/// Abstract context-sensitivity policy.
-class ContextPolicy {
-public:
-  explicit ContextPolicy(unsigned MaxDepth) : MaxDepth(MaxDepth ? MaxDepth : 1) {}
-  virtual ~ContextPolicy();
-
-  /// Short figure-style name, e.g. "cins", "fixed", "paramLess".
-  virtual std::string name() const = 0;
-
-  /// Hard cap on trace depth (number of (caller, callsite) pairs).
-  unsigned maxDepth() const { return MaxDepth; }
-
-  /// Early-termination predicate: true to end the trace at \p ChainMethod
-  /// (see the depth convention in the file comment). The default policy
-  /// never terminates early.
-  virtual bool stopAt(const Program &P, MethodId ChainMethod) const {
-    (void)P;
-    (void)ChainMethod;
-    return false;
-  }
-
-  /// Per-call-site depth limit, consulted with the innermost pair of the
-  /// sample. Defaults to maxDepth(); the adaptive-imprecision policy
-  /// overrides it.
-  virtual unsigned depthLimit(const Program &P, MethodId Caller,
-                              BytecodeIndex Site, MethodId Callee) const {
-    (void)P;
-    (void)Caller;
-    (void)Site;
-    (void)Callee;
-    return MaxDepth;
-  }
-
-  /// Returns the policy's mutable imprecision table when it adapts
-  /// per-site depths online (AdaptiveImprecisionPolicy); null otherwise.
-  /// This is the hook the dynamic call graph organizer uses to raise the
-  /// context depth of unskewed polymorphic sites (no RTTI, per the LLVM
-  /// coding rules).
-  virtual class ImprecisionTable *imprecisionTable() { return nullptr; }
-
-  /// Computes the trace depth for a sampled chain according to this
-  /// policy. \p Chain holds [callee, caller1, caller2, ...]; its length is
-  /// the number of available methods (>= 2 for a valid sample), and
-  /// \p InnermostSite is the call-site index within caller1 (used by the
-  /// per-site depth limit). The result is in
-  /// [1, min(maxDepth, Chain.size() - 1)].
-  unsigned traceDepth(const Program &P, const std::vector<MethodId> &Chain,
-                      BytecodeIndex InnermostSite) const;
-
-private:
-  unsigned MaxDepth;
+/// A chain property where Section 4.3's adaptive policies end the trace
+/// walk, and whose first position in sampled chains Section 4 measures
+/// (TraceStatistics).
+enum class ChainStop : uint8_t {
+  Parameterless, ///< Declares no parameters (the receiver does not count).
+  ClassMethod,   ///< A class (static) method: it receives no receiver.
+  Large,         ///< Large (>= 25x a call): never inlined into a caller.
 };
+constexpr unsigned NumChainStops = 3;
+
+/// True when method \p M of \p P has property \p Stop.
+bool isChainStop(const Program &P, MethodId M, ChainStop Stop);
 
 /// The policies evaluated in Section 5, plus the unimplemented-in-paper
-/// imprecision policy.
+/// imprecision policy, in the order the paper's figures present them.
 enum class PolicyKind : uint8_t {
-  ContextInsensitive, ///< Jikes' existing depth-1 edge profiling ("cins").
+  ContextInsensitive, ///< Jikes' existing depth-1 edge profiling.
   Fixed,              ///< Section 4.2 fixed-level sensitivity.
   Parameterless,      ///< Section 4.3 "Parameterless Methods".
   ClassMethods,       ///< Section 4.3 "Class Methods" (static methods).
@@ -112,8 +76,7 @@ enum class PolicyKind : uint8_t {
 /// All policy kinds, in the order the paper's figures present them.
 const std::vector<PolicyKind> &allPolicyKinds();
 
-/// Figure-style short name ("cins", "fixed", "paramLess", "class",
-/// "large", "hybrid1", "hybrid2", "imprecision").
+/// Figure-style short name, e.g. "paramLess": the CLI's --policy value.
 const char *policyKindName(PolicyKind K);
 
 /// Parses a policyKindName() string. Returns false on unknown names.
@@ -121,73 +84,13 @@ const char *policyKindName(PolicyKind K);
 bool parsePolicyKind(const std::string &Name, PolicyKind &K);
 
 //===----------------------------------------------------------------------===//
-// Concrete policies
-//===----------------------------------------------------------------------===//
-
-/// Depth-1 edge profiling: the paper's baseline.
-class ContextInsensitivePolicy : public ContextPolicy {
-public:
-  ContextInsensitivePolicy() : ContextPolicy(1) {}
-  std::string name() const override { return "cins"; }
-};
-
-/// Fixed-level sensitivity of depth n.
-class FixedPolicy : public ContextPolicy {
-public:
-  explicit FixedPolicy(unsigned MaxDepth) : ContextPolicy(MaxDepth) {}
-  std::string name() const override;
-};
-
-/// Ends the trace at the first parameterless method in the chain.
-class ParameterlessPolicy : public ContextPolicy {
-public:
-  explicit ParameterlessPolicy(unsigned MaxDepth) : ContextPolicy(MaxDepth) {}
-  std::string name() const override;
-  bool stopAt(const Program &P, MethodId ChainMethod) const override;
-};
-
-/// Ends the trace at the first class (static) method in the chain.
-class ClassMethodsPolicy : public ContextPolicy {
-public:
-  explicit ClassMethodsPolicy(unsigned MaxDepth) : ContextPolicy(MaxDepth) {}
-  std::string name() const override;
-  bool stopAt(const Program &P, MethodId ChainMethod) const override;
-};
-
-/// Ends the trace at the first large (never-inlinable) method.
-class LargeMethodsPolicy : public ContextPolicy {
-public:
-  explicit LargeMethodsPolicy(unsigned MaxDepth) : ContextPolicy(MaxDepth) {}
-  std::string name() const override;
-  bool stopAt(const Program &P, MethodId ChainMethod) const override;
-};
-
-/// Hybrid 1: Parameterless OR Class Methods.
-class HybridParamClassPolicy : public ContextPolicy {
-public:
-  explicit HybridParamClassPolicy(unsigned MaxDepth)
-      : ContextPolicy(MaxDepth) {}
-  std::string name() const override;
-  bool stopAt(const Program &P, MethodId ChainMethod) const override;
-};
-
-/// Hybrid 2: Parameterless OR Large Methods.
-class HybridParamLargePolicy : public ContextPolicy {
-public:
-  explicit HybridParamLargePolicy(unsigned MaxDepth)
-      : ContextPolicy(MaxDepth) {}
-  std::string name() const override;
-  bool stopAt(const Program &P, MethodId ChainMethod) const override;
-};
-
-//===----------------------------------------------------------------------===//
 // Adaptive imprecision resolution (the paper's proposed-but-unimplemented
 // final policy, Section 4.3)
 //===----------------------------------------------------------------------===//
 
-/// Shared mutable table of per-call-site depth requests. Starts every
-/// site at depth 1 (context-insensitive); the dynamic call graph organizer
-/// raises the depth of polymorphic sites whose receiver distribution stays
+/// Mutable table of per-call-site depth requests. Starts every site at
+/// depth 1 (context-insensitive); the dynamic call graph organizer raises
+/// the depth of polymorphic sites whose receiver distribution stays
 /// unskewed, until either the imprecision resolves or the site is declared
 /// inherently too polymorphic and abandoned.
 class ImprecisionTable {
@@ -226,28 +129,47 @@ private:
   std::unordered_map<uint64_t, Entry> Entries;
 };
 
-/// The adaptive-imprecision policy: per-site depth limits from a shared
-/// ImprecisionTable, no early-termination predicate.
-class AdaptiveImprecisionPolicy : public ContextPolicy {
-public:
-  AdaptiveImprecisionPolicy(unsigned MaxDepth,
-                            std::shared_ptr<ImprecisionTable> Table)
-      : ContextPolicy(MaxDepth), Table(std::move(Table)) {}
-  std::string name() const override;
-  unsigned depthLimit(const Program &P, MethodId Caller, BytecodeIndex Site,
-                      MethodId Callee) const override;
-  ImprecisionTable *imprecisionTable() override { return Table.get(); }
+//===----------------------------------------------------------------------===//
+// ContextPolicy
+//===----------------------------------------------------------------------===//
 
-  ImprecisionTable &table() { return *Table; }
-  const ImprecisionTable &table() const { return *Table; }
+/// A context-sensitivity policy: one policy kind's row of the policy
+/// table, with a depth cap.
+class ContextPolicy {
+public:
+  /// A policy of kind \p Kind whose traces are at most \p MaxDepth pairs
+  /// deep (at least 1; the context-insensitive kind is always 1).
+  ContextPolicy(PolicyKind Kind, unsigned MaxDepth);
+
+  /// The figure-style name with the depth cap, e.g. "fixed(max=4)"; the
+  /// bare name for a kind whose depth is fixed.
+  std::string name() const;
+
+  /// Hard cap on trace depth (number of (caller, callsite) pairs).
+  unsigned maxDepth() const { return MaxDepth; }
+
+  /// The per-site depth table the dynamic call graph organizer raises
+  /// for unskewed polymorphic sites; null unless the policy adapts
+  /// per-site depths online (the imprecision kind).
+  ImprecisionTable *imprecisionTable();
+
+  /// Computes the trace depth for a sampled chain according to this
+  /// policy. \p Chain holds [callee, caller1, caller2, ...]; its length is
+  /// the number of available methods (>= 2 for a valid sample), and
+  /// \p InnermostSite is the call-site index within caller1 (used by the
+  /// per-site depth limit). The result is in
+  /// [1, min(maxDepth, Chain.size() - 1)].
+  unsigned traceDepth(const Program &P, const std::vector<MethodId> &Chain,
+                      BytecodeIndex InnermostSite) const;
 
 private:
-  std::shared_ptr<ImprecisionTable> Table;
+  PolicyKind Kind;
+  unsigned MaxDepth;
+  /// Consulted only by a kind with per-site depths.
+  ImprecisionTable Table;
 };
 
-/// Constructs a policy of kind \p K with depth cap \p MaxDepth. For
-/// AdaptiveImprecision a fresh ImprecisionTable is created (retrieve it by
-/// downcasting — the factory is used by the harness which knows the kind).
+/// Constructs a policy of kind \p K with depth cap \p MaxDepth.
 std::unique_ptr<ContextPolicy> makePolicy(PolicyKind K, unsigned MaxDepth);
 
 } // namespace aoci

@@ -7,48 +7,19 @@
 
 #include "profile/TraceStatistics.h"
 
-#include "bytecode/SizeClass.h"
-
 using namespace aoci;
 
 void TraceStatistics::record(const Program &P,
                              const std::vector<MethodId> &Chain,
                              unsigned RecordedDepthValue) {
-  ++Samples;
   RecordedDepth.add(RecordedDepthValue);
-
-  bool SeenParamless = false, SeenClass = false, SeenLarge = false;
-  for (size_t I = 0; I != Chain.size(); ++I) {
-    const Method &M = P.method(Chain[I]);
-    if (!SeenParamless && M.isParameterless()) {
-      SeenParamless = true;
-      FirstParameterless.add(I);
-      if (I == 0)
-        ++CalleeParameterless;
-    }
-    if (!SeenClass && M.Kind == MethodKind::Static) {
-      SeenClass = true;
-      FirstClassMethod.add(I);
-    }
-    if (!SeenLarge && classifyMethod(M) == SizeClass::Large) {
-      SeenLarge = true;
-      FirstLarge.add(I);
-    }
+  for (unsigned S = 0; S != NumChainStops; ++S) {
+    size_t First = 0;
+    while (First != Chain.size() &&
+           !isChainStop(P, Chain[First], static_cast<ChainStop>(S)))
+      ++First;
+    FirstStop[S].add(First);
   }
-  // Overflow bucket: property never seen within the available chain.
-  if (!SeenParamless)
-    FirstParameterless.add(Chain.size());
-  if (!SeenClass)
-    FirstClassMethod.add(Chain.size());
-  if (!SeenLarge)
-    FirstLarge.add(Chain.size());
-}
-
-double TraceStatistics::calleeParameterlessFraction() const {
-  if (Samples == 0)
-    return 0;
-  return static_cast<double>(CalleeParameterless) /
-         static_cast<double>(Samples);
 }
 
 double TraceStatistics::meanRecordedDepth() const {
@@ -58,13 +29,4 @@ double TraceStatistics::meanRecordedDepth() const {
   for (size_t I = 0; I != RecordedDepth.numBuckets(); ++I)
     Sum += static_cast<double>(I) * static_cast<double>(RecordedDepth.count(I));
   return Sum / static_cast<double>(RecordedDepth.total());
-}
-
-void TraceStatistics::clear() {
-  Samples = 0;
-  CalleeParameterless = 0;
-  FirstParameterless.clear();
-  FirstClassMethod.clear();
-  FirstLarge.clear();
-  RecordedDepth.clear();
 }

@@ -9,20 +9,21 @@
 /// The instrumentation Section 4 describes: "we instrumented the trace
 /// listener to record the number of stack frames it traversed as it took
 /// each sample". For every prologue sample it records the chain position
-/// of the first parameterless method, the first class (static) method,
-/// and the first large method, plus the depth actually recorded. These
-/// distributions back the paper's claims (20% of callees immediately
-/// parameterless; 50-80% of traces hit a parameterless call within five
-/// levels; 50-80% hit a class method within two edges; ~half need four or
-/// more edges to reach a large method), which `aoci claims` checks as
-/// its `sec4.*` rows.
+/// of the first method with each ChainStop property (the first
+/// parameterless method, the first class (static) method, and the first
+/// large method; the same test the policies stop at), plus the depth
+/// actually recorded. These distributions back the paper's claims (20%
+/// of callees immediately parameterless; 50-80% of traces hit a
+/// parameterless call within five levels; 50-80% hit a class method
+/// within two edges; ~half need four or more edges to reach a large
+/// method), which `aoci claims` checks as its `sec4.*` rows.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef AOCI_PROFILE_TRACESTATISTICS_H
 #define AOCI_PROFILE_TRACESTATISTICS_H
 
-#include "bytecode/Program.h"
+#include "policy/ContextPolicy.h"
 #include "support/Histogram.h"
 
 #include <vector>
@@ -37,55 +38,42 @@ public:
   void record(const Program &P, const std::vector<MethodId> &Chain,
               unsigned RecordedDepth);
 
-  uint64_t numSamples() const { return Samples; }
+  uint64_t numSamples() const { return RecordedDepth.total(); }
 
   /// Fraction of samples whose callee (chain position 0) is
   /// parameterless — the paper reports ~20%.
-  double calleeParameterlessFraction() const;
-
-  /// Fraction of samples containing a parameterless method at chain
-  /// position <= \p Position. Position 5 corresponds to the paper's
-  /// "within five levels of call stack" (50-80%).
-  double parameterlessWithin(unsigned Position) const {
-    return FirstParameterless.cumulativeFractionAtOrBelow(Position);
+  double calleeParameterlessFraction() const {
+    return firstStop(ChainStop::Parameterless).fractionAt(0);
   }
 
-  /// Fraction of samples containing a class (static) method within
-  /// \p Position chain levels — the paper reports 50-80% within two.
-  double classMethodWithin(unsigned Position) const {
-    return FirstClassMethod.cumulativeFractionAtOrBelow(Position);
+  /// Fraction of samples with a \p Stop method at chain position <=
+  /// \p Position. The paper reports 50-80% within five levels for a
+  /// parameterless method, and 50-80% within two for a class method.
+  double stopWithin(ChainStop Stop, unsigned Position) const {
+    return firstStop(Stop).cumulativeFractionAtOrBelow(Position);
   }
 
-  /// Fraction of samples whose first large method appears at chain
-  /// position >= \p Position — the paper reports ~50% at four or more.
-  double largeMethodAtOrBeyond(unsigned Position) const {
-    if (FirstLarge.total() == 0)
+  /// Fraction of samples whose first \p Stop method is at chain position
+  /// >= \p Position (or absent) — the paper reports ~50% at four or more
+  /// for a large method.
+  double stopAtOrBeyond(ChainStop Stop, unsigned Position) const {
+    if (numSamples() == 0)
       return 0;
-    return Position == 0
-               ? 1.0
-               : 1.0 - FirstLarge.cumulativeFractionAtOrBelow(Position - 1);
+    return Position == 0 ? 1.0 : 1.0 - stopWithin(Stop, Position - 1);
   }
-
-  /// Distribution of recorded trace depths.
-  const Histogram &recordedDepths() const { return RecordedDepth; }
-  const Histogram &firstParameterless() const { return FirstParameterless; }
-  const Histogram &firstClassMethod() const { return FirstClassMethod; }
-  const Histogram &firstLarge() const { return FirstLarge; }
 
   /// Mean recorded depth.
   double meanRecordedDepth() const;
 
-  void clear();
-
 private:
-  uint64_t Samples = 0;
-  uint64_t CalleeParameterless = 0;
+  const Histogram &firstStop(ChainStop Stop) const {
+    return FirstStop[static_cast<unsigned>(Stop)];
+  }
+
   /// Chain index of the first method with each property; samples where no
   /// chain method has the property are recorded in the overflow bucket
   /// (index = chain length).
-  Histogram FirstParameterless;
-  Histogram FirstClassMethod;
-  Histogram FirstLarge;
+  Histogram FirstStop[NumChainStops];
   Histogram RecordedDepth;
 };
 

@@ -51,16 +51,13 @@ public:
                                 const Frame &Done) = 0;
 
   /// The bounded code cache wants to evict \p V, but some thread has a
-  /// live activation executing it. The driver may deoptimize every such
-  /// activation to baseline frames (reusing the deopt frame mapping) and
-  /// return true; returning false (the default) pins the variant — the
-  /// cache then picks a different victim. Only optimized variants are
-  /// offered: baseline code with live activations is always pinned.
-  virtual bool onEvictVariant(VirtualMachine &VM, const CodeVariant &V) {
-    (void)VM;
-    (void)V;
-    return false;
-  }
+  /// live activation executing it. The driver deoptimizes every such
+  /// activation to baseline frames (reusing the deopt frame mapping); the
+  /// VM then checks that no frame is left on \p V, and pins the variant
+  /// if one is — the cache then picks a different victim. Only optimized
+  /// variants are offered: baseline code with live activations is always
+  /// pinned.
+  virtual void onEvictVariant(VirtualMachine &VM, const CodeVariant &V) = 0;
 };
 
 } // namespace aoci

@@ -787,12 +787,11 @@ bool VirtualMachine::prepareEviction(const CodeVariant &V) {
   // driver is attached to do the transfer.
   if (V.Level == OptLevel::Baseline || Osr == nullptr)
     return false;
-  if (!Osr->onEvictVariant(*this, V))
-    return false;
+  Osr->onEvictVariant(*this, V);
 
-  // Trust but verify: the driver claims every activation was deoptimized
-  // out of the variant. A frame still on it means eviction would leave
-  // the interpreter running tombstoned code.
+  // Trust but verify: the driver deoptimizes every activation out of the
+  // variant. A frame still on it means eviction would leave the
+  // interpreter running tombstoned code.
   for (const auto &TPtr : Threads)
     for (const Frame &F : TPtr->Frames)
       if (F.Variant == &V)

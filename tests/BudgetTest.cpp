@@ -394,7 +394,7 @@ TEST(BudgetHarnessTest, DefaultConfigReproducesTheCycleFingerprint) {
   WorkloadParams Params;
   Workload W = makeWorkload("compress", Params);
   VirtualMachine VM(W.Prog, CostModel{});
-  FixedPolicy Policy(3);
+  ContextPolicy Policy(PolicyKind::Fixed, 3);
   AdaptiveSystem Aos(VM, Policy);
   Aos.attach();
   for (MethodId Entry : W.Entries)

@@ -10,9 +10,11 @@
 #include "bytecode/ProgramBuilder.h"
 #include "bytecode/SizeClass.h"
 #include "bytecode/Verifier.h"
+#include "vm/VirtualMachine.h"
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 #include <string>
 
@@ -85,6 +87,227 @@ TEST(OpcodeTest, WorkWeightScalesWithOperand) {
   EXPECT_EQ(machineWeight(Opcode::Work, 0), 1u);
   EXPECT_GT(machineWeight(Opcode::InvokeVirtual, 0),
             machineWeight(Opcode::InvokeStatic, 0) - 1);
+}
+
+namespace {
+
+/// One program per opcode: Main pushes what the opcode consumes, then
+/// executes it at pc At, then returns (a return discards what is left on
+/// the operand stack).
+struct OpcodeProgram {
+  Program P;
+  BytecodeIndex At = 0;
+  /// Allocation cycles the instruction charges beyond its cost-table
+  /// entry.
+  uint64_t AllocCycles = 0;
+};
+
+OpcodeProgram opcodeProgram(Opcode Op) {
+  ProgramBuilder B;
+  const ClassId Shape = B.addInterface("Shape");
+  const MethodId Area = B.declareAbstractMethod(
+      Shape, "area", MethodKind::Interface, 0, /*ReturnsValue=*/true);
+  const ClassId Obj = B.addClass("Obj", InvalidClassId, /*NumFields=*/2);
+  B.implement(Obj, Shape);
+  auto body = [&](MethodId M, auto Emit) {
+    CodeEmitter E = B.code(M);
+    Emit(E);
+    E.finish();
+  };
+  body(B.addOverride(Obj, Area),
+       [](CodeEmitter &E) { E.iconst(1).vreturn(); });
+  const MethodId Get =
+      B.declareMethod(Obj, "get", MethodKind::Virtual, 1, true);
+  body(Get, [](CodeEmitter &E) { E.load(1).vreturn(); });
+  const MethodId Init =
+      B.declareMethod(Obj, "init", MethodKind::Special, 0, false);
+  body(Init, [](CodeEmitter &E) { E.ret(); });
+  const MethodId Twice =
+      B.declareMethod(Obj, "twice", MethodKind::Static, 1, true);
+  body(Twice, [](CodeEmitter &E) { E.load(0).dup().iadd().vreturn(); });
+  const MethodId Main = B.declareMethod(Obj, "main", MethodKind::Static, 0,
+                                        Op == Opcode::ValueReturn);
+
+  OpcodeProgram Out;
+  const CostModel Model;
+  CodeEmitter E = B.code(Main);
+  const CodeEmitter::Label Next = E.newLabel();
+  // Marks the next instruction as the one under test.
+  auto test = [&]() -> CodeEmitter & {
+    Out.At = E.nextIndex();
+    return E;
+  };
+  switch (Op) {
+  case Opcode::Nop: test().nop(); break;
+  case Opcode::IConst: test().iconst(7); break;
+  case Opcode::ConstNull: test().constNull(); break;
+  case Opcode::LoadLocal: E.iconst(5).store(0); test().load(0); break;
+  case Opcode::StoreLocal: E.iconst(5); test().store(0); break;
+  case Opcode::Dup: E.iconst(1); test().dup(); break;
+  case Opcode::Pop: E.iconst(1); test().pop(); break;
+  case Opcode::Swap: E.iconst(1).iconst(2); test().swap(); break;
+  case Opcode::IAdd: E.iconst(6).iconst(3); test().iadd(); break;
+  case Opcode::ISub: E.iconst(6).iconst(3); test().isub(); break;
+  case Opcode::IMul: E.iconst(6).iconst(3); test().imul(); break;
+  case Opcode::IDiv: E.iconst(6).iconst(3); test().idiv(); break;
+  case Opcode::IRem: E.iconst(6).iconst(3); test().irem(); break;
+  case Opcode::IAnd: E.iconst(6).iconst(3); test().iand(); break;
+  case Opcode::IOr: E.iconst(6).iconst(3); test().ior(); break;
+  case Opcode::IXor: E.iconst(6).iconst(3); test().ixor(); break;
+  case Opcode::IShl: E.iconst(6).iconst(3); test().ishl(); break;
+  case Opcode::IShr: E.iconst(6).iconst(3); test().ishr(); break;
+  case Opcode::INeg: E.iconst(6); test().ineg(); break;
+  case Opcode::ICmpEq: E.iconst(6).iconst(3); test().icmpEq(); break;
+  case Opcode::ICmpNe: E.iconst(6).iconst(3); test().icmpNe(); break;
+  case Opcode::ICmpLt: E.iconst(6).iconst(3); test().icmpLt(); break;
+  case Opcode::ICmpLe: E.iconst(6).iconst(3); test().icmpLe(); break;
+  case Opcode::ICmpGt: E.iconst(6).iconst(3); test().icmpGt(); break;
+  case Opcode::ICmpGe: E.iconst(6).iconst(3); test().icmpGe(); break;
+  case Opcode::Goto: test().jump(Next); break;
+  case Opcode::IfZero: E.iconst(0); test().ifZero(Next); break;
+  case Opcode::IfNonZero: E.iconst(0); test().ifNonZero(Next); break;
+  case Opcode::IfNull: E.constNull(); test().ifNull(Next); break;
+  case Opcode::IfNonNull: E.constNull(); test().ifNonNull(Next); break;
+  case Opcode::New:
+    test().newObject(Obj);
+    Out.AllocCycles = Model.AllocBase + Model.AllocPerSlot * 2;
+    break;
+  case Opcode::GetField: E.newObject(Obj); test().getField(1); break;
+  case Opcode::PutField:
+    E.newObject(Obj).iconst(4);
+    test().putField(1);
+    break;
+  case Opcode::NewArray:
+    E.iconst(3);
+    test().newArray();
+    Out.AllocCycles = Model.AllocBase + Model.AllocPerSlot * 3;
+    break;
+  case Opcode::ArrayLoad:
+    E.iconst(3).newArray().iconst(1);
+    test().arrayLoad();
+    break;
+  case Opcode::ArrayStore:
+    E.iconst(3).newArray().iconst(1).iconst(9);
+    test().arrayStore();
+    break;
+  case Opcode::ArrayLength:
+    E.iconst(3).newArray();
+    test().arrayLength();
+    break;
+  case Opcode::InstanceOf: E.newObject(Obj); test().instanceOf(Shape); break;
+  case Opcode::Work: test().work(5); break;
+  case Opcode::InvokeStatic:
+    E.iconst(4);
+    test().invokeStatic(Twice, /*ConstArgMask=*/1);
+    break;
+  case Opcode::InvokeVirtual:
+    E.newObject(Obj).iconst(4);
+    test().invokeVirtual(Get);
+    break;
+  case Opcode::InvokeInterface:
+    E.newObject(Obj);
+    test().invokeInterface(Area);
+    break;
+  case Opcode::InvokeSpecial:
+    E.newObject(Obj);
+    test().invokeSpecial(Init);
+    break;
+  case Opcode::Return: test().ret(); break;
+  case Opcode::ValueReturn: E.iconst(1); test().vreturn(); break;
+  }
+  if (!isReturn(Op))
+    E.bind(Next).ret();
+  E.finish();
+  B.setEntry(Main);
+  Out.P = B.build();
+  return Out;
+}
+
+} // namespace
+
+TEST(OpcodeTest, EveryRowMatchesDisassemblyStackEffectAndCycles) {
+  // Each opcode's instruction in opcodeProgram(): its disassembly and its
+  // machine weight, in encoding order. Ten opcodes run in no workload, so
+  // only this table pins their weights.
+  const struct {
+    const char *Disassembly;
+    unsigned Weight;
+  } Expected[] = {{"nop", 0},
+                  {"iconst 7", 1},
+                  {"constnull", 1},
+                  {"load 0", 1},
+                  {"store 0", 1},
+                  {"dup", 1},
+                  {"pop", 1},
+                  {"swap", 1},
+                  {"iadd", 1},
+                  {"isub", 1},
+                  {"imul", 1},
+                  {"idiv", 2},
+                  {"irem", 2},
+                  {"iand", 1},
+                  {"ior", 1},
+                  {"ixor", 1},
+                  {"ishl", 1},
+                  {"ishr", 1},
+                  {"ineg", 1},
+                  {"icmpeq", 2},
+                  {"icmpne", 2},
+                  {"icmplt", 2},
+                  {"icmple", 2},
+                  {"icmpgt", 2},
+                  {"icmpge", 2},
+                  {"goto 1", 1},
+                  {"ifzero 2", 2},
+                  {"ifnonzero 2", 2},
+                  {"ifnull 2", 2},
+                  {"ifnonnull 2", 2},
+                  {"new Obj", 6},
+                  {"getfield 1", 2},
+                  {"putfield 1", 2},
+                  {"newarray", 6},
+                  {"arrayload", 3},
+                  {"arraystore", 3},
+                  {"arraylength", 1},
+                  {"instanceof Shape", 3},
+                  {"work 5", 5},
+                  {"invokestatic Obj.twice constargs=0x1", 3},
+                  {"invokevirtual Obj.get", 4},
+                  {"invokeinterface Shape.area", 4},
+                  {"invokespecial Obj.init", 3},
+                  {"return", 1},
+                  {"vreturn", 1}};
+  ASSERT_EQ(std::size(Expected), NumOpcodes);
+  const CostModel Model;
+  for (unsigned I = 0; I != NumOpcodes; ++I) {
+    const Opcode Op = static_cast<Opcode>(I);
+    SCOPED_TRACE(opcodeName(Op));
+    const OpcodeProgram C = opcodeProgram(Op);
+    ASSERT_TRUE(verifyProgram(C.P).empty());
+    const Instruction &Instr = C.P.method(C.P.entryMethod()).Body[C.At];
+    ASSERT_EQ(Instr.Op, Op);
+    EXPECT_EQ(disassembleInstruction(C.P, Instr), Expected[I].Disassembly);
+    EXPECT_EQ(machineWeight(Op, Instr.Operand), Expected[I].Weight);
+    // An invoke's stack effect and cycles are its callee's; a return
+    // pops the frame.
+    if (isInvoke(Op) || isReturn(Op))
+      continue;
+
+    VirtualMachine VM(C.P);
+    VM.addThread(C.P.entryMethod());
+    ThreadState &T = *VM.threads().front();
+    if (C.At != 0)
+      VM.step(T, C.At);
+    ASSERT_EQ(T.Frames.back().PC, C.At);
+    const uint32_t Depth = T.stackDepth();
+    const uint64_t Cycles = VM.cycles();
+    VM.step(T, 1);
+    EXPECT_EQ(T.stackDepth() + opcodeInfo(Op).Pops,
+              Depth + opcodeInfo(Op).Pushes);
+    EXPECT_EQ(VM.cycles() - Cycles,
+              Expected[I].Weight * Model.cyclesPerUnit(OptLevel::Baseline) +
+                  C.AllocCycles);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -221,7 +221,7 @@ TEST(NaiveWalkTest, NaiveWalkMisattributesTracesAfterInlining) {
   VM.codeManager().install(std::move(V));
 
   struct DualSink : SampleSink {
-    FixedPolicy Policy{2};
+    ContextPolicy Policy{PolicyKind::Fixed, 2};
     TraceListener Aware{Policy, 4096, /*InlineAware=*/true};
     TraceListener Naive{Policy, 4096, /*InlineAware=*/false};
     void onSample(VirtualMachine &VM2, ThreadState &T,

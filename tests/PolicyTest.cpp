@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 using namespace aoci;
 
 namespace {
@@ -56,9 +58,22 @@ struct ChainFixture {
 
 } // namespace
 
+TEST(PolicyTest, ChainStopsNameTheFixtureProperties) {
+  ChainFixture F;
+  auto stops = [&](MethodId M) {
+    return std::vector<bool>{isChainStop(F.P, M, ChainStop::Parameterless),
+                             isChainStop(F.P, M, ChainStop::ClassMethod),
+                             isChainStop(F.P, M, ChainStop::Large)};
+  };
+  EXPECT_EQ(stops(F.ParamVirtual), (std::vector<bool>{false, false, false}));
+  EXPECT_EQ(stops(F.Paramless), (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(stops(F.StaticM), (std::vector<bool>{false, true, false}));
+  EXPECT_EQ(stops(F.LargeM), (std::vector<bool>{false, false, true}));
+}
+
 TEST(PolicyTest, ContextInsensitiveIsDepthOne) {
   ChainFixture F;
-  ContextInsensitivePolicy Policy;
+  ContextPolicy Policy(PolicyKind::ContextInsensitive, 4);
   EXPECT_EQ(Policy.maxDepth(), 1u);
   std::vector<MethodId> Chain = {F.ParamVirtual, F.ParamVirtual2, F.StaticM,
                                  F.ParamVirtual};
@@ -68,7 +83,7 @@ TEST(PolicyTest, ContextInsensitiveIsDepthOne) {
 
 TEST(PolicyTest, FixedPolicyUsesFullDepth) {
   ChainFixture F;
-  FixedPolicy Policy(3);
+  ContextPolicy Policy(PolicyKind::Fixed, 3);
   std::vector<MethodId> Chain = {F.ParamVirtual, F.ParamVirtual2,
                                  F.ParamVirtual, F.ParamVirtual2,
                                  F.ParamVirtual};
@@ -80,7 +95,7 @@ TEST(PolicyTest, FixedPolicyUsesFullDepth) {
 
 TEST(PolicyTest, ParameterlessStopsAtCallee) {
   ChainFixture F;
-  ParameterlessPolicy Policy(5);
+  ContextPolicy Policy(PolicyKind::Parameterless, 5);
   // Callee itself parameterless -> depth 1 ("immediately parameterless").
   std::vector<MethodId> Chain = {F.Paramless, F.ParamVirtual,
                                  F.ParamVirtual2, F.ParamVirtual,
@@ -90,7 +105,7 @@ TEST(PolicyTest, ParameterlessStopsAtCallee) {
 
 TEST(PolicyTest, ParameterlessStopsMidChain) {
   ChainFixture F;
-  ParameterlessPolicy Policy(5);
+  ContextPolicy Policy(PolicyKind::Parameterless, 5);
   // First parameterless at chain index 3 -> depth 3.
   std::vector<MethodId> Chain = {F.ParamVirtual, F.ParamVirtual2,
                                  F.ParamVirtual, F.Paramless,
@@ -100,7 +115,7 @@ TEST(PolicyTest, ParameterlessStopsMidChain) {
 
 TEST(PolicyTest, ParameterlessNoStopRunsToMax) {
   ChainFixture F;
-  ParameterlessPolicy Policy(4);
+  ContextPolicy Policy(PolicyKind::Parameterless, 4);
   std::vector<MethodId> Chain = {F.ParamVirtual, F.ParamVirtual2,
                                  F.ParamVirtual, F.ParamVirtual2,
                                  F.ParamVirtual, F.ParamVirtual2};
@@ -109,7 +124,7 @@ TEST(PolicyTest, ParameterlessNoStopRunsToMax) {
 
 TEST(PolicyTest, ClassMethodsStopsAtStatic) {
   ChainFixture F;
-  ClassMethodsPolicy Policy(5);
+  ContextPolicy Policy(PolicyKind::ClassMethods, 5);
   // Static driver at chain index 2 -> depth 2 (the paper: "we only
   // traverse two edges before encountering the first class method").
   std::vector<MethodId> Chain = {F.ParamVirtual, F.ParamVirtual2, F.StaticM,
@@ -119,7 +134,7 @@ TEST(PolicyTest, ClassMethodsStopsAtStatic) {
 
 TEST(PolicyTest, LargeMethodsStopsAtLarge) {
   ChainFixture F;
-  LargeMethodsPolicy Policy(5);
+  ContextPolicy Policy(PolicyKind::LargeMethods, 5);
   std::vector<MethodId> Chain = {F.ParamVirtual, F.ParamVirtual2,
                                  F.ParamVirtual, F.LargeM, F.ParamVirtual2};
   EXPECT_EQ(Policy.traceDepth(F.P, Chain, 0), 3u);
@@ -131,8 +146,8 @@ TEST(PolicyTest, LargeMethodsStopsAtLarge) {
 
 TEST(PolicyTest, HybridStopsAtEitherCondition) {
   ChainFixture F;
-  HybridParamClassPolicy H1(5);
-  HybridParamLargePolicy H2(5);
+  ContextPolicy H1(PolicyKind::HybridParamClass, 5);
+  ContextPolicy H2(PolicyKind::HybridParamLarge, 5);
   std::vector<MethodId> StaticChain = {F.ParamVirtual, F.StaticM,
                                        F.ParamVirtual2, F.ParamVirtual,
                                        F.ParamVirtual2};
@@ -152,10 +167,16 @@ TEST(PolicyTest, HybridStopsAtEitherCondition) {
 }
 
 TEST(PolicyTest, FactoryProducesAllKindsWithNames) {
-  for (PolicyKind K : allPolicyKinds()) {
+  const char *const Names[] = {"cins",           "fixed(max=4)",
+                               "paramLess(max=4)", "class(max=4)",
+                               "large(max=4)",     "hybrid1(max=4)",
+                               "hybrid2(max=4)",   "imprecision(max=4)"};
+  ASSERT_EQ(allPolicyKinds().size(), std::size(Names));
+  for (size_t I = 0; I != std::size(Names); ++I) {
+    const PolicyKind K = allPolicyKinds()[I];
     auto Policy = makePolicy(K, 4);
     ASSERT_NE(Policy, nullptr);
-    EXPECT_FALSE(Policy->name().empty());
+    EXPECT_EQ(Policy->name(), Names[I]);
     if (K == PolicyKind::ContextInsensitive)
       EXPECT_EQ(Policy->maxDepth(), 1u);
     else
@@ -258,8 +279,9 @@ TEST(ImprecisionTableTest, ResolvedFreezesDepth) {
 
 TEST(ImprecisionTableTest, PolicyConsultsTable) {
   ChainFixture F;
-  auto Table = std::make_shared<ImprecisionTable>();
-  AdaptiveImprecisionPolicy Policy(5, Table);
+  ContextPolicy Policy(PolicyKind::AdaptiveImprecision, 5);
+  ImprecisionTable *Table = Policy.imprecisionTable();
+  ASSERT_NE(Table, nullptr);
   std::vector<MethodId> Chain = {F.ParamVirtual, F.ParamVirtual2,
                                  F.ParamVirtual, F.ParamVirtual2,
                                  F.ParamVirtual, F.ParamVirtual2};

@@ -290,7 +290,7 @@ struct ListenerSink : SampleSink {
 TEST(ListenerTest, MethodListenerSeesHotMethods) {
   FigureOneProgram F = makeFigureOne(60000);
   VirtualMachine VM(F.P);
-  ContextInsensitivePolicy Policy;
+  ContextPolicy Policy(PolicyKind::ContextInsensitive, 1);
   ListenerSink Sink(Policy);
   VM.setSampleSink(&Sink);
   VM.addThread(F.P.entryMethod());
@@ -312,7 +312,7 @@ TEST(ListenerTest, MethodListenerSeesHotMethods) {
 TEST(ListenerTest, CinsTraceListenerRecordsDepthOneEdges) {
   FigureOneProgram F = makeFigureOne(60000);
   VirtualMachine VM(F.P);
-  ContextInsensitivePolicy Policy;
+  ContextPolicy Policy(PolicyKind::ContextInsensitive, 1);
   ListenerSink Sink(Policy);
   VM.setSampleSink(&Sink);
   VM.addThread(F.P.entryMethod());
@@ -328,7 +328,7 @@ TEST(ListenerTest, ContextTraceListenerDisambiguatesHashCodeSites) {
   // HashMap.get split into two monomorphic contexts.
   FigureOneProgram F = makeFigureOne(120000);
   VirtualMachine VM(F.P);
-  FixedPolicy Policy(2);
+  ContextPolicy Policy(PolicyKind::Fixed, 2);
   ListenerSink Sink(Policy);
   VM.setSampleSink(&Sink);
   VM.addThread(F.P.entryMethod());
@@ -369,8 +369,8 @@ TEST(ListenerTest, TraceListenerChargesMoreThanEdgeListener) {
     VM.step(T, 1);
   ASSERT_GE(T.Frames.size(), 4u);
 
-  ContextInsensitivePolicy Shallow;
-  FixedPolicy Deep(4);
+  ContextPolicy Shallow(PolicyKind::ContextInsensitive, 1);
+  ContextPolicy Deep(PolicyKind::Fixed, 4);
   TraceListener EdgeL(Shallow), TraceL(Deep);
   uint64_t Before = VM.overheadMeter().cycles(AosComponent::Listeners);
   EdgeL.sample(VM, T);
@@ -391,7 +391,7 @@ TEST(ListenerTest, TraceListenerChargesMoreThanEdgeListener) {
 TEST(ListenerTest, StatisticsSeeParameterlessCallees) {
   FigureOneProgram F = makeFigureOne(60000);
   VirtualMachine VM(F.P);
-  FixedPolicy Policy(4);
+  ContextPolicy Policy(PolicyKind::Fixed, 4);
   ListenerSink Sink(Policy);
   VM.setSampleSink(&Sink);
   VM.addThread(F.P.entryMethod());
@@ -403,5 +403,5 @@ TEST(ListenerTest, StatisticsSeeParameterlessCallees) {
   EXPECT_LT(Stats.calleeParameterlessFraction(), 1.0);
   // main (static) is always within the chain, so a class method appears
   // within 5 levels of every sample.
-  EXPECT_GT(Stats.classMethodWithin(5), 0.95);
+  EXPECT_GT(Stats.stopWithin(ChainStop::ClassMethod, 5), 0.95);
 }

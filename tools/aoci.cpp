@@ -157,6 +157,17 @@ struct Flag {
   bool MinAllowed = true;
 };
 
+/// The --policy help: every policy name, in figure order.
+const std::string PolicyNames = [] {
+  std::string Names;
+  for (PolicyKind K : allPolicyKinds()) {
+    if (!Names.empty())
+      Names += ' ';
+    Names += policyKindName(K);
+  }
+  return Names;
+}();
+
 const Flag Flags[] = {
     {"--scale", "X", VmKnobs, "workload size multiplier",
      [](Options &O) -> double & { return O.Params->Scale; }, 0, false},
@@ -170,8 +181,7 @@ const Flag Flags[] = {
      "transfer live activations onto replacement code at loop backedges "
      "(on-stack replacement + deoptimization)",
      [](Options &O) -> bool & { return O.Aos->Osr.Enabled; }},
-    {"--policy", "P", PolicyKnobs,
-     "cins fixed paramLess class large hybrid1 hybrid2 imprecision",
+    {"--policy", "P", PolicyKnobs, PolicyNames.c_str(),
      [](Options &O) -> PolicyKind & { return *O.Policy; }},
     {"--depth", "N", PolicyKnobs,
      "maximum context depth (default 4 for a policy other than cins)",
@@ -772,11 +782,7 @@ int cmdTrace(Options &O) {
     std::fprintf(stderr, "v2 profile saved to %s\n", O.ProfileOut.c_str());
   }
 
-  const std::string ProcessName =
-      Config.Policy == PolicyKind::ContextInsensitive
-          ? Config.WorkloadName + "/cins"
-          : Config.WorkloadName + "/" + policyKindName(Config.Policy) +
-                ".d" + std::to_string(Config.MaxDepth);
+  const std::string ProcessName = runTraceName(Config);
   std::fprintf(stderr,
                "%s: %llu cycles, %llu events recorded (%llu dropped)\n",
                ProcessName.c_str(),
