@@ -51,7 +51,7 @@ public:
                                 const Frame &Done) = 0;
 
   /// The bounded code cache wants to evict \p V, but some thread has a
-  /// live activation executing it. The driver deoptimizes every such
+  /// live activation executing it. This deoptimizes every such
   /// activation to baseline frames (reusing the deopt frame mapping); the
   /// VM then checks that no frame is left on \p V, and pins the variant
   /// if one is — the cache then picks a different victim. Only optimized

@@ -789,8 +789,8 @@ bool VirtualMachine::prepareEviction(const CodeVariant &V) {
     return false;
   Osr->onEvictVariant(*this, V);
 
-  // Trust but verify: the driver deoptimizes every activation out of the
-  // variant. A frame still on it means eviction would leave the
+  // Trust but verify: onEvictVariant deoptimizes every activation out of
+  // the variant. A frame still on it means eviction would leave the
   // interpreter running tombstoned code.
   for (const auto &TPtr : Threads)
     for (const Frame &F : TPtr->Frames)

@@ -296,8 +296,7 @@ TEST(OpcodeTest, EveryRowMatchesDisassemblyStackEffectAndCycles) {
     VirtualMachine VM(C.P);
     VM.addThread(C.P.entryMethod());
     ThreadState &T = *VM.threads().front();
-    if (C.At != 0)
-      VM.step(T, C.At);
+    VM.step(T, C.At);
     ASSERT_EQ(T.Frames.back().PC, C.At);
     const uint32_t Depth = T.stackDepth();
     const uint64_t Cycles = VM.cycles();
