@@ -7,16 +7,19 @@
 
 #include "bytecode/ClassHierarchy.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace aoci;
 
 ClassHierarchy::ClassHierarchy(const Program &Prog)
-    : P(Prog), NumClasses(Prog.numClasses()) {
+    : P(Prog), NumClasses(Prog.numClasses()), Impls(Prog.numMethods()) {
   Subtype.assign(static_cast<size_t>(NumClasses) * NumClasses, false);
-  Dispatch.resize(NumClasses);
+  SlotBegin.reserve(NumClasses + 1);
+  SlotBegin.push_back(0);
 
   // Classes must be registered supertype-first; the builder guarantees it.
+  std::vector<Slot> Table;
   for (ClassId C = 0; C != NumClasses; ++C) {
     const Klass &K = P.klass(C);
     assert((K.Super == InvalidClassId || K.Super < C) &&
@@ -37,18 +40,43 @@ ClassHierarchy::ClassHierarchy(const Program &Prog)
     }
 
     // Dispatch table: inherit the super's, then apply local declarations.
+    Table.clear();
     if (K.Super != InvalidClassId)
-      Dispatch[C] = Dispatch[K.Super];
+      Table.assign(Slots.begin() + SlotBegin[K.Super],
+                   Slots.begin() + SlotBegin[K.Super + 1]);
     for (MethodId MId : K.Methods) {
       const Method &M = P.method(MId);
       if (M.Kind != MethodKind::Virtual && M.Kind != MethodKind::Interface)
         continue;
       if (M.IsAbstract)
         continue;
-      Dispatch[C][M.OverrideRoot] = MId;
+      Table.push_back({M.OverrideRoot, MId});
       // A concrete method also answers for itself when somebody dispatches
       // on the method directly rather than its root.
-      Dispatch[C][MId] = MId;
+      Table.push_back({MId, MId});
+    }
+    // The sort keeps a key's entries in the order applied, and the last
+    // one applied wins: a local declaration overrides the super's.
+    std::stable_sort(Table.begin(), Table.end(),
+                     [](Slot A, Slot B) { return A.Key < B.Key; });
+    for (const Slot &S : Table) {
+      if (Slots.size() != SlotBegin.back() && Slots.back().Key == S.Key)
+        Slots.back() = S;
+      else
+        Slots.push_back(S);
+    }
+    SlotBegin.push_back(static_cast<uint32_t>(Slots.size()));
+  }
+
+  // Each key's distinct implementations over the instantiable classes, in
+  // class order.
+  for (ClassId C = 0; C != NumClasses; ++C) {
+    if (!P.klass(C).isInstantiable())
+      continue;
+    for (uint32_t I = SlotBegin[C]; I != SlotBegin[C + 1]; ++I) {
+      std::vector<MethodId> &Set = Impls[Slots[I].Key];
+      if (std::find(Set.begin(), Set.end(), Slots[I].Impl) == Set.end())
+        Set.push_back(Slots[I].Impl);
     }
   }
 }
@@ -61,36 +89,18 @@ bool ClassHierarchy::isSubtypeOf(ClassId Sub, ClassId Super) const {
 MethodId ClassHierarchy::resolveVirtual(ClassId Receiver,
                                         MethodId Root) const {
   assert(Receiver < NumClasses && "class id out of range");
-  const auto &Table = Dispatch[Receiver];
-  auto It = Table.find(Root);
-  if (It == Table.end())
-    return InvalidMethodId;
-  return It->second;
+  const Slot *First = Slots.data() + SlotBegin[Receiver];
+  const Slot *Last = Slots.data() + SlotBegin[Receiver + 1];
+  const Slot *It =
+      std::lower_bound(First, Last, Root,
+                       [](const Slot &S, MethodId Key) { return S.Key < Key; });
+  return It != Last && It->Key == Root ? It->Impl : InvalidMethodId;
 }
 
 const std::vector<MethodId> &
 ClassHierarchy::implementations(MethodId Root) const {
-  auto It = ImplCache.find(Root);
-  if (It != ImplCache.end())
-    return It->second;
-
-  std::vector<MethodId> Impls;
-  for (ClassId C = 0; C != NumClasses; ++C) {
-    if (!P.klass(C).isInstantiable())
-      continue;
-    MethodId Impl = resolveVirtual(C, Root);
-    if (Impl == InvalidMethodId)
-      continue;
-    bool Seen = false;
-    for (MethodId Existing : Impls)
-      if (Existing == Impl) {
-        Seen = true;
-        break;
-      }
-    if (!Seen)
-      Impls.push_back(Impl);
-  }
-  return ImplCache.emplace(Root, std::move(Impls)).first->second;
+  static const std::vector<MethodId> None;
+  return Root < Impls.size() ? Impls[Root] : None;
 }
 
 bool ClassHierarchy::canBindWithoutGuard(MethodId Root, MethodId Impl) const {

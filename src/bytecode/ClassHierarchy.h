@@ -19,12 +19,13 @@
 
 #include "bytecode/Program.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace aoci {
 
-/// Immutable dispatch/subtyping oracle derived from a Program.
+/// Immutable dispatch/subtyping oracle derived from a Program. Every table
+/// is computed up front, so queries only read and any number of threads
+/// may share one hierarchy.
 class ClassHierarchy {
 public:
   /// Builds all tables; O(classes * methods) but done once per program.
@@ -62,14 +63,22 @@ public:
   std::vector<ClassId> receiversFor(MethodId Root, MethodId Impl) const;
 
 private:
+  /// One dispatch-table entry: a call through Key reaches Impl.
+  struct Slot {
+    MethodId Key;
+    MethodId Impl;
+  };
+
   const Program &P;
   unsigned NumClasses;
   /// Row-major NumClasses x NumClasses subtype matrix.
   std::vector<bool> Subtype;
-  /// Per-class map from override root to implementation.
-  std::vector<std::unordered_map<MethodId, MethodId>> Dispatch;
-  /// Cache for implementations(); keyed by root method.
-  mutable std::unordered_map<MethodId, std::vector<MethodId>> ImplCache;
+  /// Every class's dispatch table, sorted by key: class C's is
+  /// Slots[SlotBegin[C], SlotBegin[C + 1]).
+  std::vector<uint32_t> SlotBegin;
+  std::vector<Slot> Slots;
+  /// implementations() of every method id.
+  std::vector<std::vector<MethodId>> Impls;
 
   bool subtypeBit(ClassId Sub, ClassId Super) const {
     return Subtype[static_cast<size_t>(Sub) * NumClasses + Super];

@@ -9,11 +9,16 @@
 
 using namespace aoci;
 
-unsigned Method::machineSize() const {
-  unsigned Size = 0;
+void Method::setBody(std::vector<Instruction> NewBody, unsigned Units) {
+  Body = std::move(NewBody);
+  MachineUnits = Units;
+}
+
+unsigned Method::machineUnitsOf(const std::vector<Instruction> &Body) {
+  unsigned Units = 0;
   for (const Instruction &I : Body)
-    Size += I.machineSize();
-  return Size;
+    Units += I.machineSize();
+  return Units;
 }
 
 std::vector<BytecodeIndex> Method::callSites() const {

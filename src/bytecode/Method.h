@@ -56,7 +56,8 @@ public:
   /// itself the root). Virtual/interface call sites name the root; dynamic
   /// dispatch maps (receiver class, root) to the implementation.
   MethodId OverrideRoot = InvalidMethodId;
-  /// Bytecode body; empty for abstract methods.
+  /// Bytecode body; empty for abstract methods. Written only through
+  /// setBody(), which records its machine size.
   std::vector<Instruction> Body;
 
   /// Returns this method's id; assigned by the Program when registered.
@@ -82,9 +83,19 @@ public:
     return static_cast<unsigned>(Body.size());
   }
 
+  /// Installs \p NewBody and records its machine size, \p Units, which
+  /// must be machineUnitsOf(NewBody). The emitter adds it up as it emits,
+  /// so building a program makes no second pass over its bodies; the
+  /// verifier checks it.
+  void setBody(std::vector<Instruction> NewBody, unsigned Units);
+
+  /// The machine size of \p Body: the sum of its instructions' sizes.
+  static unsigned machineUnitsOf(const std::vector<Instruction> &Body);
+
   /// Estimated machine instructions for the whole body; the size the
   /// inliner's tiny/small/medium/large classification is based on.
-  unsigned machineSize() const;
+  /// Recorded by setBody(), so asking costs nothing.
+  unsigned machineSize() const { return MachineUnits; }
 
   /// Bytecode indices of all invoke instructions in the body.
   std::vector<BytecodeIndex> callSites() const;
@@ -92,6 +103,7 @@ public:
 private:
   friend class Program;
   MethodId Id = InvalidMethodId;
+  unsigned MachineUnits = 0;
 };
 
 } // namespace aoci

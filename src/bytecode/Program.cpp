@@ -7,7 +7,36 @@
 
 #include "bytecode/Program.h"
 
+#include "bytecode/MethodImage.h"
+
+#include <type_traits>
+
 using namespace aoci;
+
+// Moving a Program leaves its image behind and cannot throw, so containers
+// move Programs instead of copying them.
+static_assert(std::is_nothrow_move_constructible_v<Program>);
+
+Program::ImageSlot &
+Program::ImageSlot::operator=(const ImageSlot &) noexcept {
+  delete Image.exchange(nullptr);
+  return *this;
+}
+
+Program::ImageSlot::~ImageSlot() { delete Image.load(); }
+
+const MethodImage &Program::image() const {
+  if (const MethodImage *Published =
+          Built.Image.load(std::memory_order_acquire))
+    return *Published;
+  auto Mine = std::make_unique<const MethodImage>(*this);
+  const MethodImage *Expected = nullptr;
+  if (Built.Image.compare_exchange_strong(Expected, Mine.get(),
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire))
+    return *Mine.release();
+  return *Expected;
+}
 
 ClassId Program::addClass(Klass K) {
   ClassId Id = static_cast<ClassId>(Classes.size());

@@ -17,12 +17,15 @@
 #include "bytecode/Klass.h"
 #include "bytecode/Method.h"
 
+#include <atomic>
 #include <cassert>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace aoci {
+
+class MethodImage;
 
 /// A complete program: classes, methods, and an entry method.
 ///
@@ -75,6 +78,11 @@ public:
   /// when absent. Intended for tests and examples, not hot paths.
   MethodId findMethod(const std::string &Qualified) const;
 
+  /// The method image every VM on this program reads, built on the first
+  /// call. Threads that race to build it each build one, the first to
+  /// publish wins and the others free theirs.
+  const MethodImage &image() const;
+
   //===--------------------------------------------------------------------===//
   // Phase markers (scenario workloads).
   //===--------------------------------------------------------------------===//
@@ -102,12 +110,23 @@ public:
   }
 
 private:
+  /// Owns image(). An image points into the Program that built it, so a
+  /// copied or moved-to Program starts without one.
+  struct ImageSlot {
+    ImageSlot() = default;
+    ImageSlot(const ImageSlot &) noexcept {}
+    ImageSlot &operator=(const ImageSlot &) noexcept;
+    ~ImageSlot();
+    std::atomic<const MethodImage *> Image{nullptr};
+  };
+
   std::vector<Klass> Classes;
   std::vector<Method> Methods;
   MethodId Entry = InvalidMethodId;
   /// (marker method, phase index) pairs; tiny, scanned only when a method
   /// is first baseline-compiled.
   std::vector<std::pair<MethodId, uint32_t>> PhaseStarts;
+  mutable ImageSlot Built;
 };
 
 } // namespace aoci

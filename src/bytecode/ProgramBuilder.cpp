@@ -30,6 +30,9 @@ CodeEmitter &CodeEmitter::bind(Label L) {
 CodeEmitter &CodeEmitter::emit(Opcode Op, int64_t Operand, uint32_t Mask) {
   assert(!Finished && "emitting into a finished body");
   Body.emplace_back(Op, Operand, Mask);
+  // A branch target is patched in later, but only a Units operand sizes
+  // an instruction.
+  MachineUnits += machineWeight(Op, Operand);
   return *this;
 }
 
@@ -152,7 +155,7 @@ void CodeEmitter::finish() {
   Method &Target = Builder.Prog.mutableMethod(M);
   assert(Target.Body.empty() && "method body installed twice");
   assert(!Body.empty() && "empty method body");
-  Target.Body = std::move(Body);
+  Target.setBody(std::move(Body), MachineUnits);
 
   unsigned Needed = MaxLocalSlot + 1;
   if (Needed < Target.numArgSlots())

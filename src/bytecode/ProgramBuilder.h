@@ -111,6 +111,8 @@ private:
   /// (instruction index, label) pairs awaiting patching.
   std::vector<std::pair<size_t, Label>> Fixups;
   unsigned MaxLocalSlot = 0;
+  /// Machine size of the instructions emitted so far.
+  unsigned MachineUnits = 0;
   bool Finished = false;
 };
 

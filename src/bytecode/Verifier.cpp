@@ -107,6 +107,10 @@ bool aoci::verifyMethod(const Program &P, const Method &M,
     if (I.Op == Opcode::Return && M.ReturnsValue)
       instrError("void return from a value-returning method");
   }
+  if (const unsigned Units = Method::machineUnitsOf(M.Body);
+      Units != M.machineSize())
+    error(formatString("recorded machine size %u, body has %u",
+                       M.machineSize(), Units));
   if (Errors.size() != Before)
     return false;
 

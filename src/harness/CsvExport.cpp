@@ -54,7 +54,8 @@ std::string aoci::exportCsv(const GridResults &Results,
                     "compile_time_pct\n";
 
   for (const std::string &W : Results.workloads()) {
-    appendRunColumns(Out, Results.baseline(W), "cins");
+    appendRunColumns(Out, Results.baseline(W),
+                     policyKindName(PolicyKind::ContextInsensitive));
     Out += ",,,\n";
     for (PolicyKind Policy : Policies) {
       for (unsigned D : Depths) {
@@ -85,8 +86,7 @@ std::string aoci::exportMetricsCsv(const GridResults &Results) {
     // run_cycles is wall_cycles under the name this CSV has always used.
     Out += formatString(
         "%s,%s,%u,%s,%u,%llu,%llu,%llu,%s,%llu,%llu,%s",
-        M.WorkloadName.c_str(),
-        M.IsBaseline ? "cins" : policyKindName(M.Policy), M.MaxDepth,
+        M.WorkloadName.c_str(), policyKindName(M.Policy), M.MaxDepth,
         M.IsBaseline ? "baseline" : "cell", M.Worker,
         static_cast<unsigned long long>(M.QueueLatencyNs),
         static_cast<unsigned long long>(M.HostNs),

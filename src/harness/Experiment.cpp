@@ -432,8 +432,8 @@ aoci::runGrid(const GridConfig &Config,
       Baseline = &R;
       if (Progress)
         Progress(formatString(
-            "%-12s cins: %llu cycles, %llu opt bytes (%llu resident)",
-            R.WorkloadName.c_str(),
+            "%-12s %s: %llu cycles, %llu opt bytes (%llu resident)",
+            R.WorkloadName.c_str(), policyKindName(R.Policy),
             static_cast<unsigned long long>(R.WallCycles),
             static_cast<unsigned long long>(R.OptBytesGenerated),
             static_cast<unsigned long long>(R.OptBytesResident)));
@@ -488,8 +488,7 @@ GridResults aoci::runGridParallel(
               "%-12s %-10s max=%u: %llu cycles, %llu opt bytes "
               "(%llu resident; worker %u, %.1f host ms)",
               Runs[I].WorkloadName.c_str(),
-              Plan[I].IsBaseline ? "cins"
-                                 : policyKindName(Plan[I].Config.Policy),
+              policyKindName(Plan[I].Config.Policy),
               Plan[I].Config.MaxDepth,
               static_cast<unsigned long long>(Runs[I].WallCycles),
               static_cast<unsigned long long>(Runs[I].OptBytesGenerated),

@@ -143,7 +143,7 @@ aoci::figure6Bars(const GridResults &Results,
   Bars.push_back(bar([&](const std::string &W) -> const RunResult & {
     return Results.baseline(W);
   }));
-  Bars.back().Label = "cins";
+  Bars.back().Label = policyKindName(PolicyKind::ContextInsensitive);
   Bars.back().IsCins = true;
   const unsigned Compilation =
       static_cast<unsigned>(AosComponent::Compilation);
@@ -259,7 +259,7 @@ std::string aoci::reportRunMetrics(const GridResults &Results) {
     const RunResult &R = Results.result(M);
     Rows.push_back(
         {M.WorkloadName,
-         M.IsBaseline ? "cins" : policyKindName(M.Policy),
+         policyKindName(M.Policy),
          formatString("%u", M.MaxDepth), formatString("%u", M.Worker),
          formatString("%.1f", static_cast<double>(M.QueueLatencyNs) / 1e3),
          formatString("%.2f", static_cast<double>(M.HostNs) / 1e6),

@@ -142,7 +142,10 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
   R.Sessions.resize(Sessions.size());
   uint64_t Round = 0;
   {
-    ThreadPool Pool(Jobs);
+    // The driver thread is one of the Jobs executors: the pool gets the
+    // others, and the driver runs queued slices before it waits, so one
+    // job runs every slice here and hands nothing off.
+    ThreadPool Pool(Jobs - 1);
     while (true) {
       bool AnyAlive = false;
       uint64_t NextStart = UINT64_MAX;
@@ -178,6 +181,7 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
         S->NextLimit += Config.SliceCycles;
         Futures.push_back(Pool.submit([S] { S->Run->run(S->NextLimit); }));
       }
+      Pool.drain();
       // get() rather than wait(): a session that threw re-throws here.
       for (std::future<void> &F : Futures)
         F.get();

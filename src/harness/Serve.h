@@ -10,11 +10,12 @@
 /// instances or scenario adversaries) against one process-wide
 /// SharedCodeCache (src/share/). Sessions advance in fixed-size slices
 /// of simulated cycles; a round runs one slice of every active session
-/// (in parallel up to --jobs), then a single-threaded barrier merges
-/// each session's share activity into the shared index in session-id
-/// order and enforces the shared capacity. The schedule — session ids,
-/// start rounds, slice size — fully determines every simulated outcome,
-/// so the serve CSV and trace bytes are identical across --jobs.
+/// (in parallel up to --jobs, the driver thread included), then a
+/// single-threaded barrier merges each session's share activity into the
+/// shared index in session-id order and enforces the shared capacity.
+/// The schedule — session ids, start rounds, slice size — fully
+/// determines every simulated outcome, so the serve CSV and trace bytes
+/// are identical across --jobs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -129,8 +130,9 @@ struct ServeResults {
   double hitRate() const;
 };
 
-/// Runs the serve schedule on \p Jobs pool workers (0 selects the
-/// hardware concurrency; 1 is fully serial). Simulated results — the
+/// Runs the serve schedule on \p Jobs executors: the calling thread and
+/// Jobs - 1 pool workers (0 selects the hardware concurrency; 1 runs
+/// every slice on the calling thread). Simulated results — the
 /// serve CSV, every session's trace stream, every counter above — are
 /// byte-identical for every \p Jobs value; only host-side timing of the
 /// optional \p Progress lines differs. Progress may be invoked from the

@@ -16,7 +16,6 @@ thread_local unsigned CurrentWorker = ~0u;
 unsigned ThreadPool::currentWorkerId() { return CurrentWorker; }
 
 ThreadPool::ThreadPool(unsigned Threads) {
-  assert(Threads >= 1 && "a pool needs at least one worker");
   Workers.reserve(Threads);
   for (unsigned I = 0; I != Threads; ++I)
     Workers.emplace_back([this, I] { workerLoop(I); });
@@ -30,6 +29,31 @@ ThreadPool::~ThreadPool() {
   Ready.notify_all();
   for (std::thread &Worker : Workers)
     Worker.join();
+  // Workers drain the queue before they exit; a pool without any leaves
+  // it to this thread.
+  drain();
+}
+
+std::function<void()> ThreadPool::pop() {
+  std::function<void()> Task;
+  if (!Queue.empty()) {
+    Task = std::move(Queue.front());
+    Queue.pop_front();
+  }
+  return Task;
+}
+
+void ThreadPool::drain() {
+  for (;;) {
+    std::function<void()> Task;
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Task = pop();
+    }
+    if (!Task)
+      return;
+    Task(); // packaged_task captures any exception in the future.
+  }
 }
 
 void ThreadPool::workerLoop(unsigned Index) {
@@ -39,11 +63,10 @@ void ThreadPool::workerLoop(unsigned Index) {
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       Ready.wait(Lock, [this] { return Stopping || !Queue.empty(); });
-      if (Queue.empty())
-        return; // Stopping and drained.
-      Task = std::move(Queue.front());
-      Queue.pop_front();
+      Task = pop();
     }
+    if (!Task)
+      return; // Stopping and drained.
     Task(); // packaged_task captures any exception in the future.
   }
 }

@@ -8,9 +8,12 @@
 /// \file
 /// A small fixed-size thread pool with a single FIFO queue and no work
 /// stealing: tasks are dequeued strictly in submission order, so a pool
-/// of one thread executes exactly the serial schedule. Results and
-/// exceptions travel through std::future, which is what the parallel
-/// grid runner relies on to propagate a failing run to the caller.
+/// of one thread executes exactly the serial schedule. A caller may
+/// drain() the queue itself, as one more executor; a pool of no workers
+/// then runs every task on the draining thread, in submission order.
+/// Results and exceptions travel through std::future, which is what the
+/// parallel grid runner relies on to propagate a failing run to the
+/// caller.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +36,8 @@ namespace aoci {
 /// task submitted before destruction runs to completion.
 class ThreadPool {
 public:
-  /// Spawns \p Threads workers. \p Threads must be at least 1.
+  /// Spawns \p Threads workers. With none, tasks run only on a thread
+  /// that drains the queue (drain() or the destructor).
   explicit ThreadPool(unsigned Threads);
 
   /// Waits for all submitted tasks, then joins the workers.
@@ -63,12 +67,20 @@ public:
     return Out;
   }
 
+  /// Runs queued tasks on the calling thread until the queue is empty,
+  /// taking them in submission order alongside the workers. Returns
+  /// without waiting for tasks that workers are still running.
+  void drain();
+
   /// Index (0-based) of the pool worker executing the current thread, or
   /// ~0u when called from a thread that is not a pool worker.
   static unsigned currentWorkerId();
 
 private:
   void workerLoop(unsigned Index);
+  /// Pops the oldest task, or an empty function when the queue is empty.
+  /// The caller holds Mutex.
+  std::function<void()> pop();
 
   std::vector<std::thread> Workers;
   std::deque<std::function<void()>> Queue;

@@ -21,12 +21,18 @@
 using namespace aoci;
 
 VirtualMachine::VirtualMachine(const Program &P, CostModel Model)
-    : P(P), Model(Model), Hierarchy(P), Code(P, Model),
+    : P(P), Image(P.image()), Model(Model), Code(P, Model),
       HotData(P.numMethods()), NextSampleAt(Model.SamplePeriodCycles),
       SampleJitter(Model.SampleJitterSeed) {
 #ifndef NDEBUG
   assert(verifyProgram(P).empty() && "program failed verification");
 #endif
+  // Inlined bodies see the scope benefit of cross-call optimization.
+  for (unsigned L = 0; L != NumOptLevels; ++L) {
+    Costs[L * 2] = &Image.costTables({Model.CyclesPerUnit[L]});
+    Costs[L * 2 + 1] = &Image.costTables(
+        {Model.CyclesPerUnit[L], Model.ScopeBonusNum, Model.ScopeBonusDen});
+  }
   // Register as the bounded code cache's engine delegate, so capacity is
   // enforced even for code installed directly through codeManager().
   Code.setEvictionDelegate(this);
@@ -46,37 +52,8 @@ void VirtualMachine::setTraceSink(TraceSink *T) {
 
 const uint32_t *VirtualMachine::frameCostTable(MethodId M, OptLevel L,
                                                bool Inlined) {
-  assert(static_cast<size_t>(M) < HotData.size() && "method id out of range");
-  std::unique_ptr<uint32_t[]> &Table =
-      HotData[M].Cost[static_cast<unsigned>(L) * 2 + (Inlined ? 1 : 0)];
-  if (!Table) [[unlikely]]
-    buildCostTable(Table, M, L, Inlined);
-  return Table.get();
-}
-
-void VirtualMachine::buildCostTable(std::unique_ptr<uint32_t[]> &Table,
-                                    MethodId M, OptLevel L, bool Inlined) {
-  const std::vector<Instruction> &Body = P.method(M).Body;
-  const auto Size = static_cast<uint32_t>(Body.size());
-  auto Built = std::make_unique_for_overwrite<uint32_t[]>(Size);
-  const uint64_t PerUnit = Model.cyclesPerUnit(L);
-  for (uint32_t PC = 0; PC != Size; ++PC) {
-    uint64_t Cost = Body[PC].machineSize() * PerUnit;
-    // Inlined bodies see the scope benefit of cross-call optimization.
-    if (Inlined)
-      Cost = Cost * Model.ScopeBonusNum / Model.ScopeBonusDen;
-    // Entries are 32-bit to halve the tables; a charge that does not fit
-    // stops the run rather than advancing a truncated clock.
-    if (Cost > UINT32_MAX) [[unlikely]]
-      throw std::runtime_error(
-          "cycle charge " + std::to_string(Cost) + " of " +
-          P.qualifiedName(M) + " at pc " + std::to_string(PC) + " (" +
-          optLevelName(L) + (Inlined ? ", inlined" : "") +
-          ") exceeds the 32-bit cost-table entry; lower the CostModel's "
-          "CyclesPerUnit or the instruction's size");
-    Built[PC] = static_cast<uint32_t>(Cost);
-  }
-  Table = std::move(Built);
+  assert(M < P.numMethods() && "method id out of range");
+  return Costs[static_cast<unsigned>(L) * 2 + (Inlined ? 1 : 0)]->table(M);
 }
 
 void VirtualMachine::throwRecursionLimit(const ThreadState &T,
@@ -94,8 +71,8 @@ void VirtualMachine::pushFrame(ThreadState &T, MethodId Callee,
   if (T.Frames.size() >= Model.MaxFrameDepth) [[unlikely]]
     throwRecursionLimit(T, Callee);
 
-  const Method &M = P.method(Callee);
-  const unsigned NumArgSlots = M.numArgSlots();
+  const MethodEntry &M = Image.entry(Callee);
+  const unsigned NumArgSlots = M.NumArgSlots;
   const uint32_t *Cost = frameCostTable(Callee, Variant->Level, Inlined);
   assert((T.Frames.empty()
               ? T.SlabTop == 0 && NumArgSlots == 0
@@ -126,7 +103,7 @@ void VirtualMachine::pushFrame(ThreadState &T, MethodId Callee,
   F.Method = Callee;
   F.Variant = Variant;
   F.PlanNode = Plan;
-  F.Body = M.Body.data();
+  F.Body = M.Body;
   F.Cost = Cost;
   F.LocalsBase = LocalsBase;
   F.StackBase = StackBase;
@@ -163,8 +140,7 @@ const CodeVariant *VirtualMachine::ensureBaseline(MethodId M) {
   if (const CodeVariant *B = Code.baseline(M))
     return B;
 
-  const Method &Meth = P.method(M);
-  assert(!Meth.IsAbstract && "cannot compile an abstract method");
+  assert(!P.method(M).IsAbstract && "cannot compile an abstract method");
 
   // Phase-start markers are invoked exactly once, so their one baseline
   // compilation pins the simulated cycle the phase began at. Uncharged,
@@ -183,7 +159,7 @@ const CodeVariant *VirtualMachine::ensureBaseline(MethodId M) {
   auto V = std::make_unique<CodeVariant>();
   V->M = M;
   V->Level = OptLevel::Baseline;
-  V->MachineUnits = Meth.machineSize();
+  V->MachineUnits = Image.entry(M).MachineUnits;
   V->CodeBytes = Model.codeBytes(OptLevel::Baseline, V->MachineUnits);
   V->CompileCycles = Model.compileCycles(OptLevel::Baseline, V->MachineUnits);
   // Baseline compilation happens on the application thread in Jikes; it
@@ -282,8 +258,8 @@ void VirtualMachine::enterInlinedFrame(ThreadState &T,
 
 void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
   const MethodId DeclId = static_cast<MethodId>(I.Operand);
-  const Method &Decl = P.method(DeclId);
-  const unsigned ArgSlots = Decl.numArgSlots();
+  const MethodEntry &Decl = Image.entry(DeclId);
+  const unsigned ArgSlots = Decl.NumArgSlots;
 
   Frame &F = T.Frames.back();
   assert(T.SlabTop - F.StackBase >= ArgSlots && "stack underflow at call");
@@ -308,7 +284,7 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
     if (Ic.Receiver == Obj.Klass) {
       Target = Ic.Target;
     } else {
-      Target = Hierarchy.resolveVirtual(Obj.Klass, Decl.OverrideRoot);
+      Target = Image.hierarchy().resolveVirtual(Obj.Klass, Decl.OverrideRoot);
       assert(Target != InvalidMethodId && "receiver does not implement method");
       Ic.Receiver = Obj.Klass;
       Ic.Target = Target;
@@ -719,8 +695,8 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
         if (R.isRef()) {
           const HeapObject &Obj = TheHeap.object(R.asRef());
           if (!Obj.isArray())
-            Result = Hierarchy.isSubtypeOf(Obj.Klass,
-                                           static_cast<ClassId>(I.Operand))
+            Result = Image.hierarchy().isSubtypeOf(
+                         Obj.Klass, static_cast<ClassId>(I.Operand))
                          ? 1
                          : 0;
         }

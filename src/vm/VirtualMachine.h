@@ -23,7 +23,7 @@
 #ifndef AOCI_VM_VIRTUALMACHINE_H
 #define AOCI_VM_VIRTUALMACHINE_H
 
-#include "bytecode/ClassHierarchy.h"
+#include "bytecode/MethodImage.h"
 #include "support/Rng.h"
 #include "bytecode/Program.h"
 #include "vm/CodeManager.h"
@@ -42,20 +42,13 @@ class TraceSink;
 class OsrDriver;
 
 /// Host-side interpreter state for one source method that belongs to this
-/// VM: cycle-charge tables computed from its CostModel and inline caches
-/// its calls fill. Body, locals and argument slots are read from the
-/// Program's Method. Everything here is a pure cache: it exists to make
-/// the host interpreter fast and must never change what the simulated
-/// clock or counters record (see DESIGN.md, "Host fast path vs. simulated
-/// clock"). Every VM keeps one per method of its program, so the tables
-/// are exact-size arrays, allocated on first use.
+/// VM: the inline caches its calls fill. Everything a call reads of the
+/// program (body, locals, argument slots, cycle-charge tables) is in the
+/// program's MethodImage, shared by every VM on it. This is a pure cache:
+/// it exists to make the host interpreter fast and must never change what
+/// the simulated clock or counters record (see DESIGN.md, "Host fast path
+/// vs. simulated clock").
 struct MethodHotData {
-  /// Exact per-instruction cycle charge for one (OptLevel, Inlined) pair,
-  /// indexed [level * 2 + inlined][pc]; null until first use per pair.
-  /// Each entry is bit-identical to the machineSize * cyclesPerUnit (*
-  /// scope bonus) product the interpreter used to recompute per
-  /// instruction; building a table throws if a charge exceeds 32 bits.
-  std::unique_ptr<uint32_t[]> Cost[NumOptLevels * 2];
   /// Monomorphic inline cache, indexed by invoke-site PC: the last
   /// receiver class seen at the site and the resolveVirtual() target it
   /// memoizes. Resolution is a pure function of (receiver class, override
@@ -209,7 +202,7 @@ public:
   //===--------------------------------------------------------------------===//
 
   const Program &program() const { return P; }
-  const ClassHierarchy &hierarchy() const { return Hierarchy; }
+  const ClassHierarchy &hierarchy() const { return Image.hierarchy(); }
   const CostModel &costModel() const { return Model; }
   Heap &heap() { return TheHeap; }
   CodeManager &codeManager() { return Code; }
@@ -230,12 +223,12 @@ public:
   /// long gone by the time its method's optimized code is the victim.
   const CodeVariant *ensureBaseline(MethodId M);
 
-  /// The per-PC cycle-charge table of \p M under (\p L, \p Inlined),
-  /// built on first use with arithmetic bit-identical to the pre-table
-  /// interpreter. Frame entry reads it, and so does the OSR frame mapper,
-  /// which must retarget a frame's cached Cost pointer when it swaps the
-  /// variant; the table contents are a pure function of the inputs, so
-  /// handing them out cannot perturb execution.
+  /// The per-PC cycle-charge table of \p M under (\p L, \p Inlined), from
+  /// the program's image (see CostKey), built on first use. Frame entry
+  /// reads it, and so does the OSR frame mapper, which must retarget a
+  /// frame's cached Cost pointer when it swaps the variant; the table
+  /// contents are a pure function of the inputs, so handing them out
+  /// cannot perturb execution.
   const uint32_t *frameCostTable(MethodId M, OptLevel L, bool Inlined);
 
   /// Cross-checks the VM-level cache/dispatch invariants (see
@@ -272,11 +265,6 @@ private:
   /// locals in place — no copy). Enforces Model.MaxFrameDepth.
   void pushFrame(ThreadState &T, MethodId Callee, const CodeVariant *Variant,
                  const InlineNode *Plan, bool Inlined);
-  /// The first-use build behind frameCostTable(), kept out of line so
-  /// every frame push after the first runs only its null test.
-  [[gnu::cold, gnu::noinline]] void
-  buildCostTable(std::unique_ptr<uint32_t[]> &Table, MethodId M, OptLevel L,
-                 bool Inlined);
   [[noreturn]] void throwRecursionLimit(const ThreadState &T,
                                         MethodId Callee) const;
   void charge(uint64_t Cycles) {
@@ -292,8 +280,10 @@ private:
   void maybeCollectGarbage();
 
   const Program &P;
+  const MethodImage &Image;
   CostModel Model;
-  ClassHierarchy Hierarchy;
+  /// The image's cost tables under this VM's model, by level * 2 + inlined.
+  const CostTables *Costs[NumOptLevels * 2];
   Heap TheHeap;
   CodeManager Code;
   OverheadMeter Meter;

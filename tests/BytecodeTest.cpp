@@ -591,7 +591,8 @@ Program rawProgram(std::vector<Instruction> Body, bool ReturnsValue = false,
   M.Kind = MethodKind::Static;
   M.ReturnsValue = ReturnsValue;
   M.NumLocals = static_cast<uint16_t>(NumLocals);
-  M.Body = std::move(Body);
+  const unsigned Units = Method::machineUnitsOf(Body);
+  M.setBody(std::move(Body), Units);
   MethodId Id = P.addMethod(std::move(M));
   P.setEntryMethod(Id);
   return P;

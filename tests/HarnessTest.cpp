@@ -264,6 +264,55 @@ void expectSharingMatchesPrivate(const RunConfig &A, const RunConfig &B) {
 
 } // namespace
 
+TEST(SessionTest, SessionsOnOneBuildReadOneImageAndItsCostTables) {
+  // Two policies on one build, stepped on two threads, and a third model
+  // whose baseline rate differs, stepped on this thread meanwhile. Each
+  // must match its private run; the first two read the same table for
+  // every (method, level, inlined), and the third keys its own baseline
+  // tables while sharing the optimized ones.
+  const RunConfig A = smallConfig("jess", PolicyKind::Fixed, 4);
+  const RunConfig B = smallConfig("jess");
+  RunConfig C = A;
+  ++C.Model.CyclesPerUnit[static_cast<unsigned>(OptLevel::Baseline)];
+  const std::shared_ptr<const Workload> Program = buildWorkload(A);
+  Session SA(A, Program), SB(B, Program), SC(C, Program);
+  EXPECT_EQ(&SA.vm().hierarchy(), &Program->Prog.image().hierarchy());
+  EXPECT_EQ(&SB.vm().hierarchy(), &SA.vm().hierarchy());
+  auto step = [](Session &S) {
+    constexpr uint64_t SliceCycles = 1000000;
+    for (uint64_t Limit = SliceCycles; !S.finished(); Limit += SliceCycles)
+      S.run(Limit);
+  };
+  std::thread TA([&] { step(SA); });
+  std::thread TB([&] { step(SB); });
+  step(SC);
+  TA.join();
+  TB.join();
+  expectSameResult(SA.result(), runExperiment(A));
+  expectSameResult(SB.result(), runExperiment(B));
+  expectSameResult(SC.result(), runExperiment(C));
+
+  unsigned Compared = 0;
+  for (MethodId M = 0; M != Program->Prog.numMethods(); ++M) {
+    if (!SA.vm().codeManager().current(M) ||
+        !SB.vm().codeManager().current(M))
+      continue;
+    ++Compared;
+    for (unsigned L = 0; L != NumOptLevels; ++L)
+      for (bool Inlined : {false, true}) {
+        const OptLevel Level = static_cast<OptLevel>(L);
+        const uint32_t *Table = SA.vm().frameCostTable(M, Level, Inlined);
+        EXPECT_EQ(SB.vm().frameCostTable(M, Level, Inlined), Table);
+        const uint32_t *Own = SC.vm().frameCostTable(M, Level, Inlined);
+        if (Level == OptLevel::Baseline)
+          EXPECT_NE(Own, Table);
+        else
+          EXPECT_EQ(Own, Table);
+      }
+  }
+  EXPECT_GT(Compared, 10u);
+}
+
 TEST(SessionTest, SharedWorkloadMatchesPrivateBuild) {
   {
     SCOPED_TRACE("Table 1 workload");

@@ -36,8 +36,8 @@ bool mutateOnce(Program &P, Rng &R) {
   Method &Meth = P.mutableMethod(M);
   if (Meth.Body.empty())
     return false;
-  Instruction &I =
-      Meth.Body[R.nextBelow(Meth.Body.size())];
+  std::vector<Instruction> Body = Meth.Body;
+  Instruction &I = Body[R.nextBelow(Body.size())];
   switch (R.nextBelow(3)) {
   case 0: // Corrupt the opcode.
     I.Op = static_cast<Opcode>(R.nextBelow(NumOpcodes));
@@ -50,6 +50,8 @@ bool mutateOnce(Program &P, Rng &R) {
                     R.nextInRange(0, 50));
     break;
   }
+  const unsigned Units = Method::machineUnitsOf(Body);
+  Meth.setBody(std::move(Body), Units);
   return true;
 }
 
@@ -100,12 +102,16 @@ TEST_P(MutationFuzzTest, TypePreservingMutantsRunSafely) {
     Workload W = makeWorkload("jess", Params);
     Program P = std::move(W.Prog);
     unsigned Mutated = 0;
-    for (MethodId M = 0; M != P.numMethods(); ++M)
-      for (Instruction &I : P.mutableMethod(M).Body)
+    for (MethodId M = 0; M != P.numMethods(); ++M) {
+      std::vector<Instruction> Body = P.method(M).Body;
+      for (Instruction &I : Body)
         if (I.Op == Opcode::Work && R.nextBool(0.5)) {
           I.Operand = R.nextInRange(1, 40);
           ++Mutated;
         }
+      const unsigned Units = Method::machineUnitsOf(Body);
+      P.mutableMethod(M).setBody(std::move(Body), Units);
+    }
     ASSERT_GT(Mutated, 0u);
     ASSERT_TRUE(verifyProgram(P).empty());
     VirtualMachine VM(P);
@@ -168,12 +174,15 @@ TEST(MutationTest, EveryWorkloadSurvivesHarmlessWorkMutations) {
     Program P = std::move(W.Prog);
     unsigned Mutated = 0;
     for (MethodId M = 0; M != P.numMethods() && Mutated < 20; ++M) {
-      for (Instruction &I : P.mutableMethod(M).Body) {
+      std::vector<Instruction> Body = P.method(M).Body;
+      for (Instruction &I : Body) {
         if (I.Op == Opcode::Work && R.nextBool(0.3)) {
           I.Operand = R.nextInRange(1, 80);
           ++Mutated;
         }
       }
+      const unsigned Units = Method::machineUnitsOf(Body);
+      P.mutableMethod(M).setBody(std::move(Body), Units);
     }
     EXPECT_TRUE(verifyProgram(P).empty()) << Name;
     VirtualMachine VM(P);

@@ -235,6 +235,49 @@ TEST(ServeTest, ByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(Serial.SharePeakBytes, Parallel.SharePeakBytes);
 }
 
+TEST(ServeTest, DriverRunSlicesMatchPooledSlicesAtOneTwoAndFourJobs) {
+  // One job runs every slice on the driver thread; two and four add one
+  // and three pool workers beside it. The mix keeps evicting shared
+  // entries, so slices on other threads see the same evictions.
+  ServeConfig Config;
+  Config.Tenants = {{"compress", 2}, {"jess", 1}, {"db", 2},
+                    {"scn-phase-flip", 1}};
+  Config.Params.Scale = 0.1;
+  Config.ShareCapacityBytes = 20000;
+  Config.Trace = true;
+  const ServeResults One = runServe(Config, /*Jobs=*/1);
+  EXPECT_GT(One.ShareEvictions, 0u);
+  std::ostringstream OneTrace;
+  exportServeTrace(OneTrace, One);
+  for (unsigned Jobs : {2u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(Jobs));
+    const ServeResults R = runServe(Config, Jobs);
+    ASSERT_EQ(R.Sessions.size(), One.Sessions.size());
+    for (size_t I = 0; I != R.Sessions.size(); ++I) {
+      const ServeSessionResult &A = One.Sessions[I], &B = R.Sessions[I];
+      expectSameResult(A, B);
+      EXPECT_EQ(A.SessionId, B.SessionId);
+      EXPECT_EQ(A.TenantName, B.TenantName);
+      EXPECT_EQ(A.IsScenario, B.IsScenario);
+      EXPECT_EQ(A.StartRound, B.StartRound);
+      EXPECT_EQ(A.RoundsRun, B.RoundsRun);
+    }
+    EXPECT_EQ(R.Rounds, One.Rounds);
+    EXPECT_EQ(R.SharePublishesAccepted, One.SharePublishesAccepted);
+    EXPECT_EQ(R.ShareDuplicatePublishes, One.ShareDuplicatePublishes);
+    EXPECT_EQ(R.ShareTotalHits, One.ShareTotalHits);
+    EXPECT_EQ(R.ShareEvictions, One.ShareEvictions);
+    EXPECT_EQ(R.ShareLiveBytes, One.ShareLiveBytes);
+    EXPECT_EQ(R.SharePeakBytes, One.SharePeakBytes);
+    EXPECT_EQ(R.ShareLiveEntries, One.ShareLiveEntries);
+    EXPECT_EQ(R.TraceNames, One.TraceNames);
+    EXPECT_EQ(exportServeCsv(R), exportServeCsv(One));
+    std::ostringstream Trace;
+    exportServeTrace(Trace, R);
+    EXPECT_EQ(Trace.str(), OneTrace.str());
+  }
+}
+
 TEST(ServeTest, SessionsFreedAsTheyFinishKeepEveryByte) {
   // Sessions that finish far apart: the phase-flip scenario within two
   // rounds, jess in nine, the two db sessions after about twenty. Each

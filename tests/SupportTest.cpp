@@ -17,6 +17,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 using namespace aoci;
 
@@ -336,6 +337,45 @@ TEST(ThreadPoolTest, StressThousandTasks) {
   }
   EXPECT_EQ(Bumps.load(), 1000u);
   EXPECT_GT(Total, 0u);
+}
+
+TEST(ThreadPoolTest, NoWorkersRunEveryTaskOnTheDrainingCallerInOrder) {
+  // Serve's driver thread is one of its executors: with one job the pool
+  // has no workers, and the driver runs each round's slices itself.
+  std::vector<int> Executed;
+  std::future<int> Bad;
+  {
+    ThreadPool Pool(0);
+    EXPECT_EQ(Pool.numThreads(), 0u);
+    std::vector<std::future<std::thread::id>> Futures;
+    for (int I = 0; I != 50; ++I)
+      Futures.push_back(Pool.submit([&Executed, I] {
+        Executed.push_back(I);
+        return std::this_thread::get_id();
+      }));
+    Bad = Pool.submit(
+        []() -> int { throw std::runtime_error("slice failed"); });
+    EXPECT_TRUE(Executed.empty()) << "nothing runs before a drain";
+    Pool.drain();
+    std::vector<int> Expected(50);
+    std::iota(Expected.begin(), Expected.end(), 0);
+    EXPECT_EQ(Executed, Expected);
+    for (std::future<std::thread::id> &F : Futures)
+      EXPECT_EQ(F.get(), std::this_thread::get_id());
+    // A task submitted after the drain runs when the pool is destroyed.
+    Pool.submit([&Executed] { Executed.push_back(50); });
+  }
+  EXPECT_EQ(Executed.size(), 51u);
+  EXPECT_THROW(
+      {
+        try {
+          Bad.get();
+        } catch (const std::runtime_error &E) {
+          EXPECT_STREQ(E.what(), "slice failed");
+          throw;
+        }
+      },
+      std::runtime_error);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {

@@ -100,7 +100,7 @@ struct Options {
       bindKnobs(Serve);
       Policy = &Serve.Policy;
       MaxDepth = &Serve.MaxDepth;
-      Jobs = 1; // serve runs its sessions serially unless asked
+      Jobs = 1; // serve runs every slice on its driver thread unless asked
       break;
     }
   }
@@ -219,7 +219,7 @@ const Flag Flags[] = {
     {"--trace-filter", "KINDS", TraceOutFlags,
      "comma-separated event kinds to record (see OBSERVABILITY.md)",
      [](Options &O) -> std::string & { return O.TraceFilter; }},
-    {"--jobs", "N", JobsFlag, "worker threads (0 = all hardware threads)",
+    {"--jobs", "N", JobsFlag, "threads to run on (0 = all hardware threads)",
      [](Options &O) -> unsigned & { return O.Jobs; }},
     {"--trials", "N", TrialsFlag, "runs per configuration, keeping the fastest",
      [](Options &O) -> unsigned & { return O.Trials; }, 1},
