@@ -13,7 +13,7 @@
 using namespace aoci;
 
 ClassHierarchy::ClassHierarchy(const Program &Prog)
-    : P(Prog), NumClasses(Prog.numClasses()), Impls(Prog.numMethods()) {
+    : P(Prog), NumClasses(Prog.numClasses()) {
   Subtype.assign(static_cast<size_t>(NumClasses) * NumClasses, false);
   SlotBegin.reserve(NumClasses + 1);
   SlotBegin.push_back(0);
@@ -69,16 +69,26 @@ ClassHierarchy::ClassHierarchy(const Program &Prog)
   }
 
   // Each key's distinct implementations over the instantiable classes, in
-  // class order.
-  for (ClassId C = 0; C != NumClasses; ++C) {
-    if (!P.klass(C).isInstantiable())
-      continue;
-    for (uint32_t I = SlotBegin[C]; I != SlotBegin[C + 1]; ++I) {
-      std::vector<MethodId> &Set = Impls[Slots[I].Key];
-      if (std::find(Set.begin(), Set.end(), Slots[I].Impl) == Set.end())
-        Set.push_back(Slots[I].Impl);
-    }
+  // class order: their slots, grouped by key (the stable sort keeps class
+  // order), then each key's run without repeats.
+  std::vector<Slot> Reach;
+  for (ClassId C = 0; C != NumClasses; ++C)
+    if (P.klass(C).isInstantiable())
+      Reach.insert(Reach.end(), Slots.begin() + SlotBegin[C],
+                   Slots.begin() + SlotBegin[C + 1]);
+  std::stable_sort(Reach.begin(), Reach.end(),
+                   [](Slot A, Slot B) { return A.Key < B.Key; });
+  ImplBegin.reserve(Prog.numMethods() + 1);
+  size_t R = 0;
+  for (MethodId M = 0; M != Prog.numMethods(); ++M) {
+    ImplBegin.push_back(static_cast<uint32_t>(ImplIds.size()));
+    for (; R != Reach.size() && Reach[R].Key == M; ++R)
+      if (std::find(ImplIds.begin() + ImplBegin[M], ImplIds.end(),
+                    Reach[R].Impl) == ImplIds.end())
+        ImplIds.push_back(Reach[R].Impl);
   }
+  ImplBegin.push_back(static_cast<uint32_t>(ImplIds.size()));
+  ImplIds.shrink_to_fit();
 }
 
 bool ClassHierarchy::isSubtypeOf(ClassId Sub, ClassId Super) const {
@@ -97,10 +107,12 @@ MethodId ClassHierarchy::resolveVirtual(ClassId Receiver,
   return It != Last && It->Key == Root ? It->Impl : InvalidMethodId;
 }
 
-const std::vector<MethodId> &
+std::span<const MethodId>
 ClassHierarchy::implementations(MethodId Root) const {
-  static const std::vector<MethodId> None;
-  return Root < Impls.size() ? Impls[Root] : None;
+  if (Root + size_t{1} >= ImplBegin.size())
+    return {};
+  return {ImplIds.data() + ImplBegin[Root],
+          ImplIds.data() + ImplBegin[Root + 1]};
 }
 
 bool ClassHierarchy::canBindWithoutGuard(MethodId Root, MethodId Impl) const {

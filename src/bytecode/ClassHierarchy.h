@@ -19,6 +19,7 @@
 
 #include "bytecode/Program.h"
 
+#include <span>
 #include <vector>
 
 namespace aoci {
@@ -44,7 +45,7 @@ public:
   /// All distinct concrete implementations that a call through override
   /// root \p Root could reach, considering every instantiable class in the
   /// program. One element means the call is monomorphic by CHA.
-  const std::vector<MethodId> &implementations(MethodId Root) const;
+  std::span<const MethodId> implementations(MethodId Root) const;
 
   /// True when CHA proves the call has exactly one possible target.
   bool isMonomorphicByCHA(MethodId Root) const {
@@ -77,8 +78,10 @@ private:
   /// Slots[SlotBegin[C], SlotBegin[C + 1]).
   std::vector<uint32_t> SlotBegin;
   std::vector<Slot> Slots;
-  /// implementations() of every method id.
-  std::vector<std::vector<MethodId>> Impls;
+  /// implementations() of every method id: method M's are
+  /// ImplIds[ImplBegin[M], ImplBegin[M + 1]).
+  std::vector<uint32_t> ImplBegin;
+  std::vector<MethodId> ImplIds;
 
   bool subtypeBit(ClassId Sub, ClassId Super) const {
     return Subtype[static_cast<size_t>(Sub) * NumClasses + Super];

@@ -308,30 +308,15 @@ ClaimsReport aoci::reportClaims(const std::vector<Claim> &Claims,
 
 namespace {
 
-/// The state the studies share: the worker pool, and what they measured.
+/// The state the studies share: the pool their legs run on (one executor
+/// per hardware thread, the calling thread included), and what they
+/// measured.
 struct Studies {
-  explicit Studies(unsigned Jobs) : Jobs(Jobs), Pool(Jobs) {}
-
   void record(const char *Id, double Value, std::string Note = "") {
     Measured[Id] = {Value, std::move(Note)};
   }
 
-  /// Runs \p F(0) .. F(N-1) on the pool; the results in index order.
-  template <typename Fn> auto parallel(size_t N, Fn F) {
-    std::vector<std::future<decltype(F(size_t()))>> Futures;
-    for (size_t I = 0; I != N; ++I)
-      Futures.push_back(Pool.submit([&F, I] { return F(I); }));
-    // Let every task finish before one's exception unwinds F.
-    for (auto &Future : Futures)
-      Future.wait();
-    std::vector<decltype(F(size_t()))> Out;
-    for (auto &Future : Futures)
-      Out.push_back(Future.get());
-    return Out;
-  }
-
-  const unsigned Jobs;
-  ThreadPool Pool;
+  ThreadPool Pool{ThreadPool::workersFor(0)};
   Measurements Measured;
   std::vector<DriftRow> Drift;
 };
@@ -373,9 +358,9 @@ std::map<std::string, RunResult> gridStudy(Studies &S) {
   GridConfig Config;
   Config.Trace = true;
   Config.TraceKindMask = steadyStateKindMask();
-  const GridResults Grid = runGridParallel(Config, S.Jobs);
+  const GridResults Grid = runGrid(Config, nullptr, /*Jobs=*/0);
 
-  const GridSummary Sum = summarizeGrid(Grid, Config.Policies, Config.Depths);
+  const GridSummary Sum = summarizeGrid(Grid);
   S.record("abstract.mean_speedup", Sum.MeanSpeedup);
   S.record("abstract.min_speedup", Sum.MinSpeedup);
   S.record("abstract.max_speedup", Sum.MaxSpeedup);
@@ -404,8 +389,7 @@ std::map<std::string, RunResult> gridStudy(Studies &S) {
   S.record("table1.max_gap", Gap, GapAt);
 
   // Bars[0] is cins; the compile-share changes are the cells'.
-  const std::vector<Figure6Bar> Bars =
-      figure6Bars(Grid, Config.Policies, Config.Depths);
+  const std::vector<Figure6Bar> Bars = figure6Bars(Grid);
   const unsigned Listeners = static_cast<unsigned>(AosComponent::Listeners);
   const Figure6Bar &MaxTotal = *std::max_element(
       Bars.begin(), Bars.end(),
@@ -536,7 +520,7 @@ void warmBudgetStudy(Studies &S) {
   const size_t NumTable1 = Workloads.size();
   Workloads.push_back("scn-phase-flip");
   Workloads.push_back("scn-megamorphic-storm");
-  const std::vector<WarmLegs> Legs = S.parallel(
+  const std::vector<WarmLegs> Legs = S.Pool.runIndexed(
       Workloads.size(),
       [&](size_t I) { return runWarmLegs(Workloads[I], I < NumTable1); });
 
@@ -587,7 +571,7 @@ void shareStudy(Studies &S) {
     uint64_t Solo = 0, Paid = 0, Saved = 0, Hits = 0, Publishes = 0;
     bool ResultsMatch = false;
   };
-  const std::vector<Bills> All = S.parallel(Workloads.size(), [&](size_t I) {
+  const auto All = S.Pool.runIndexed(Workloads.size(), [&](size_t I) {
     ServeConfig Serve;
     Serve.Tenants = {{Workloads[I], Sessions}};
     Serve.Params.Scale = 0.6;
@@ -667,7 +651,7 @@ void shareStudy(Studies &S) {
 void section4Study(Studies &S) {
   const std::vector<std::string> &Workloads = workloadNames();
   const std::vector<TraceStatistics> Stats =
-      S.parallel(Workloads.size(), [&](size_t I) {
+      S.Pool.runIndexed(Workloads.size(), [&](size_t I) {
         RunConfig Config = fixedConfig(Workloads[I], 1.0, 5);
         Config.CollectTraceStats = true;
         return runExperiment(Config).TraceStats;
@@ -708,7 +692,7 @@ void ablationStudy(Studies &S, const std::map<std::string, RunResult> &Grid) {
       {"mpegaudio", 0.3, [](RunConfig &C) { C.Aos.Osr.Enabled = true; }},
   };
   const std::vector<RunResult> R =
-      S.parallel(std::size(Variants), [&](size_t I) {
+      S.Pool.runIndexed(std::size(Variants), [&](size_t I) {
         RunConfig Config =
             fixedConfig(Variants[I].Workload, Variants[I].Scale, 3);
         Variants[I].Change(Config);
@@ -741,7 +725,7 @@ void ablationStudy(Studies &S, const std::map<std::string, RunResult> &Grid) {
 
 ClaimsReport
 aoci::runClaims(const std::function<void(const std::string &)> &Progress) {
-  Studies S(std::max(std::thread::hardware_concurrency(), 1u));
+  Studies S;
   auto done = [&](const char *Study) {
     if (Progress)
       Progress(formatString("claims: %s study done", Study));

@@ -45,9 +45,7 @@ void appendRunColumns(std::string &Out, const RunResult &R,
 
 } // namespace
 
-std::string aoci::exportCsv(const GridResults &Results,
-                            const std::vector<PolicyKind> &Policies,
-                            const std::vector<unsigned> &Depths) {
+std::string aoci::exportCsv(const GridResults &Results) {
   std::string Out = "workload,policy,max_depth" + counterHeader(GridCounters) +
                     ",aos_listeners,aos_compilation,aos_decay,aos_ai,"
                     "aos_method,aos_controller,speedup_pct,code_size_pct,"
@@ -57,8 +55,8 @@ std::string aoci::exportCsv(const GridResults &Results,
     appendRunColumns(Out, Results.baseline(W),
                      policyKindName(PolicyKind::ContextInsensitive));
     Out += ",,,\n";
-    for (PolicyKind Policy : Policies) {
-      for (unsigned D : Depths) {
+    for (PolicyKind Policy : Results.policies()) {
+      for (unsigned D : Results.depths()) {
         appendRunColumns(Out, Results.cell(W, Policy, D),
                          policyKindName(Policy));
         Out += formatString(

@@ -34,10 +34,8 @@ std::string counterCells(std::span<const std::string_view> Columns,
 /// Renders \p Results as CSV, one row per run: its identity, its counters,
 /// the Figure 6 fractions, and the Figure 4/5 and compile-time deltas
 /// (empty on baseline rows). Rows are ordered by workload, then baseline
-/// first, then policies x depths as given.
-std::string exportCsv(const GridResults &Results,
-                      const std::vector<PolicyKind> &Policies,
-                      const std::vector<unsigned> &Depths);
+/// first, then the grid's policies x depths.
+std::string exportCsv(const GridResults &Results);
 
 /// Renders the harness-side execution record (GridResults::metrics()),
 /// each row joined with its run's RunResult counters, as CSV, one row per

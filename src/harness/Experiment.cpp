@@ -14,12 +14,12 @@
 #include "trace/TraceJson.h"
 #include "workload/scenario/ScenarioWorkload.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 using namespace aoci;
 
@@ -217,21 +217,16 @@ double GridResults::speedupPercent(const std::string &Workload,
       static_cast<double>(cell(Workload, Policy, Depth).WallCycles));
 }
 
-double aoci::codeSizePercent(const RunResult &Baseline,
-                             const RunResult &Cell) {
+double GridResults::codeSizePercent(const std::string &Workload,
+                                    PolicyKind Policy,
+                                    unsigned Depth) const {
   // "Compiled code space" is the resident optimized code: the bytes of
   // optimized machine code installed once the system converges. The
   // cumulative-generated figure (which also counts code obsoleted by
   // recompilation) tracks compile *time* and is reported separately.
-  return percentChange(static_cast<double>(Baseline.OptBytesResident),
-                       static_cast<double>(Cell.OptBytesResident));
-}
-
-double GridResults::codeSizePercent(const std::string &Workload,
-                                    PolicyKind Policy,
-                                    unsigned Depth) const {
-  return aoci::codeSizePercent(baseline(Workload),
-                               cell(Workload, Policy, Depth));
+  return percentChange(
+      static_cast<double>(baseline(Workload).OptBytesResident),
+      static_cast<double>(cell(Workload, Policy, Depth).OptBytesResident));
 }
 
 double GridResults::compileTimePercent(const std::string &Workload,
@@ -248,15 +243,19 @@ void GridResults::addBaseline(RunResult R) {
 }
 
 void GridResults::addCell(RunResult R) {
+  if (std::find(Policies.begin(), Policies.end(), R.Policy) == Policies.end())
+    Policies.push_back(R.Policy);
+  if (std::find(Depths.begin(), Depths.end(), R.MaxDepth) == Depths.end())
+    Depths.push_back(R.MaxDepth);
   CellKey Key{R.WorkloadName, static_cast<uint8_t>(R.Policy), R.MaxDepth};
   Cells.emplace(std::move(Key), std::move(R));
 }
 
 namespace {
 
-/// One scheduled run of a sweep. Both the serial and the parallel
-/// runner execute the same plan, built by planGrid() below, which is
-/// what makes their GridResults identical by construction.
+/// One scheduled run of a sweep. runGrid executes planGrid()'s plan at
+/// every job count and assembles it in plan order, which is what makes
+/// its GridResults identical by construction.
 struct PlannedRun {
   RunConfig Config;
   bool IsBaseline = false;
@@ -322,7 +321,7 @@ RunMetrics makeMetrics(const PlannedRun &Run, const RunResult &Result,
 }
 
 /// Builds one enabled per-run sink per planned run (the lock-free
-/// discipline: a sink is only ever appended to by the worker executing
+/// discipline: a sink is only ever appended to by the executor running
 /// its run). Empty when the grid is not tracing.
 std::vector<TraceSink> planSinks(const GridConfig &Config,
                                  std::vector<PlannedRun> &Plan) {
@@ -357,11 +356,11 @@ GridResults assembleGrid(std::vector<PlannedRun> &Plan,
 
 /// The runs of one grid workload and the one build of its program they
 /// share. The first run to start builds the program and the last to
-/// finish drops it. Both runners start runs in plan order (the pool
-/// dequeues in submission order) and a workload's runs are contiguous
-/// there, so a program is resident only while a run of its workload is
-/// in flight: the serial runner holds one at a time, and the parallel
-/// runner never builds every workload's up front.
+/// finish drops it. Runs start in plan order (the pool dequeues in
+/// submission order) and a workload's runs are contiguous there, so a
+/// program is resident only while a run of its workload is in flight:
+/// one job holds one at a time, and no job count builds every
+/// workload's up front.
 class WorkloadBuild {
 public:
   /// Counts one more run of the workload.
@@ -412,97 +411,37 @@ uint64_t elapsedNs(std::chrono::steady_clock::time_point From,
 
 GridResults
 aoci::runGrid(const GridConfig &Config,
-              const std::function<void(const std::string &)> &Progress) {
+              const std::function<void(const std::string &)> &Progress,
+              unsigned Jobs) {
   std::vector<PlannedRun> Plan = planGrid(Config);
-  std::vector<RunResult> Runs(Plan.size());
   std::vector<RunMetrics> Metrics(Plan.size());
   std::vector<TraceSink> Sinks = planSinks(Config, Plan);
   std::vector<WorkloadBuild> Builds = planBuilds(Config, Plan);
-  // The serial runner keeps its richer progress lines: by the time a
-  // cell finishes its workload's baseline has too, so the line can
-  // already report the relative quantities.
-  const RunResult *Baseline = nullptr;
-  for (size_t I = 0; I != Plan.size(); ++I) {
+  std::mutex ProgressMutex;
+  ThreadPool Pool(ThreadPool::workersFor(Jobs, Plan.size()));
+  const auto Enqueued = std::chrono::steady_clock::now();
+  std::vector<RunResult> Runs = Pool.runIndexed(Plan.size(), [&](size_t I) {
     auto Start = std::chrono::steady_clock::now();
-    Runs[I] = Builds[Plan[I].Group].run(Plan[I].Config, Config.Trials);
+    RunResult R = Builds[Plan[I].Group].run(Plan[I].Config, Config.Trials);
     auto End = std::chrono::steady_clock::now();
-    Metrics[I] = makeMetrics(Plan[I], Runs[I], 0, 0, elapsedNs(Start, End));
-    const RunResult &R = Runs[I];
-    if (Plan[I].IsBaseline) {
-      Baseline = &R;
-      if (Progress)
-        Progress(formatString(
-            "%-12s %s: %llu cycles, %llu opt bytes (%llu resident)",
-            R.WorkloadName.c_str(), policyKindName(R.Policy),
-            static_cast<unsigned long long>(R.WallCycles),
-            static_cast<unsigned long long>(R.OptBytesGenerated),
-            static_cast<unsigned long long>(R.OptBytesResident)));
-    } else if (Progress) {
+    const RunMetrics &M = Metrics[I] =
+        makeMetrics(Plan[I], R, Pool.executor(), elapsedNs(Enqueued, Start),
+                    elapsedNs(Start, End));
+    if (Progress) {
+      // Relative quantities need the workload's baseline, which may
+      // still be in flight on another executor; report absolutes.
+      std::lock_guard<std::mutex> Lock(ProgressMutex);
       Progress(formatString(
-          "%-12s %-10s max=%u: speedup %s, code %s",
-          R.WorkloadName.c_str(), policyKindName(R.Policy), R.MaxDepth,
-          formatPercent(
-              aoci::speedupPercent(
-                  static_cast<double>(Baseline->WallCycles),
-                  static_cast<double>(R.WallCycles)))
-              .c_str(),
-          formatPercent(aoci::codeSizePercent(*Baseline, R)).c_str()));
+          "%-12s %-10s max=%u: %llu cycles, %llu opt bytes "
+          "(%llu resident; worker %u, %.1f host ms)",
+          R.WorkloadName.c_str(), policyKindName(M.Policy), M.MaxDepth,
+          static_cast<unsigned long long>(R.WallCycles),
+          static_cast<unsigned long long>(R.OptBytesGenerated),
+          static_cast<unsigned long long>(R.OptBytesResident), M.Worker,
+          static_cast<double>(M.HostNs) / 1e6));
     }
-  }
-  return assembleGrid(Plan, Runs, Metrics, Sinks);
-}
-
-GridResults aoci::runGridParallel(
-    const GridConfig &Config, unsigned Jobs,
-    const std::function<void(const std::string &)> &Progress) {
-  if (Jobs == 0)
-    Jobs = std::thread::hardware_concurrency();
-  if (Jobs == 0)
-    Jobs = 1;
-  std::vector<PlannedRun> Plan = planGrid(Config);
-  std::vector<RunResult> Runs(Plan.size());
-  std::vector<RunMetrics> Metrics(Plan.size());
-  std::vector<TraceSink> Sinks = planSinks(Config, Plan);
-  std::vector<WorkloadBuild> Builds = planBuilds(Config, Plan);
-  {
-    ThreadPool Pool(Jobs);
-    std::mutex ProgressMutex;
-    std::vector<std::future<void>> Futures;
-    Futures.reserve(Plan.size());
-    for (size_t I = 0; I != Plan.size(); ++I) {
-      auto Enqueued = std::chrono::steady_clock::now();
-      Futures.push_back(Pool.submit([&, I, Enqueued] {
-        auto Start = std::chrono::steady_clock::now();
-        RunResult R =
-            Builds[Plan[I].Group].run(Plan[I].Config, Config.Trials);
-        auto End = std::chrono::steady_clock::now();
-        Metrics[I] =
-            makeMetrics(Plan[I], R, ThreadPool::currentWorkerId(),
-                        elapsedNs(Enqueued, Start), elapsedNs(Start, End));
-        Runs[I] = std::move(R);
-        if (Progress) {
-          // Relative quantities need the workload's baseline, which may
-          // still be in flight on another worker; report absolutes.
-          std::lock_guard<std::mutex> Lock(ProgressMutex);
-          Progress(formatString(
-              "%-12s %-10s max=%u: %llu cycles, %llu opt bytes "
-              "(%llu resident; worker %u, %.1f host ms)",
-              Runs[I].WorkloadName.c_str(),
-              policyKindName(Plan[I].Config.Policy),
-              Plan[I].Config.MaxDepth,
-              static_cast<unsigned long long>(Runs[I].WallCycles),
-              static_cast<unsigned long long>(Runs[I].OptBytesGenerated),
-              static_cast<unsigned long long>(Runs[I].OptBytesResident),
-              Metrics[I].Worker,
-              static_cast<double>(Metrics[I].HostNs) / 1e6));
-        }
-      }));
-    }
-    // get() rather than wait(): a run that threw re-throws here, after
-    // the pool has drained (the destructor joins the workers).
-    for (std::future<void> &F : Futures)
-      F.get();
-  }
+    return R;
+  });
   return assembleGrid(Plan, Runs, Metrics, Sinks);
 }
 

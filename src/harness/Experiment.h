@@ -201,8 +201,8 @@ std::string runTraceName(const RunConfig &Config);
 /// The seed is a pure function of the run's configuration (workload,
 /// policy, depth, workload params, base jitter seed) and the trial
 /// index — never of submission order, thread id, or grid position — so
-/// a parallel sweep charges exactly the timer jitter a serial sweep
-/// would. Trial 0 returns the configured seed unchanged, which keeps a
+/// a sweep charges every run the same timer jitter at every job count.
+/// Trial 0 returns the configured seed unchanged, which keeps a
 /// single-trial run identical to a bare runExperiment().
 uint64_t deriveRunSeed(const RunConfig &Config, unsigned Trial);
 
@@ -226,9 +226,10 @@ struct RunMetrics {
   unsigned MaxDepth = 1;
   /// True for the per-workload context-insensitive baseline run.
   bool IsBaseline = false;
-  /// Pool worker that executed the run (0 in a serial sweep).
+  /// Executor that ran the run: 0 for the thread that called runGrid,
+  /// 1 .. Jobs - 1 for its pool workers.
   unsigned Worker = 0;
-  /// Host ns the run sat queued before a worker picked it up.
+  /// Host ns the run sat queued before an executor picked it up.
   uint64_t QueueLatencyNs = 0;
   /// Host ns spent executing the run (all trials).
   uint64_t HostNs = 0;
@@ -253,7 +254,7 @@ struct GridConfig {
   /// The VM cost model every cell runs under, including the bounded
   /// code cache configuration (Model.CodeCache). Eviction order is a
   /// pure function of simulated state, so a capacity-limited sweep is
-  /// still byte-identical between runGrid() and runGridParallel().
+  /// still byte-identical at every job count.
   CostModel Model;
   /// Trials per cell, taking the fastest (the paper used 20).
   unsigned Trials = 1;
@@ -264,8 +265,8 @@ struct GridConfig {
   /// Event kinds recorded when Trace is on (a parseTraceFilter() mask).
   uint32_t TraceKindMask = TraceAllKinds;
   /// Warm start every run of the sweep (baselines and cells) from this
-  /// profile; see RunConfig::WarmStart. Serial and parallel sweeps stay
-  /// byte-identical — warm-start application is simulated work, ordered
+  /// profile; see RunConfig::WarmStart. Sweeps stay byte-identical at
+  /// every job count — warm-start application is simulated work, ordered
   /// before the first sample like everything else.
   std::shared_ptr<const ProfileData> WarmStart;
   /// Capture a post-run profile snapshot for every run of the sweep
@@ -276,12 +277,8 @@ struct GridConfig {
   GridConfig();
 };
 
-/// Optimized code size change % of \p Cell over \p Baseline (negative =
-/// smaller), the Figure 5 quantity. Both GridResults::codeSizePercent and
-/// the serial grid's progress lines use it.
-double codeSizePercent(const RunResult &Baseline, const RunResult &Cell);
-
-/// Results of a sweep: the per-workload cins baseline plus every cell.
+/// Results of a sweep: the per-workload cins baseline plus every cell,
+/// and the workloads, policies and depths they cover.
 class GridResults {
 public:
   /// Baseline (context-insensitive) run for \p Workload.
@@ -311,7 +308,12 @@ public:
                         : cell(M.WorkloadName, M.Policy, M.MaxDepth);
   }
 
+  /// The grid's shape, in the order the runs were added (GridConfig's
+  /// order for a runGrid result): a workload per baseline, and each
+  /// policy and depth the first cell with it brought.
   const std::vector<std::string> &workloads() const { return Workloads; }
+  const std::vector<PolicyKind> &policies() const { return Policies; }
+  const std::vector<unsigned> &depths() const { return Depths; }
 
   /// Host-side execution records, one per run, in grid order (per
   /// workload: baseline first, then policies x depths as configured).
@@ -335,6 +337,8 @@ public:
 private:
   using CellKey = std::tuple<std::string, uint8_t, unsigned>;
   std::vector<std::string> Workloads;
+  std::vector<PolicyKind> Policies;
+  std::vector<unsigned> Depths;
   std::map<std::string, RunResult> Baselines;
   std::map<CellKey, RunResult> Cells;
   std::vector<RunMetrics> Metrics;
@@ -342,34 +346,28 @@ private:
   std::vector<std::string> TraceNames;
 };
 
-/// Runs the whole sweep serially; \p Progress (if provided) is invoked
-/// with a human-readable line after each completed run. A workload's
-/// baseline and cells share one build of its program, dropped before the
-/// next workload's is built.
-GridResults
-runGrid(const GridConfig &Config,
-        const std::function<void(const std::string &)> &Progress = nullptr);
-
-/// Runs the sweep on a pool of \p Jobs worker threads (0 selects
-/// std::thread::hardware_concurrency). Each run executes in its own
+/// Runs the sweep on \p Jobs executors: the calling thread and Jobs - 1
+/// pool workers (0 = one per hardware thread; never more executors than
+/// runs), so one job starts no thread. Each run executes in its own
 /// fresh VM with a jitter seed derived from its configuration alone
 /// (deriveRunSeed), so the returned GridResults — and hence
-/// exportCsv()'s bytes — are identical to runGrid()'s for every thread
-/// count; only metrics() (host timings, worker ids) and the
-/// interleaving of Progress lines differ. Progress may be invoked from
-/// worker threads, one call at a time (the runner serializes it). A
-/// workload's runs share one build of its program: the first of them to
-/// start builds it and the last to finish drops it, so at most one
-/// program per workload with a run in flight is resident.
-GridResults runGridParallel(
-    const GridConfig &Config, unsigned Jobs,
-    const std::function<void(const std::string &)> &Progress = nullptr);
+/// exportCsv()'s bytes — are identical for every job count; only
+/// metrics() (host timings, executors) and the order of the Progress
+/// lines differ. \p Progress, when set, gets one line per run as it
+/// ends, one call at a time, on the executor that ran it; with one job
+/// that is the calling thread, in plan order. A workload's runs share one
+/// build of its program: the first of them to start builds it and the
+/// last to finish drops it, so at most one program per workload with a
+/// run in flight is resident.
+GridResults
+runGrid(const GridConfig &Config,
+        const std::function<void(const std::string &)> &Progress = nullptr,
+        unsigned Jobs = 1);
 
 /// Writes every traced grid run as one merged Chrome trace-event JSON
-/// object (one process per run, in plan order). Byte-deterministic: a
-/// serial sweep and a --jobs N sweep of the same grid produce identical
-/// output. No-op content ({"traceEvents":[]}-equivalent) when the grid
-/// ran without tracing.
+/// object (one process per run, in plan order). Byte-deterministic: the
+/// same grid produces identical output at every job count. No-op content
+/// ({"traceEvents":[]}-equivalent) when the grid ran without tracing.
 void exportGridTrace(std::ostream &OS, const GridResults &Results);
 
 } // namespace aoci

@@ -50,26 +50,24 @@ using MetricFn = double (GridResults::*)(const std::string &, PolicyKind,
                                          unsigned) const;
 
 std::string reportMetricGrid(const char *Title, const GridResults &Results,
-                             const std::vector<PolicyKind> &Policies,
-                             const std::vector<unsigned> &Depths,
                              MetricFn Metric) {
   std::string Out = Title;
   Out += '\n';
-  for (PolicyKind Policy : Policies) {
+  for (PolicyKind Policy : Results.policies()) {
     Out += formatString("\n(%s)\n", policyKindName(Policy));
     std::vector<std::string> Header = {"benchmark"};
-    for (unsigned D : Depths)
+    for (unsigned D : Results.depths())
       Header.push_back(formatString("max=%u", D));
     std::vector<std::vector<std::string>> Rows;
     for (const std::string &W : Results.workloads()) {
       std::vector<std::string> Row = {W};
-      for (unsigned D : Depths)
+      for (unsigned D : Results.depths())
         Row.push_back(formatPercent((Results.*Metric)(W, Policy, D)));
       Rows.push_back(std::move(Row));
     }
     // The paper's harMean bar.
     std::vector<std::string> Mean = {"harMean"};
-    for (unsigned D : Depths) {
+    for (unsigned D : Results.depths()) {
       std::vector<double> Cells;
       for (const std::string &W : Results.workloads())
         Cells.push_back((Results.*Metric)(W, Policy, D));
@@ -83,22 +81,18 @@ std::string reportMetricGrid(const char *Title, const GridResults &Results,
 
 } // namespace
 
-std::string aoci::reportFigure4(const GridResults &Results,
-                                const std::vector<PolicyKind> &Policies,
-                                const std::vector<unsigned> &Depths) {
+std::string aoci::reportFigure4(const GridResults &Results) {
   return reportMetricGrid(
       "Figure 4: wall-clock speedup over context-insensitive inlining "
       "(positive = faster)",
-      Results, Policies, Depths, &GridResults::speedupPercent);
+      Results, &GridResults::speedupPercent);
 }
 
-std::string aoci::reportFigure5(const GridResults &Results,
-                                const std::vector<PolicyKind> &Policies,
-                                const std::vector<unsigned> &Depths) {
+std::string aoci::reportFigure5(const GridResults &Results) {
   std::string Out = reportMetricGrid(
       "Figure 5: optimized code size change over context-insensitive "
       "inlining (negative = smaller, desirable)",
-      Results, Policies, Depths, &GridResults::codeSizePercent);
+      Results, &GridResults::codeSizePercent);
   // Absolute anchors for the relative panels: "code space" is the
   // resident optimized code; the cumulative-generated figure also counts
   // code obsoleted by recompilation and tracks compile time.
@@ -112,20 +106,14 @@ std::string aoci::reportFigure5(const GridResults &Results,
   return Out;
 }
 
-std::string
-aoci::reportCompileTime(const GridResults &Results,
-                        const std::vector<PolicyKind> &Policies,
-                        const std::vector<unsigned> &Depths) {
+std::string aoci::reportCompileTime(const GridResults &Results) {
   return reportMetricGrid(
       "Compile-time change over context-insensitive inlining (negative = "
       "less optimizing compilation, desirable)",
-      Results, Policies, Depths, &GridResults::compileTimePercent);
+      Results, &GridResults::compileTimePercent);
 }
 
-std::vector<Figure6Bar>
-aoci::figure6Bars(const GridResults &Results,
-                  const std::vector<PolicyKind> &Policies,
-                  const std::vector<unsigned> &Depths) {
+std::vector<Figure6Bar> aoci::figure6Bars(const GridResults &Results) {
   using SelectFn = std::function<const RunResult &(const std::string &)>;
   auto bar = [&](const SelectFn &Select) {
     Figure6Bar B;
@@ -148,8 +136,8 @@ aoci::figure6Bars(const GridResults &Results,
   const unsigned Compilation =
       static_cast<unsigned>(AosComponent::Compilation);
   const double CinsCompileShare = Bars.front().Share[Compilation];
-  for (PolicyKind Policy : Policies)
-    for (unsigned D : Depths) {
+  for (PolicyKind Policy : Results.policies())
+    for (unsigned D : Results.depths()) {
       Figure6Bar B = bar([&](const std::string &W) -> const RunResult & {
         return Results.cell(W, Policy, D);
       });
@@ -163,9 +151,7 @@ aoci::figure6Bars(const GridResults &Results,
   return Bars;
 }
 
-std::string aoci::reportFigure6(const GridResults &Results,
-                                const std::vector<PolicyKind> &Policies,
-                                const std::vector<unsigned> &Depths) {
+std::string aoci::reportFigure6(const GridResults &Results) {
   std::string Out =
       "Figure 6: percent of execution time in each adaptive optimization "
       "system component (averaged over benchmarks)\n";
@@ -178,7 +164,7 @@ std::string aoci::reportFigure6(const GridResults &Results,
   std::string ShareChange =
       "\nRelative change of the compilation-thread share vs cins "
       "(paper: 8-33% reductions):\n";
-  for (const Figure6Bar &B : figure6Bars(Results, Policies, Depths)) {
+  for (const Figure6Bar &B : figure6Bars(Results)) {
     std::vector<std::string> Row = {B.Label};
     for (double Share : B.Share)
       Row.push_back(formatString("%.4f%%", Share * 100.0));
@@ -193,16 +179,14 @@ std::string aoci::reportFigure6(const GridResults &Results,
   return Out;
 }
 
-GridSummary aoci::summarizeGrid(const GridResults &Results,
-                                const std::vector<PolicyKind> &Policies,
-                                const std::vector<unsigned> &Depths) {
+GridSummary aoci::summarizeGrid(const GridResults &Results) {
   GridSummary S;
   S.MinSpeedup = 1e9;
   S.MaxSpeedup = -1e9;
   std::vector<double> AllSpeedups, AllCode, AllCompile;
   for (const std::string &W : Results.workloads()) {
-    for (PolicyKind Policy : Policies) {
-      for (unsigned D : Depths) {
+    for (PolicyKind Policy : Results.policies()) {
+      for (unsigned D : Results.depths()) {
         double Speedup = Results.speedupPercent(W, Policy, D);
         double Code = Results.codeSizePercent(W, Policy, D);
         double Compile = Results.compileTimePercent(W, Policy, D);
@@ -223,10 +207,8 @@ GridSummary aoci::summarizeGrid(const GridResults &Results,
   return S;
 }
 
-std::string aoci::reportSummary(const GridResults &Results,
-                                const std::vector<PolicyKind> &Policies,
-                                const std::vector<unsigned> &Depths) {
-  const GridSummary S = summarizeGrid(Results, Policies, Depths);
+std::string aoci::reportSummary(const GridResults &Results) {
+  const GridSummary S = summarizeGrid(Results);
   std::string Out = "Summary (paper's abstract: perf within +/-1% on "
                     "average, individual programs -4.2%..+5.3%; up to "
                     "33.0% compile-time and 56.7% code-space "

@@ -42,21 +42,15 @@ std::string reportTable1(const std::vector<RunResult> &Runs);
 
 /// Figure 4: one speedup panel per policy (benchmarks x depths, plus the
 /// harmonic-mean row).
-std::string reportFigure4(const GridResults &Results,
-                          const std::vector<PolicyKind> &Policies,
-                          const std::vector<unsigned> &Depths);
+std::string reportFigure4(const GridResults &Results);
 
 /// Figure 5: the same grid for optimized-code-size change, followed by
 /// each workload's baseline byte counts (the panels' absolute anchors).
-std::string reportFigure5(const GridResults &Results,
-                          const std::vector<PolicyKind> &Policies,
-                          const std::vector<unsigned> &Depths);
+std::string reportFigure5(const GridResults &Results);
 
 /// Compile-time companion grid (the paper reports compile time in the
 /// abstract and Section 5's Figure 6 discussion).
-std::string reportCompileTime(const GridResults &Results,
-                              const std::vector<PolicyKind> &Policies,
-                              const std::vector<unsigned> &Depths);
+std::string reportCompileTime(const GridResults &Results);
 
 /// One configuration's Figure 6 bar: the fraction of wall cycles in each
 /// AOS component, averaged over the grid's workloads.
@@ -75,17 +69,13 @@ struct Figure6Bar {
 };
 
 /// Figure 6's bars: cins first, then each policy x depth.
-std::vector<Figure6Bar> figure6Bars(const GridResults &Results,
-                                    const std::vector<PolicyKind> &Policies,
-                                    const std::vector<unsigned> &Depths);
+std::vector<Figure6Bar> figure6Bars(const GridResults &Results);
 
 /// Figure 6: percent of execution time in each AOS component, averaged
 /// over the benchmarks, for cins plus each policy x depth, followed by
 /// each policy x depth's change of the compilation-thread share vs cins
 /// (the paper reports 8-33% reductions).
-std::string reportFigure6(const GridResults &Results,
-                          const std::vector<PolicyKind> &Policies,
-                          const std::vector<unsigned> &Depths);
+std::string reportFigure6(const GridResults &Results);
 
 /// The abstract's numbers over every policy x depth cell of a grid, in
 /// percent against each workload's cins baseline. A reduction is
@@ -96,14 +86,10 @@ struct GridSummary {
   double MeanCompileChange = 0, LargestCompileReduction = 0;
 };
 
-GridSummary summarizeGrid(const GridResults &Results,
-                          const std::vector<PolicyKind> &Policies,
-                          const std::vector<unsigned> &Depths);
+GridSummary summarizeGrid(const GridResults &Results);
 
 /// The abstract's summary numbers derived from a grid.
-std::string reportSummary(const GridResults &Results,
-                          const std::vector<PolicyKind> &Policies,
-                          const std::vector<unsigned> &Depths);
+std::string reportSummary(const GridResults &Results);
 
 /// Harness execution report: one row per run (worker, queue latency,
 /// host time, simulated cycles), an aggregate throughput line, and the

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 
 using namespace aoci;
 
@@ -96,11 +95,6 @@ struct LiveSession {
 ServeResults
 aoci::runServe(const ServeConfig &Config, unsigned Jobs,
                const std::function<void(const std::string &)> &Progress) {
-  if (Jobs == 0)
-    Jobs = std::thread::hardware_concurrency();
-  if (Jobs == 0)
-    Jobs = 1;
-
   SharedCodeCache Cache(ShareCacheConfig{Config.ShareCapacityBytes});
 
   // Build every session on the driver thread, in session-id order —
@@ -145,7 +139,7 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
     // The driver thread is one of the Jobs executors: the pool gets the
     // others, and the driver runs queued slices before it waits, so one
     // job runs every slice here and hands nothing off.
-    ThreadPool Pool(Jobs - 1);
+    ThreadPool Pool(ThreadPool::workersFor(Jobs));
     while (true) {
       bool AnyAlive = false;
       uint64_t NextStart = UINT64_MAX;
@@ -175,16 +169,11 @@ aoci::runServe(const ServeConfig &Config, unsigned Jobs,
       // is frozen for the duration: sessions only read it (lookups) and
       // append to their own pending logs, so the interleaving cannot
       // influence any simulated outcome.
-      std::vector<std::future<void>> Futures;
-      Futures.reserve(Active.size());
-      for (LiveSession *S : Active) {
+      for (LiveSession *S : Active)
         S->NextLimit += Config.SliceCycles;
-        Futures.push_back(Pool.submit([S] { S->Run->run(S->NextLimit); }));
-      }
-      Pool.drain();
-      // get() rather than wait(): a session that threw re-throws here.
-      for (std::future<void> &F : Futures)
-        F.get();
+      Pool.runIndexed(Active.size(), [&Active](size_t I) {
+        Active[I]->Run->run(Active[I]->NextLimit);
+      });
 
       // Single-threaded barrier, in session-id order: merge share
       // activity, retire finished sessions, enforce the shared bound.

@@ -35,7 +35,7 @@ InliningOracle::staticHeuristics(const OracleQuery &Query) const {
     // Virtual/interface: statically bindable only when class analysis /
     // CHA finds a single concrete implementation (Section 3.1).
     const MethodId Root = Decl.OverrideRoot;
-    const std::vector<MethodId> &Impls = CH.implementations(Root);
+    const std::span<const MethodId> Impls = CH.implementations(Root);
     if (Impls.size() != 1)
       return Out;
     Target = Impls.front();

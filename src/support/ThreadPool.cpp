@@ -7,13 +7,26 @@
 
 #include "support/ThreadPool.h"
 
+#include <algorithm>
+
 using namespace aoci;
 
 namespace {
-thread_local unsigned CurrentWorker = ~0u;
+/// The pool whose worker the current thread is, and its index there.
+thread_local const ThreadPool *CurrentPool = nullptr;
+thread_local unsigned CurrentIndex = 0;
 } // namespace
 
-unsigned ThreadPool::currentWorkerId() { return CurrentWorker; }
+unsigned ThreadPool::workersFor(unsigned Jobs, size_t Tasks) {
+  if (Jobs == 0)
+    Jobs = std::max(std::thread::hardware_concurrency(), 1u);
+  return static_cast<unsigned>(
+      std::min<size_t>(Jobs, std::max<size_t>(Tasks, 1)) - 1);
+}
+
+unsigned ThreadPool::executor() const {
+  return CurrentPool == this ? CurrentIndex + 1 : 0;
+}
 
 ThreadPool::ThreadPool(unsigned Threads) {
   Workers.reserve(Threads);
@@ -57,7 +70,8 @@ void ThreadPool::drain() {
 }
 
 void ThreadPool::workerLoop(unsigned Index) {
-  CurrentWorker = Index;
+  CurrentPool = this;
+  CurrentIndex = Index;
   for (;;) {
     std::function<void()> Task;
     {

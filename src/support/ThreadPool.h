@@ -11,9 +11,9 @@
 /// of one thread executes exactly the serial schedule. A caller may
 /// drain() the queue itself, as one more executor; a pool of no workers
 /// then runs every task on the draining thread, in submission order.
-/// Results and exceptions travel through std::future, which is what the
-/// parallel grid runner relies on to propagate a failing run to the
-/// caller.
+/// runIndexed() is the one way the harness uses it: the grid's runs, each
+/// serve round's slices and the claims studies' legs are N indexed tasks
+/// on the workers plus the calling thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,12 +22,14 @@
 
 #include <cassert>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace aoci {
@@ -49,6 +51,11 @@ public:
   unsigned numThreads() const {
     return static_cast<unsigned>(Workers.size());
   }
+
+  /// The worker count that, with the calling thread, makes \p Jobs
+  /// executors (0 = one per hardware thread), but no more workers than
+  /// \p Tasks - 1: the caller takes a task too.
+  static unsigned workersFor(unsigned Jobs, size_t Tasks = SIZE_MAX);
 
   /// Submits a nullary callable; returns the future of its result. A
   /// task that throws stores the exception in the future instead.
@@ -72,9 +79,35 @@ public:
   /// without waiting for tasks that workers are still running.
   void drain();
 
-  /// Index (0-based) of the pool worker executing the current thread, or
-  /// ~0u when called from a thread that is not a pool worker.
-  static unsigned currentWorkerId();
+  /// Runs \p Task(0) .. Task(N - 1) on the workers and on the calling
+  /// thread, which drains the queue, and returns their results in index
+  /// order (nothing for a void Task). Every task finishes before this
+  /// returns or throws; when tasks throw, the lowest index's exception is
+  /// rethrown.
+  template <typename Fn> auto runIndexed(size_t N, Fn Task) {
+    using Result = decltype(Task(size_t()));
+    std::vector<std::future<Result>> Futures;
+    Futures.reserve(N);
+    for (size_t I = 0; I != N; ++I)
+      Futures.push_back(submit([&Task, I] { return Task(I); }));
+    drain();
+    for (std::future<Result> &F : Futures)
+      F.wait();
+    if constexpr (std::is_void_v<Result>) {
+      for (std::future<Result> &F : Futures)
+        F.get();
+    } else {
+      std::vector<Result> Out;
+      Out.reserve(N);
+      for (std::future<Result> &F : Futures)
+        Out.push_back(F.get());
+      return Out;
+    }
+  }
+
+  /// The executor running the calling thread: 1 + its index among this
+  /// pool's workers, or 0 on any other thread (the caller that drains).
+  unsigned executor() const;
 
 private:
   void workerLoop(unsigned Index);

@@ -8,8 +8,8 @@
 //   (1) cache off (CapacityBytes == 0) — and a capacity that never binds
 //       — are byte-identical to the unbounded registry;
 //   (2) eviction is deterministic: victims follow (LastUsedCycle,
-//       InstallSeq), so a parallel grid sweep with eviction on exports
-//       the same CSV bytes as a serial one;
+//       InstallSeq), so a four-job grid sweep with eviction on exports
+//       the same CSV bytes as a one-job one;
 //   (3) evicting code with live activations routes through the OSR
 //       driver's deoptimization and is the identity on source-level
 //       frame state; unevictable activations pin their variant instead;
@@ -547,12 +547,10 @@ TEST(CodeCacheGridTest, ParallelGridCsvMatchesSerialWithEvictionOn) {
   Config.Model.CodeCache.CapacityBytes = 6000;
 
   GridResults Serial = runGrid(Config);
-  GridResults Parallel = runGridParallel(Config, 4);
+  GridResults Parallel = runGrid(Config, nullptr, 4);
 
-  const std::string SerialCsv =
-      exportCsv(Serial, Config.Policies, Config.Depths);
-  const std::string ParallelCsv =
-      exportCsv(Parallel, Config.Policies, Config.Depths);
+  const std::string SerialCsv = exportCsv(Serial);
+  const std::string ParallelCsv = exportCsv(Parallel);
   EXPECT_EQ(SerialCsv, ParallelCsv)
       << "victim selection must be deterministic across job counts";
 

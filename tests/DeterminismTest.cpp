@@ -4,7 +4,7 @@
 // Context-Sensitive Inlining" (Hazelwood & Grove, CGO 2003).
 //
 // The harness's load-bearing guarantee: a run is a pure function of its
-// RunConfig, and a parallel sweep is byte-for-byte the serial sweep.
+// RunConfig, and a sweep is byte-for-byte the same at every job count.
 // Without this, any speedup/code-size conclusion could be an artifact
 // of harness scheduling rather than of inlining policy (the "misleading
 // microbenchmarks" failure mode).
@@ -13,12 +13,14 @@
 
 #include "harness/CsvExport.h"
 #include "harness/Experiment.h"
+#include "support/StringUtils.h"
 
 #include "SameResult.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 using namespace aoci;
 
@@ -113,19 +115,17 @@ TEST(DeterminismTest, DerivedSeedsDependOnConfigNotOnAnythingElse) {
 }
 
 //===----------------------------------------------------------------------===//
-// (b) Parallel vs serial grid: identical results and CSV bytes.
+// (b) One job against N: identical results and CSV bytes.
 //===----------------------------------------------------------------------===//
 
 TEST(DeterminismTest, ParallelGridMatchesSerialGrid) {
   GridConfig Config = reducedGrid();
   GridResults Serial = runGrid(Config);
-  GridResults Parallel = runGridParallel(Config, 4);
+  GridResults Parallel = runGrid(Config, nullptr, 4);
   expectIdenticalGrids(Serial, Parallel, Config);
 
-  std::string SerialCsv =
-      exportCsv(Serial, Config.Policies, Config.Depths);
-  std::string ParallelCsv =
-      exportCsv(Parallel, Config.Policies, Config.Depths);
+  std::string SerialCsv = exportCsv(Serial);
+  std::string ParallelCsv = exportCsv(Parallel);
   EXPECT_EQ(SerialCsv, ParallelCsv)
       << "the parallel grid must be byte-identical to the serial grid";
 }
@@ -133,11 +133,10 @@ TEST(DeterminismTest, ParallelGridMatchesSerialGrid) {
 TEST(DeterminismTest, ParallelGridIsIndependentOfJobCount) {
   GridConfig Config = reducedGrid();
   Config.Workloads = {"compress"};
-  GridResults One = runGridParallel(Config, 1);
-  GridResults Three = runGridParallel(Config, 3);
+  GridResults One = runGrid(Config, nullptr, 1);
+  GridResults Three = runGrid(Config, nullptr, 3);
   expectIdenticalGrids(One, Three, Config);
-  EXPECT_EQ(exportCsv(One, Config.Policies, Config.Depths),
-            exportCsv(Three, Config.Policies, Config.Depths));
+  EXPECT_EQ(exportCsv(One), exportCsv(Three));
 }
 
 TEST(DeterminismTest, ParallelGridWithTrialsMatchesSerial) {
@@ -147,7 +146,7 @@ TEST(DeterminismTest, ParallelGridWithTrialsMatchesSerial) {
   Config.Depths = {3};
   Config.Trials = 3;
   GridResults Serial = runGrid(Config);
-  GridResults Parallel = runGridParallel(Config, 4);
+  GridResults Parallel = runGrid(Config, nullptr, 4);
   expectIdenticalGrids(Serial, Parallel, Config);
 }
 
@@ -156,9 +155,31 @@ TEST(DeterminismTest, ParallelGridWithTrialsMatchesSerial) {
 // envelope — only its config-derived identity columns are checked).
 //===----------------------------------------------------------------------===//
 
+TEST(DeterminismTest, OneJobRunsEveryRunOnTheCallingThreadInPlanOrder) {
+  GridConfig Config = reducedGrid();
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::vector<std::string> Lines;
+  GridResults One = runGrid(Config, [&](const std::string &Line) {
+    EXPECT_EQ(std::this_thread::get_id(), Caller) << Line;
+    Lines.push_back(Line);
+  });
+  ASSERT_EQ(Lines.size(), One.metrics().size());
+  for (size_t I = 0; I != Lines.size(); ++I) {
+    const RunMetrics &M = One.metrics()[I];
+    EXPECT_EQ(M.Worker, 0u) << Lines[I];
+    const std::string Prefix =
+        formatString("%-12s %-10s max=%u:", M.WorkloadName.c_str(),
+                     policyKindName(M.Policy), M.MaxDepth);
+    EXPECT_EQ(Lines[I].rfind(Prefix, 0), 0u) << Lines[I];
+  }
+  GridResults Four = runGrid(Config, nullptr, 4);
+  for (const RunMetrics &M : Four.metrics())
+    EXPECT_LT(M.Worker, 4u);
+}
+
 TEST(DeterminismTest, MetricsCoverEveryRunInGridOrder) {
   GridConfig Config = reducedGrid();
-  GridResults Parallel = runGridParallel(Config, 4);
+  GridResults Parallel = runGrid(Config, nullptr, 4);
   size_t RunsPerWorkload = 1 + Config.Policies.size() * Config.Depths.size();
   ASSERT_EQ(Parallel.metrics().size(),
             Config.Workloads.size() * RunsPerWorkload);

@@ -66,9 +66,7 @@ GridResults syntheticGrid() {
 
 TEST(GoldenTest, CsvExportFormat) {
   GridResults Results = syntheticGrid();
-  std::string Csv =
-      exportCsv(Results, {PolicyKind::Fixed, PolicyKind::Parameterless},
-                {2, 3});
+  std::string Csv = exportCsv(Results);
   expectMatchesGolden(goldenPath("csv_export.golden"), Csv, FormatHint);
 }
 

@@ -103,7 +103,7 @@ TEST(RunCountersTest, GridAndMetricsCsvColumnsHoldTheirCounters) {
   M.WorkloadName = R.WorkloadName;
   M.IsBaseline = true;
   Results.addMetrics(M);
-  EXPECT_EQ(expectCountersInTheirColumns(exportCsv(Results, {}, {}), R), 8u);
+  EXPECT_EQ(expectCountersInTheirColumns(exportCsv(Results), R), 8u);
   const std::string Metrics = exportMetricsCsv(Results);
   EXPECT_EQ(expectCountersInTheirColumns(Metrics, R), 10u);
   // run_cycles is wall_cycles under the name this CSV has always used.

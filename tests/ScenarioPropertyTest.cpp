@@ -6,8 +6,8 @@
 // Property tests of the adversarial-scenario layer: the `.scn` text form
 // round-trips through parse/print for every spec the mutator can reach,
 // the mutator is a pure function of its seed, compiled scenarios obey
-// the same determinism contract as the Table 1 workloads (serial and
-// parallel grids export byte-identical CSV), and the scenarios actually
+// the same determinism contract as the Table 1 workloads (one-job and
+// four-job grids export byte-identical CSV), and the scenarios actually
 // exercise the adaptive machinery they claim to (megamorphic dispatch,
 // phase-flip decay drops, phase-shift trace markers).
 //
@@ -179,8 +179,8 @@ TEST(ScenarioWorkloadTest, CompilationIsDeterministic) {
 }
 
 TEST(ScenarioGridTest, SerialAndParallelCsvBytesMatch) {
-  // The issue's determinism gate: at least three builtin adversaries
-  // through the grid, serial vs --jobs 4, byte-identical CSV.
+  // At least three builtin adversaries through the grid, one job vs
+  // four, byte-identical CSV.
   GridConfig Config;
   Config.Workloads = {"scn-megamorphic-storm", "scn-phase-flip",
                       "scn-alloc-burst"};
@@ -189,11 +189,9 @@ TEST(ScenarioGridTest, SerialAndParallelCsvBytesMatch) {
   Config.Params.Scale = 0.3;
   Config.Trials = 2;
   GridResults Serial = runGrid(Config);
-  GridResults Parallel = runGridParallel(Config, 4);
-  const std::string CsvA =
-      exportCsv(Serial, Config.Policies, Config.Depths);
-  const std::string CsvB =
-      exportCsv(Parallel, Config.Policies, Config.Depths);
+  GridResults Parallel = runGrid(Config, nullptr, 4);
+  const std::string CsvA = exportCsv(Serial);
+  const std::string CsvB = exportCsv(Parallel);
   EXPECT_EQ(CsvA, CsvB);
   EXPECT_NE(CsvA.find("scn-phase-flip"), std::string::npos);
 }

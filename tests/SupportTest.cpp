@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -304,13 +306,82 @@ TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
 }
 
 TEST(ThreadPoolTest, WorkerIdsCoverThePoolAndOnlyThePool) {
-  EXPECT_EQ(ThreadPool::currentWorkerId(), ~0u);
-  ThreadPool Pool(3);
+  ThreadPool Pool(3), Other(1);
+  EXPECT_EQ(Pool.executor(), 0u) << "the caller is executor 0";
   std::vector<std::future<unsigned>> Futures;
   for (int I = 0; I != 60; ++I)
-    Futures.push_back(Pool.submit([] { return ThreadPool::currentWorkerId(); }));
-  for (std::future<unsigned> &F : Futures)
-    EXPECT_LT(F.get(), 3u);
+    Futures.push_back(Pool.submit([&Pool] { return Pool.executor(); }));
+  for (std::future<unsigned> &F : Futures) {
+    const unsigned Executor = F.get();
+    EXPECT_GE(Executor, 1u);
+    EXPECT_LE(Executor, 3u);
+  }
+  // A worker of another pool is not one of this pool's workers.
+  EXPECT_EQ(Other.submit([&Pool] { return Pool.executor(); }).get(), 0u);
+}
+
+TEST(ThreadPoolTest, WorkersForCountsTheCallerAndNeverExceedsTheTasks) {
+  EXPECT_EQ(ThreadPool::workersFor(1), 0u);
+  EXPECT_EQ(ThreadPool::workersFor(4), 3u);
+  EXPECT_EQ(ThreadPool::workersFor(4, 2), 1u);
+  EXPECT_EQ(ThreadPool::workersFor(4, 1), 0u);
+  EXPECT_EQ(ThreadPool::workersFor(4, 0), 0u);
+  EXPECT_EQ(ThreadPool::workersFor(0),
+            std::max(std::thread::hardware_concurrency(), 1u) - 1);
+}
+
+TEST(ThreadPoolTest, RunIndexedReturnsResultsInIndexOrder) {
+  ThreadPool Pool(3);
+  const std::vector<size_t> Squares =
+      Pool.runIndexed(200, [](size_t I) { return I * I; });
+  ASSERT_EQ(Squares.size(), 200u);
+  for (size_t I = 0; I != Squares.size(); ++I)
+    EXPECT_EQ(Squares[I], I * I);
+  EXPECT_TRUE(Pool.runIndexed(0, [](size_t I) { return I; }).empty());
+}
+
+TEST(ThreadPoolTest, RunIndexedRethrowsTheLowestFailureOnceEveryTaskFinished) {
+  ThreadPool Pool(3);
+  constexpr size_t N = 40;
+  std::atomic<size_t> Finished{0};
+  auto Task = [&Finished](size_t I) {
+    // The last task is slow, so it is still running when the throwing
+    // ones are done.
+    if (I == N - 1)
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    Finished.fetch_add(1);
+    if (I == 3 || I == 7 || I == N - 1)
+      throw std::runtime_error("task " + std::to_string(I));
+  };
+  EXPECT_THROW(
+      {
+        try {
+          Pool.runIndexed(N, Task);
+        } catch (const std::runtime_error &E) {
+          EXPECT_STREQ(E.what(), "task 3");
+          EXPECT_EQ(Finished.load(), N);
+          throw;
+        }
+      },
+      std::runtime_error);
+}
+
+TEST(ThreadPoolTest, RunIndexedWithoutWorkersRunsEverythingOnTheCaller) {
+  ThreadPool Pool(0);
+  std::vector<size_t> Order;
+  const std::vector<std::thread::id> Threads =
+      Pool.runIndexed(50, [&](size_t I) {
+        // No lock: with no workers the caller runs the tasks one after
+        // another (TSan would flag it otherwise).
+        Order.push_back(I);
+        EXPECT_EQ(Pool.executor(), 0u);
+        return std::this_thread::get_id();
+      });
+  std::vector<size_t> Expected(50);
+  std::iota(Expected.begin(), Expected.end(), 0);
+  EXPECT_EQ(Order, Expected);
+  for (std::thread::id Id : Threads)
+    EXPECT_EQ(Id, std::this_thread::get_id());
 }
 
 TEST(ThreadPoolTest, StressThousandTasks) {

@@ -7,7 +7,7 @@
 //   (1) zero simulated cost — a traced run's results are bit-identical
 //       to an untraced run's, and FingerprintTest's goldens never move;
 //   (2) determinism — the exported JSON is a pure function of the run
-//       config, byte-identical between serial and parallel sweeps;
+//       config, byte-identical between one-job and four-job sweeps;
 //   (3) fidelity — the stream is ordered by (cycle, seq), honours the
 //       kind filter, and survives the ring cap by dropping oldest first.
 //
@@ -287,7 +287,7 @@ TEST(TraceEventsTest, BestOfKeepsExactlyTheBestTrialsStream) {
 }
 
 //===----------------------------------------------------------------------===//
-// (2) Determinism: serial and parallel grid exports are byte-identical.
+// (2) Determinism: one-job and four-job grid exports are byte-identical.
 //===----------------------------------------------------------------------===//
 
 TEST(TraceGridTest, ParallelGridTraceMatchesSerialByteForByte) {
@@ -299,7 +299,7 @@ TEST(TraceGridTest, ParallelGridTraceMatchesSerialByteForByte) {
   Config.Trace = true;
 
   GridResults Serial = runGrid(Config);
-  GridResults Parallel = runGridParallel(Config, 4);
+  GridResults Parallel = runGrid(Config, nullptr, 4);
 
   ASSERT_EQ(Serial.traces().size(), Parallel.traces().size());
   ASSERT_EQ(Serial.traceNames(), Parallel.traceNames());

@@ -65,8 +65,9 @@ struct Options {
   std::vector<std::string> Operands;
   std::vector<std::string> Workloads = workloadNames();
   unsigned Trials = 1;
-  /// 0 lets runGridParallel pick hardware_concurrency; results are
-  /// byte-identical for every job count (see DESIGN.md).
+  /// Executors, the calling thread included (0 = one per hardware
+  /// thread); results are byte-identical for every job count (see
+  /// DESIGN.md).
   unsigned Jobs = 0;
   uint64_t MaxEvents = 0;
   /// The shared index's capacity (0 = unbounded), or empty for `off`.
@@ -478,7 +479,7 @@ bool parseInto(const Flag &F, const std::string &V,
 }
 
 /// A comma-separated list; each item parses as a T. An empty item, and
-/// so an empty list, is an error.
+/// so an empty list, is an error, and so is an item given twice.
 template <typename T>
 bool parseInto(const Flag &F, const std::string &V, std::vector<T> &Out) {
   std::vector<T> Items;
@@ -491,9 +492,15 @@ bool parseInto(const Flag &F, const std::string &V, std::vector<T> &Out) {
                    F.Name, V.c_str());
       return false;
     }
-    Items.emplace_back();
-    if (!parseInto(F, V.substr(Begin, End - Begin), Items.back()))
+    const std::string Item = V.substr(Begin, End - Begin);
+    T Value{};
+    if (!parseInto(F, Item, Value))
       return false;
+    if (std::find(Items.begin(), Items.end(), Value) != Items.end()) {
+      std::fprintf(stderr, "%s lists '%s' twice\n", F.Name, Item.c_str());
+      return false;
+    }
+    Items.push_back(std::move(Value));
     Begin = End + 1;
   }
   Out = std::move(Items);
@@ -819,23 +826,18 @@ int cmdGrid(Options &O) {
     return 1;
   Config.CaptureProfile = !O.ProfileOut.empty();
 
-  GridResults Results = runGridParallel(Config, O.Jobs, printLine);
-  using GridReport = std::string (*)(const GridResults &,
-                                     const std::vector<PolicyKind> &,
-                                     const std::vector<unsigned> &);
+  GridResults Results = runGrid(Config, printLine, O.Jobs);
+  using GridReport = std::string (*)(const GridResults &);
   const std::pair<const char *, GridReport> Reports[] = {
       {"fig4", reportFigure4},     {"fig5", reportFigure5},
       {"compile", reportCompileTime}, {"fig6", reportFigure6},
       {"summary", reportSummary}};
   for (const auto &[Name, Report] : Reports)
     if (O.Report == Name || O.Report == "all")
-      std::printf("%s\n",
-                  Report(Results, Config.Policies, Config.Depths).c_str());
+      std::printf("%s\n", Report(Results).c_str());
   if (O.Metrics)
     std::printf("%s\n", reportRunMetrics(Results).c_str());
-  if (!O.Csv.empty() &&
-      !writeFile(O.Csv, exportCsv(Results, Config.Policies, Config.Depths),
-                 "csv"))
+  if (!O.Csv.empty() && !writeFile(O.Csv, exportCsv(Results), "csv"))
     return 1;
   if (!O.MetricsCsv.empty() &&
       !writeFile(O.MetricsCsv, exportMetricsCsv(Results), "metrics csv"))
@@ -859,8 +861,8 @@ int cmdGrid(Options &O) {
     for (const std::string &W : Results.workloads()) {
       if (!save(Results.baseline(W), W + "-cins"))
         return 1;
-      for (PolicyKind Policy : Config.Policies)
-        for (unsigned D : Config.Depths)
+      for (PolicyKind Policy : Results.policies())
+        for (unsigned D : Results.depths())
           if (!save(Results.cell(W, Policy, D),
                     W + "-" + policyKindName(Policy) + "-d" +
                         std::to_string(D)))
