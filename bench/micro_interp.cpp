@@ -117,7 +117,8 @@ void BM_InterpInlinedCallLoop(benchmark::State &State) {
   MethodId Leaf = P.findMethod("Main.leaf");
   ClassHierarchy CH(P);
   OptimizingCompiler Compiler(P, CH, Model);
-  StaticOracle Oracle(P, CH);
+  InlineRuleSet NoRules;
+  InliningOracle Oracle(P, CH, NoRules);
   for (auto _ : State) {
     VirtualMachine VM(P, Model);
     VM.codeManager().install(
@@ -269,7 +270,7 @@ void BM_OptCompileFigureOneRunTest(benchmark::State &State) {
     R2.Weight = 50;
     Rules.add(std::move(R2));
   }
-  ProfileDirectedOracle Oracle(F.P, CH, Rules);
+  InliningOracle Oracle(F.P, CH, Rules);
   for (auto _ : State)
     benchmark::DoNotOptimize(
         Compiler.compile(F.RunTest, OptLevel::Opt2, Oracle));

@@ -440,8 +440,8 @@ void AdaptiveSystem::processCompilationQueue() {
       continue;
     }
 
-    ProfileDirectedOracle Oracle(VM.program(), VM.hierarchy(), Rules,
-                                 Config.Inliner);
+    InliningOracle Oracle(VM.program(), VM.hierarchy(), Rules,
+                          Config.Inliner);
     std::unique_ptr<CodeVariant> Variant =
         Compiler.compile(Request.M, Request.Level, Oracle, &Db);
     // Shared code cache (serve mode): the compiler is host-side cheap
@@ -467,16 +467,6 @@ void AdaptiveSystem::processCompilationQueue() {
     // uniprocessor and AOS overhead in the Figure 6 breakdown.
     VM.chargeAos(AosComponent::Compilation, Variant->CompileCycles);
     Variant->CompiledAtCycle = VM.cycles();
-
-    CompilationEvent Event;
-    Event.M = Request.M;
-    Event.Level = Variant->Level;
-    Event.AtCycle = VM.cycles();
-    Event.CompileCycles = Variant->CompileCycles;
-    Event.CodeBytes = Variant->CodeBytes;
-    Event.InlineBodies = Variant->Plan.NumInlineBodies;
-    Event.Guards = Variant->Plan.NumGuards;
-    Db.recordCompilation(Event);
 
     // Measured-size feedback: the ledger the budget organizer prices
     // from, and a calibration sample comparing the static estimator's

@@ -23,11 +23,3 @@ bool AosDatabase::isRefused(MethodId Compiled, const Trace &Edge) const {
   RefusalKey Key{Compiled, Edge.innermost(), Edge.Callee};
   return Refusals.count(Key) != 0;
 }
-
-unsigned AosDatabase::numOptCompilesOf(MethodId M) const {
-  unsigned N = 0;
-  for (const CompilationEvent &E : Events)
-    if (E.M == M && E.Level != OptLevel::Baseline)
-      ++N;
-  return N;
-}

@@ -26,20 +26,8 @@
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 namespace aoci {
-
-/// One recompilation event, kept for diagnostics and tests.
-struct CompilationEvent {
-  MethodId M = InvalidMethodId;
-  OptLevel Level = OptLevel::Baseline;
-  uint64_t AtCycle = 0;
-  uint64_t CompileCycles = 0;
-  uint64_t CodeBytes = 0;
-  unsigned InlineBodies = 0;
-  unsigned Guards = 0;
-};
 
 /// Latest measured compile of one method: the real machine units, code
 /// bytes, and compile cycles CodeManager::install charged for its most
@@ -54,7 +42,7 @@ struct MeasuredSize {
   unsigned Compiles = 0; ///< How many installs updated this entry.
 };
 
-/// The AOS database: inlining refusals plus the compilation event log.
+/// The AOS database: inlining refusals plus the measured-size ledger.
 class AosDatabase : public InlineRefusalSink {
 public:
   //===--------------------------------------------------------------------===//
@@ -81,21 +69,6 @@ public:
     for (const RefusalKey &K : Refusals)
       Fn(K.Compiled, K.Edge, K.Callee);
   }
-
-  //===--------------------------------------------------------------------===//
-  // Compilation events
-  //===--------------------------------------------------------------------===//
-
-  void recordCompilation(CompilationEvent Event) {
-    Events.push_back(Event);
-  }
-
-  const std::vector<CompilationEvent> &compilationEvents() const {
-    return Events;
-  }
-
-  /// Number of optimizing (non-baseline) compilations of \p M.
-  unsigned numOptCompilesOf(MethodId M) const;
 
   //===--------------------------------------------------------------------===//
   // Measured-size ledger
@@ -140,7 +113,6 @@ private:
 
   std::unordered_set<RefusalKey, RefusalKeyHash> Refusals;
   size_t NumRefusals = 0;
-  std::vector<CompilationEvent> Events;
   std::unordered_map<MethodId, MeasuredSize> Measured;
 };
 

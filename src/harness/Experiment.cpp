@@ -265,7 +265,25 @@ struct PlannedRun {
   size_t Group = 0;
 };
 
+/// Throws std::invalid_argument naming \p List and the first item of
+/// \p Items that repeats an earlier one: a repeat would run again and be
+/// reported twice.
+template <typename T, typename Namer>
+void rejectRepeats(const char *List, const std::vector<T> &Items,
+                   Namer Name) {
+  for (auto It = Items.begin(); It != Items.end(); ++It)
+    if (std::find(Items.begin(), It, *It) != It)
+      throw std::invalid_argument(std::string("GridConfig::") + List +
+                                  " lists '" + Name(*It) + "' twice");
+}
+
 std::vector<PlannedRun> planGrid(const GridConfig &Config) {
+  rejectRepeats("Workloads", Config.Workloads,
+                [](const std::string &W) { return W; });
+  rejectRepeats("Policies", Config.Policies,
+                [](PolicyKind P) { return std::string(policyKindName(P)); });
+  rejectRepeats("Depths", Config.Depths,
+                [](unsigned D) { return std::to_string(D); });
   std::vector<PlannedRun> Plan;
   Plan.reserve(Config.Workloads.size() *
                (1 + Config.Policies.size() * Config.Depths.size()));

@@ -358,7 +358,8 @@ private:
 /// that is the calling thread, in plan order. A workload's runs share one
 /// build of its program: the first of them to start builds it and the
 /// last to finish drops it, so at most one program per workload with a
-/// run in flight is resident.
+/// run in flight is resident. Throws std::invalid_argument, before any
+/// run starts, when Workloads, Policies or Depths lists an item twice.
 GridResults
 runGrid(const GridConfig &Config,
         const std::function<void(const std::string &)> &Progress = nullptr,

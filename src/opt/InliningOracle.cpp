@@ -1,4 +1,4 @@
-//===- opt/InliningOracle.cpp - The inlining policy abstraction -----------===//
+//===- opt/InliningOracle.cpp - The inlining oracle -----------------------===//
 //
 // Part of the AOCI project: a reproduction of "Adaptive Online
 // Context-Sensitive Inlining" (Hazelwood & Grove, CGO 2003).
@@ -14,8 +14,6 @@
 #include <map>
 
 using namespace aoci;
-
-InliningOracle::~InliningOracle() = default;
 
 std::vector<InlineTargetDecision>
 InliningOracle::staticHeuristics(const OracleQuery &Query) const {
@@ -60,15 +58,8 @@ InliningOracle::staticHeuristics(const OracleQuery &Query) const {
 }
 
 std::vector<InlineTargetDecision>
-StaticOracle::decide(const OracleQuery &Query,
-                     std::vector<MethodId> *RejectedTargets) const {
-  (void)RejectedTargets; // No rules, hence no rule rejections.
-  return staticHeuristics(Query);
-}
-
-std::vector<InlineTargetDecision>
-ProfileDirectedOracle::decide(const OracleQuery &Query,
-                              std::vector<MethodId> *RejectedTargets) const {
+InliningOracle::decide(const OracleQuery &Query,
+                       std::vector<MethodId> *RejectedTargets) const {
   std::vector<InlineTargetDecision> Static = staticHeuristics(Query);
 
   // Profile-directed candidates: Section 3.3's partial-match query

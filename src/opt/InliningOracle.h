@@ -1,4 +1,4 @@
-//===- opt/InliningOracle.h - The inlining policy abstraction ---*- C++ -*-===//
+//===- opt/InliningOracle.h - The inlining oracle ---------------*- C++ -*-===//
 //
 // Part of the AOCI project: a reproduction of "Adaptive Online
 // Context-Sensitive Inlining" (Hazelwood & Grove, CGO 2003).
@@ -6,18 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Inlining Oracle abstraction of Section 3.1: the optimizing
-/// compiler consults an oracle for each call site to determine which
-/// callees, if any, should be inlined. Two implementations are provided:
-///
-///  - StaticOracle: the profile-free static heuristics only (tiny/small
-///    statically-bound inlining);
-///  - ProfileDirectedOracle: static heuristics augmented by the
-///    profile-derived inlining rules. Context sensitivity is entirely a
-///    property of the *rules* it is given — depth-1 rules make it the
-///    paper's pre-existing context-insensitive policy module, deeper
-///    rules make it context-sensitive via the Equation-3 partial-match
-///    query and target-set intersection of Section 3.3.
+/// The Inlining Oracle of Section 3.1: the optimizing compiler consults
+/// it for each call site to determine which callees, if any, should be
+/// inlined. It applies the profile-free static heuristics (tiny/small
+/// statically-bound inlining) and, where a profile-derived inlining rule
+/// applies, the rule-driven decisions on top. With an empty rule set it
+/// is the static heuristics alone. Context sensitivity is entirely a
+/// property of the *rules* it is given — depth-1 rules make it the
+/// paper's pre-existing context-insensitive policy module, deeper rules
+/// make it context-sensitive via the Equation-3 partial-match query and
+/// target-set intersection of Section 3.3.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,10 +80,17 @@ struct OracleQuery {
   unsigned Depth = 0;
 };
 
-/// The oracle interface the compiler consults per call site.
+/// The oracle the compiler consults per call site: static heuristics
+/// plus rule-driven decisions with Equation-3 partial matching and
+/// target-set intersection.
 class InliningOracle {
 public:
-  virtual ~InliningOracle();
+  /// \p Rules must outlive the oracle and may be refreshed between
+  /// compilations (the AI organizer rebuilds it on each wakeup).
+  InliningOracle(const Program &P, const ClassHierarchy &CH,
+                 const InlineRuleSet &Rules,
+                 InlinerConfig Config = InlinerConfig())
+      : P(P), CH(CH), Rules(Rules), Config(Config) {}
 
   /// Returns the targets to inline at \p Query's site, ordered by
   /// decreasing desirability (guard order). An empty result leaves the
@@ -97,63 +102,22 @@ public:
   /// target-set intersection, low share, large callee). The compiler
   /// reports these to the AOS database as refusals so the missing-edge
   /// organizer stops re-recommending them.
-  virtual std::vector<InlineTargetDecision>
+  std::vector<InlineTargetDecision>
   decide(const OracleQuery &Query,
-         std::vector<MethodId> *RejectedTargets) const = 0;
-
-  /// Convenience overload without rejection reporting.
-  std::vector<InlineTargetDecision> decide(const OracleQuery &Query) const {
-    return decide(Query, nullptr);
-  }
+         std::vector<MethodId> *RejectedTargets = nullptr) const;
 
   const InlinerConfig &config() const { return Config; }
 
-protected:
-  InliningOracle(const Program &P, const ClassHierarchy &CH,
-                 InlinerConfig Config)
-      : P(P), CH(CH), Config(Config) {}
-
-  /// Shared static heuristics: tiny/small statically-bound inlining via
+private:
+  /// Static heuristics: tiny/small statically-bound inlining via
   /// class-hierarchy analysis. Returns at most one decision.
   std::vector<InlineTargetDecision>
   staticHeuristics(const OracleQuery &Query) const;
 
   const Program &P;
   const ClassHierarchy &CH;
-  InlinerConfig Config;
-};
-
-/// Static-heuristics-only oracle (no profile data).
-class StaticOracle : public InliningOracle {
-public:
-  StaticOracle(const Program &P, const ClassHierarchy &CH,
-               InlinerConfig Config = InlinerConfig())
-      : InliningOracle(P, CH, Config) {}
-
-  using InliningOracle::decide;
-  std::vector<InlineTargetDecision>
-  decide(const OracleQuery &Query,
-         std::vector<MethodId> *RejectedTargets) const override;
-};
-
-/// Profile-directed oracle: static heuristics plus rule-driven decisions
-/// with Equation-3 partial matching and target-set intersection.
-class ProfileDirectedOracle : public InliningOracle {
-public:
-  /// \p Rules must outlive the oracle and may be refreshed between
-  /// compilations (the AI organizer rebuilds it on each wakeup).
-  ProfileDirectedOracle(const Program &P, const ClassHierarchy &CH,
-                        const InlineRuleSet &Rules,
-                        InlinerConfig Config = InlinerConfig())
-      : InliningOracle(P, CH, Config), Rules(Rules) {}
-
-  using InliningOracle::decide;
-  std::vector<InlineTargetDecision>
-  decide(const OracleQuery &Query,
-         std::vector<MethodId> *RejectedTargets) const override;
-
-private:
   const InlineRuleSet &Rules;
+  InlinerConfig Config;
 };
 
 } // namespace aoci

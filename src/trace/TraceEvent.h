@@ -50,8 +50,6 @@ enum class TraceEventKind : uint8_t {
   PlanSite,
   /// A call site where every inline guard failed (fallback dispatch).
   GuardFallback,
-  /// A garbage-collection pause; a duration event spanning the pause.
-  GcPause,
   /// An on-stack replacement: a live activation transferred onto a newly
   /// installed variant at a loop backedge.
   OsrEnter,
@@ -93,7 +91,7 @@ enum class TraceEventKind : uint8_t {
   BudgetDecision,
 };
 
-constexpr unsigned NumTraceEventKinds = 20;
+constexpr unsigned NumTraceEventKinds = 19;
 
 /// Stable kebab-case names (JSON `name` field, `--trace-filter` tokens).
 const char *traceEventKindName(TraceEventKind K);
@@ -108,7 +106,7 @@ constexpr uint32_t traceKindBit(TraceEventKind K) {
 constexpr uint32_t TraceAllKinds = (1u << NumTraceEventKinds) - 1;
 
 /// The timeline a trace event renders on. Track 0 is the virtual machine
-/// itself (samples, guard fallbacks, GC); tracks 1..NumAosComponents map
+/// itself (samples, guard fallbacks, OSR); tracks 1..NumAosComponents map
 /// to AosComponent c at track c+1, so Figure 6's component breakdown
 /// becomes a set of named Perfetto tracks.
 using TraceTrack = uint8_t;
@@ -129,8 +127,8 @@ const char *traceTrackName(TraceTrack Track);
 struct TraceEvent {
   uint64_t Cycle = 0;
   uint64_t Seq = 0;
-  /// Non-zero for duration events (CompileComplete, GcPause): the event
-  /// spans [Cycle, Cycle + Dur).
+  /// Non-zero for the duration event (CompileComplete): the event spans
+  /// [Cycle, Cycle + Dur).
   uint64_t Dur = 0;
   TraceEventKind Kind = TraceEventKind::Sample;
   TraceTrack Track = TraceTrackVm;

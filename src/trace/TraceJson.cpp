@@ -103,8 +103,6 @@ constexpr TraceKindContract Contract[] = {
     {K::GuardFallback, "guard-fallback", on(TraceTrackVm),
      {MethodArg, {"site", T::Int, F::A}, {"target", T::Method, F::B},
       ThreadArg}},
-    {K::GcPause, "gc-pause", on(TraceTrackVm),
-     {{"bytesSinceGc", T::Int, F::A}, {"pauseIndex", T::Int, F::B}}},
     {K::OsrEnter, "osr-enter", on(TraceTrackVm),
      {MethodArg, {"fromLevel", T::Int, F::A}, {"toLevel", T::Int, F::B},
       {"pc", T::Int, F::C}, {"serial", T::Int, F::D},

@@ -87,8 +87,8 @@ struct CostModel {
   /// Cost of one on-stack replacement: extracting the frame state at a
   /// loop backedge, mapping it onto the replacement variant, and jumping
   /// into the new code (Section "On-stack replacement" in DESIGN.md).
-  /// Charged on the application thread, like a GC pause — OSR is runtime
-  /// work the mutator waits for, not AOS overhead.
+  /// Charged on the application thread: OSR is runtime work the mutator
+  /// waits for, not AOS overhead.
   uint64_t OsrTransitionCycles = 600;
 
   /// Per-materialized-frame cost of a deoptimization: each source frame
@@ -99,8 +99,8 @@ struct CostModel {
   /// Cost of reclaiming one evicted variant from the bounded code cache:
   /// unlinking it from dispatch structures and returning its bytes to the
   /// allocator. Charged on the application thread (the mutator waits for
-  /// the cache, like a GC pause). An eviction that must deoptimize live
-  /// activations additionally pays DeoptFrameCycles per remapped frame.
+  /// the cache). An eviction that must deoptimize live activations
+  /// additionally pays DeoptFrameCycles per remapped frame.
   uint64_t EvictReclaimCycles = 250;
 
   /// Allocation: fixed cost plus a per-slot zeroing cost.
@@ -164,19 +164,6 @@ struct CostModel {
   /// Per-source-frame cost of the trace listener's stack walk, on top of
   /// EdgeSampleCost. Context sensitivity pays this extra.
   uint64_t TraceFrameCost = 18;
-
-  //===--------------------------------------------------------------------===//
-  // Garbage collection (semispace copying collector surrogate).
-  //===--------------------------------------------------------------------===//
-
-  /// A collection pause is charged when this many abstract bytes have been
-  /// allocated since the previous one.
-  uint64_t GcTriggerBytes = 4000000;
-
-  /// Pause cycles: base plus a fraction of the bytes allocated since the
-  /// last GC (standing in for copying the surviving fraction).
-  uint64_t GcPauseBase = 60000;
-  uint64_t GcPausePerKilobyte = 12;
 
   //===--------------------------------------------------------------------===//
   // Scheduling.

@@ -1,4 +1,4 @@
-//===- vm/Heap.h - Objects, arrays, and the GC meter ------------*- C++ -*-===//
+//===- vm/Heap.h - Objects and arrays ---------------------------*- C++ -*-===//
 //
 // Part of the AOCI project: a reproduction of "Adaptive Online
 // Context-Sensitive Inlining" (Hazelwood & Grove, CGO 2003).
@@ -6,11 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A simple never-freeing heap of objects and arrays, plus an allocation
-/// meter that models the pause behaviour of the semispace copying
-/// collector the paper's Jikes RVM configuration used. Collection cost
-/// shows up only as charged cycles; storage is reclaimed by the C++
-/// destructor at the end of a run.
+/// A simple never-freeing heap of objects and arrays. Garbage collection
+/// is not modelled (DESIGN.md, "Substitutions"): storage is reclaimed by
+/// the C++ destructor at the end of a run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,8 +38,7 @@ struct HeapObject {
 // A jess run allocates about 56k objects: the record stays two words.
 static_assert(sizeof(HeapObject) == 16, "HeapObject must pack into 16 bytes");
 
-/// The VM heap. Allocation tracks abstract bytes so the GC simulator can
-/// decide when a collection pause would have occurred.
+/// The VM heap.
 class Heap {
 public:
   /// Slots per arena chunk. Slots are bump-allocated from the newest
@@ -52,12 +49,12 @@ public:
   /// zero/null-initialized fields.
   ObjectRef allocateObject(ClassId K, unsigned NumFields) {
     assert(K != InvalidClassId && "instances need a class");
-    return push(K, NumFields, 16 + 8 * NumFields);
+    return push(K, NumFields);
   }
 
   /// Allocates an array of \p Length zero-initialized elements.
   ObjectRef allocateArray(unsigned Length) {
-    return push(InvalidClassId, Length, 16 + 8 * Length);
+    return push(InvalidClassId, Length);
   }
 
   HeapObject &object(ObjectRef R) {
@@ -70,22 +67,11 @@ public:
     return Objects[R];
   }
 
-  /// Abstract bytes allocated since the last collection.
-  uint64_t bytesSinceGc() const { return BytesSinceGc; }
-
-  /// Total abstract bytes ever allocated.
-  uint64_t totalBytesAllocated() const { return TotalBytes; }
-
   size_t numObjects() const { return Objects.size(); }
 
-  /// Called by the GC simulator after it charges a pause.
-  void noteCollection() { BytesSinceGc = 0; }
-
 private:
-  ObjectRef push(ClassId K, uint32_t Length, uint64_t Bytes) {
+  ObjectRef push(ClassId K, uint32_t Length) {
     Objects.push_back({allocateSlots(Length), Length, K});
-    BytesSinceGc += Bytes;
-    TotalBytes += Bytes;
     return static_cast<ObjectRef>(Objects.size() - 1);
   }
 
@@ -117,8 +103,6 @@ private:
   std::vector<std::unique_ptr<Value[]>> Blocks;
   Value *ChunkNext = nullptr;
   uint32_t ChunkLeft = 0;
-  uint64_t BytesSinceGc = 0;
-  uint64_t TotalBytes = 0;
 };
 
 } // namespace aoci

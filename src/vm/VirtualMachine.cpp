@@ -221,25 +221,6 @@ bool VirtualMachine::maybeOsrAtBackedge(ThreadState &T) {
   return Osr->onStaleBackedge(*this, T);
 }
 
-void VirtualMachine::maybeCollectGarbage() {
-  if (TheHeap.bytesSinceGc() < Model.GcTriggerBytes)
-    return;
-  uint64_t Pause = Model.GcPauseBase +
-                   Model.GcPausePerKilobyte * (TheHeap.bytesSinceGc() / 1024);
-  const uint64_t PauseStart = Clock;
-  charge(Pause);
-  ++Counters.GcPauses;
-  Counters.GcCycles += Pause;
-  if (Trace && Trace->wants(TraceEventKind::GcPause)) {
-    TraceEvent &E =
-        Trace->append(TraceEventKind::GcPause, TraceTrackVm, PauseStart);
-    E.Dur = Pause;
-    E.A = static_cast<int64_t>(TheHeap.bytesSinceGc());
-    E.B = static_cast<int64_t>(Counters.GcPauses - 1);
-  }
-  TheHeap.noteCollection();
-}
-
 void VirtualMachine::enterPhysicalFrame(ThreadState &T, MethodId Callee,
                                         const CodeVariant *Variant) {
   pushFrame(T, Callee, Variant,
@@ -625,7 +606,6 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
         charge(Model.AllocBase + Model.AllocPerSlot * K.NumFields);
         ++Counters.Allocations;
         push(Value::makeRef(TheHeap.allocateObject(K.id(), K.NumFields)));
-        maybeCollectGarbage();
         ++PC;
         break;
       }
@@ -657,7 +637,6 @@ void VirtualMachine::interpret(ThreadState &T, uint64_t StopClock,
         ++Counters.Allocations;
         push(Value::makeRef(
             TheHeap.allocateArray(static_cast<unsigned>(Len))));
-        maybeCollectGarbage();
         ++PC;
         break;
       }

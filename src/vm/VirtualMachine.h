@@ -8,9 +8,9 @@
 /// \file
 /// The virtual machine substrate: a resumable explicit-frame interpreter
 /// with green threads, a cycle clock, yieldpoint-based timer sampling,
-/// lazy baseline compilation, inline-plan-aware call dispatch (guarded
-/// inlining with dynamic fallback), and a GC pause meter. See DESIGN.md
-/// for how this substitutes for Jikes RVM.
+/// lazy baseline compilation, and inline-plan-aware call dispatch
+/// (guarded inlining with dynamic fallback). See DESIGN.md for how this
+/// substitutes for Jikes RVM.
 ///
 /// Frames are *source-level*: an inlined callee gets its own Frame marked
 /// Inlined=true, executing under the caller's physical code variant. The
@@ -128,8 +128,6 @@ struct ExecutionCounters {
   uint64_t GuardTestsExecuted = 0;
   uint64_t GuardFallbacks = 0;    ///< Call sites where every guard failed.
   uint64_t Allocations = 0;
-  uint64_t GcPauses = 0;
-  uint64_t GcCycles = 0;
   uint64_t SamplesTaken = 0;
   uint64_t PrologueSamples = 0;
 };
@@ -190,8 +188,9 @@ public:
 
   /// Charges \p Cycles of runtime-system work performed on the
   /// application thread outside the bytecode cost tables — OSR and
-  /// deoptimization transitions. Advances the clock like a GC pause:
-  /// the mutator waits, but nothing lands on the AOS component meters.
+  /// deoptimization transitions and code-cache reclaim. Advances the
+  /// clock: the mutator waits, but nothing lands on the AOS component
+  /// meters.
   void chargeMutator(uint64_t Cycles) { Clock += Cycles; }
 
   const OverheadMeter &overheadMeter() const { return Meter; }
@@ -245,7 +244,7 @@ private:
   //===--------------------------------------------------------------------===//
 
   uint64_t evictionClock() const override { return Clock; }
-  /// Reclaim work stalls the application thread, like a GC pause.
+  /// Reclaim work stalls the application thread (chargeMutator).
   void chargeEviction(uint64_t Cycles) override { chargeMutator(Cycles); }
   bool prepareEviction(const CodeVariant &V) override;
   void onCodeChanged(const char *Where) override { auditState(Where); }
@@ -277,7 +276,6 @@ private:
   /// on purpose — the interpreter's hot path only pays the Osr null
   /// test and the staleness compare.
   bool maybeOsrAtBackedge(ThreadState &T);
-  void maybeCollectGarbage();
 
   const Program &P;
   const MethodImage &Image;

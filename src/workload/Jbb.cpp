@@ -9,10 +9,10 @@
 /// Stand-in for SPECjbb2000 (TPC-C-style transaction processing).
 /// Behavioural signature: five transaction classes dispatched through the
 /// shared TxManager.run() helper, each driver monomorphic in context;
-/// warehouse/district field traffic and per-transaction allocation (GC
-/// pressure); and a mid-run *phase shift* — the transaction mix flips
-/// from NewOrder-heavy to Payment-heavy halfway through, exercising the
-/// decay organizer's ability to retire stale hot edges.
+/// warehouse/district field traffic and per-transaction allocation; and
+/// a mid-run *phase shift* — the transaction mix flips from
+/// NewOrder-heavy to Payment-heavy halfway through, exercising the decay
+/// organizer's ability to retire stale hot edges.
 ///
 //===----------------------------------------------------------------------===//
 

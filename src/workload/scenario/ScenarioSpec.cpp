@@ -264,9 +264,7 @@ const std::vector<ScenarioSpec> &aoci::builtinScenarios() {
     }
 
     // Allocation burst: a calm diamond phase, then the same shape
-    // allocating 32 dropped objects per kernel call. At scale 1 that is
-    // 3,200,256 bytes, under the default GC trigger (4,000,000), so no
-    // pause lands unless a run lowers CostModel::GcTriggerBytes.
+    // allocating 32 dropped objects per kernel call.
     {
       ScenarioSpec S;
       S.Name = "scn-alloc-burst";

@@ -65,8 +65,8 @@ struct PhaseSpec {
   /// Receiver classes rotated through the virtual dispatch. 1 is
   /// monomorphic; 8 saturates the guard-inlining cases. Clamp [1, 8].
   unsigned Megamorphism = 1;
-  /// Objects allocated (and dropped) per kernel invocation; drives GC
-  /// pressure. Clamp [0, 64].
+  /// Objects allocated (and dropped) per kernel invocation; each pays
+  /// the allocation cost. Clamp [0, 64].
   unsigned AllocBurst = 0;
   /// Distinct straight-line methods rotated through per iteration; keeps
   /// a wide warm set alive, thrashing a bounded code cache. Clamp [0, 32].

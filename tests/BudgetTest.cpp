@@ -409,8 +409,7 @@ TEST(BudgetHarnessTest, DefaultConfigReproducesTheCycleFingerprint) {
        << " inlined=" << C.InlinedCallsEntered
        << " guardTests=" << C.GuardTestsExecuted
        << " guardFalls=" << C.GuardFallbacks
-       << " allocs=" << C.Allocations << " gcPauses=" << C.GcPauses
-       << " gcCycles=" << C.GcCycles << " samples=" << C.SamplesTaken
+       << " allocs=" << C.Allocations << " samples=" << C.SamplesTaken
        << " prologue=" << C.PrologueSamples
        << " compiles=" << Code.numCompiles(OptLevel::Baseline) << '/'
        << Code.numCompiles(OptLevel::Opt1) << '/'

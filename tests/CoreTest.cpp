@@ -42,22 +42,6 @@ TEST(AosDatabaseTest, RefusalsAreRememberedPerMethodAndEdge) {
   EXPECT_EQ(Db.numRefusals(), 1u) << "idempotent";
 }
 
-TEST(AosDatabaseTest, CompilationEventsAccumulate) {
-  AosDatabase Db;
-  CompilationEvent E;
-  E.M = 5;
-  E.Level = OptLevel::Opt1;
-  Db.recordCompilation(E);
-  E.Level = OptLevel::Opt2;
-  Db.recordCompilation(E);
-  E.M = 6;
-  E.Level = OptLevel::Baseline;
-  Db.recordCompilation(E);
-  EXPECT_EQ(Db.compilationEvents().size(), 3u);
-  EXPECT_EQ(Db.numOptCompilesOf(5), 2u);
-  EXPECT_EQ(Db.numOptCompilesOf(6), 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // AdaptiveInliningOrganizer
 //===----------------------------------------------------------------------===//
@@ -328,7 +312,7 @@ TEST(MissingEdgeTest, FindsRulesNewerThanInstalledCode) {
   // Install an opt variant of runTest with no inlining, compiled at t=10.
   OptimizingCompiler Compiler(F.P, CH, Model);
   InlineRuleSet Empty;
-  ProfileDirectedOracle NoRules(F.P, CH, Empty);
+  InliningOracle NoRules(F.P, CH, Empty);
   auto V = Compiler.compile(F.RunTest, OptLevel::Opt1, NoRules);
   V->CompiledAtCycle = 10;
   // Strip the statically inlined tiny calls for a clean "misses the get

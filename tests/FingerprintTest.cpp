@@ -46,8 +46,6 @@ std::string fingerprintLine(const std::string &Workload, PolicyKind Policy,
       << " guardTests=" << C.GuardTestsExecuted
       << " guardFalls=" << C.GuardFallbacks
       << " allocs=" << C.Allocations
-      << " gcPauses=" << C.GcPauses
-      << " gcCycles=" << C.GcCycles
       << " samples=" << C.SamplesTaken
       << " prologue=" << C.PrologueSamples
       << " compiles=" << Code.numCompiles(OptLevel::Baseline) << '/'
@@ -71,24 +69,6 @@ std::string fingerprintAll() {
       VM.run(FingerprintCycleLimit);
       Out << fingerprintLine(Name, Policy, VM) << '\n';
     }
-  }
-  // The default grid never reaches a GC pause inside the budget, so pin
-  // the collector's cycle accounting with an artificially small trigger
-  // on the allocation-heavy workloads.
-  for (const std::string &Name :
-       {std::string("SPECjbb2000"), std::string("mtrt")}) {
-    WorkloadParams Params;
-    Workload W = makeWorkload(Name, Params);
-    CostModel Model;
-    Model.GcTriggerBytes = 50000;
-    VirtualMachine VM(W.Prog, Model);
-    std::unique_ptr<ContextPolicy> P = makePolicy(PolicyKind::Fixed, 3);
-    AdaptiveSystem Aos(VM, *P);
-    Aos.attach();
-    for (MethodId Entry : W.Entries)
-      VM.addThread(Entry);
-    VM.run(FingerprintCycleLimit);
-    Out << fingerprintLine(Name + "+gc", PolicyKind::Fixed, VM) << '\n';
   }
   return Out.str();
 }

@@ -114,6 +114,51 @@ TEST(GridTest, BaselineIsItsOwnReference) {
   EXPECT_EQ(Base.MaxDepth, 1u);
 }
 
+namespace {
+
+/// Expects runGrid to refuse \p Config before any run ends, naming \p List
+/// and its repeated \p Item.
+void expectRepeatRejected(GridConfig Config, const std::string &List,
+                          const std::string &Item) {
+  Config.Params.Scale = 0.01;
+  unsigned RunsEnded = 0;
+  try {
+    runGrid(Config, [&](const std::string &) { ++RunsEnded; });
+    ADD_FAILURE() << "runGrid accepted a repeated " << List << " item";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_EQ(std::string(E.what()),
+              "GridConfig::" + List + " lists '" + Item + "' twice");
+  }
+  EXPECT_EQ(RunsEnded, 0u);
+}
+
+} // namespace
+
+TEST(GridTest, RepeatedWorkloadIsRejected) {
+  GridConfig Config;
+  Config.Workloads = {"compress", "jess", "compress"};
+  Config.Policies = {PolicyKind::Fixed};
+  Config.Depths = {2};
+  expectRepeatRejected(Config, "Workloads", "compress");
+}
+
+TEST(GridTest, RepeatedPolicyIsRejected) {
+  GridConfig Config;
+  Config.Workloads = {"compress"};
+  Config.Policies = {PolicyKind::Fixed, PolicyKind::Parameterless,
+                     PolicyKind::Fixed};
+  Config.Depths = {2};
+  expectRepeatRejected(Config, "Policies", policyKindName(PolicyKind::Fixed));
+}
+
+TEST(GridTest, RepeatedDepthIsRejected) {
+  GridConfig Config;
+  Config.Workloads = {"compress"};
+  Config.Policies = {PolicyKind::Fixed};
+  Config.Depths = {2, 3, 2};
+  expectRepeatRejected(Config, "Depths", "2");
+}
+
 //===----------------------------------------------------------------------===//
 // Reporters
 //===----------------------------------------------------------------------===//

@@ -104,7 +104,8 @@ OracleQuery queryFor(const Program &P, MethodId Enclosing,
 TEST(StaticOracleTest, PolymorphicSiteNotStaticallyBound) {
   FigureOneProgram F = makeFigureOne(1);
   ClassHierarchy CH(F.P);
-  StaticOracle Oracle(F.P, CH);
+  InlineRuleSet NoRules;
+  InliningOracle Oracle(F.P, CH, NoRules);
   // hashCode has two implementations: no static decision.
   auto D = Oracle.decide(queryFor(F.P, F.Get, F.HashCodeSite));
   EXPECT_TRUE(D.empty());
@@ -113,7 +114,8 @@ TEST(StaticOracleTest, PolymorphicSiteNotStaticallyBound) {
 TEST(StaticOracleTest, FinalTinyMethodInlinedWithoutGuard) {
   FigureOneProgram F = makeFigureOne(1);
   ClassHierarchy CH(F.P);
-  StaticOracle Oracle(F.P, CH);
+  InlineRuleSet NoRules;
+  InliningOracle Oracle(F.P, CH, NoRules);
   // Find the intValue call site in runTest (first invoke of IntValue).
   const Method &RunTest = F.P.method(F.RunTest);
   BytecodeIndex IntValueSite = 0;
@@ -132,7 +134,8 @@ TEST(StaticOracleTest, FinalTinyMethodInlinedWithoutGuard) {
 TEST(StaticOracleTest, MonomorphicNonFinalNeedsGuard) {
   FigureOneProgram F = makeFigureOne(1);
   ClassHierarchy CH(F.P);
-  StaticOracle Oracle(F.P, CH);
+  InlineRuleSet NoRules;
+  InliningOracle Oracle(F.P, CH, NoRules);
   // MyKey.equals is polymorphic (Object.equals exists) -> nothing.
   // HashMap.put is CHA-monomorphic but not final; it is small/medium.
   const Method &Main = F.P.method(F.Main);
@@ -152,7 +155,7 @@ TEST(StaticOracleTest, MonomorphicNonFinalNeedsGuard) {
 }
 
 //===----------------------------------------------------------------------===//
-// ProfileDirectedOracle: the Figure 2 scenarios
+// Rule-directed decisions: the Figure 2 scenarios
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -185,7 +188,7 @@ struct FigureTwoFixture {
 
 TEST(ProfileOracleTest, CinsInlinesBothHashCodesEverywhere) {
   FigureTwoFixture Fx;
-  ProfileDirectedOracle Oracle(Fx.F.P, Fx.CH, Fx.CinsRules);
+  InliningOracle Oracle(Fx.F.P, Fx.CH, Fx.CinsRules);
   // Compiling get standalone: both targets are 50% -> both inlined.
   auto D = Oracle.decide(
       queryFor(Fx.F.P, Fx.F.Get, Fx.F.HashCodeSite));
@@ -202,7 +205,7 @@ TEST(ProfileOracleTest, CinsInlinesBothHashCodesEverywhere) {
 
 TEST(ProfileOracleTest, ContextRulesSelectSingleTargetPerContext) {
   FigureTwoFixture Fx;
-  ProfileDirectedOracle Oracle(Fx.F.P, Fx.CH, Fx.CtxRules);
+  InliningOracle Oracle(Fx.F.P, Fx.CH, Fx.CtxRules);
   // Inside get inlined into runTest at cs1: only MyKey.hashCode.
   auto D1 = Oracle.decide(
       queryFor(Fx.F.P, Fx.F.Get, Fx.F.HashCodeSite,
@@ -222,7 +225,7 @@ TEST(ProfileOracleTest, EmptyIntersectionInlinesNothing) {
   // context groups want different targets, so the intersection is empty
   // ("a good candidate only if hot in ALL applicable contexts").
   FigureTwoFixture Fx;
-  ProfileDirectedOracle Oracle(Fx.F.P, Fx.CH, Fx.CtxRules);
+  InliningOracle Oracle(Fx.F.P, Fx.CH, Fx.CtxRules);
   auto D = Oracle.decide(
       queryFor(Fx.F.P, Fx.F.Get, Fx.F.HashCodeSite));
   EXPECT_TRUE(D.empty());
@@ -238,7 +241,7 @@ TEST(ProfileOracleTest, LowShareTargetsRefusedAsTooPolymorphic) {
   Rules.add(rule({{F.Get, F.HashCodeSite}}, F.ObjHashCode, 25));
   Rules.add(rule({{F.Get, F.HashCodeSite}}, F.MyKeyEquals, 25));
   Rules.add(rule({{F.Get, F.HashCodeSite}}, F.ObjEquals, 25));
-  ProfileDirectedOracle Oracle(F.P, CH, Rules);
+  InliningOracle Oracle(F.P, CH, Rules);
   auto D = Oracle.decide(queryFor(F.P, F.Get, F.HashCodeSite));
   EXPECT_TRUE(D.empty());
 }
@@ -249,7 +252,7 @@ TEST(ProfileOracleTest, GuardOrderIsHottestFirst) {
   InlineRuleSet Rules;
   Rules.add(rule({{F.Get, F.HashCodeSite}}, F.MyKeyHashCode, 45));
   Rules.add(rule({{F.Get, F.HashCodeSite}}, F.ObjHashCode, 55));
-  ProfileDirectedOracle Oracle(F.P, CH, Rules);
+  InliningOracle Oracle(F.P, CH, Rules);
   auto D = Oracle.decide(queryFor(F.P, F.Get, F.HashCodeSite));
   ASSERT_EQ(D.size(), 2u);
   EXPECT_EQ(D[0].Callee, F.ObjHashCode) << "hotter target guards first";
@@ -261,7 +264,7 @@ TEST(ProfileOracleTest, MinorityTargetDroppedBelowShareFloor) {
   InlineRuleSet Rules;
   Rules.add(rule({{F.Get, F.HashCodeSite}}, F.MyKeyHashCode, 30));
   Rules.add(rule({{F.Get, F.HashCodeSite}}, F.ObjHashCode, 70));
-  ProfileDirectedOracle Oracle(F.P, CH, Rules);
+  InliningOracle Oracle(F.P, CH, Rules);
   auto D = Oracle.decide(queryFor(F.P, F.Get, F.HashCodeSite));
   ASSERT_EQ(D.size(), 1u) << "30% share is below the 0.40 floor";
   EXPECT_EQ(D[0].Callee, F.ObjHashCode);
@@ -276,7 +279,7 @@ TEST(ProfileOracleTest, MaxGuardedTargetsCaps) {
   Rules.add(rule({{F.Get, F.HashCodeSite}}, F.MyKeyEquals, 30));
   InlinerConfig Config;
   Config.MinTargetShare = 0.1;
-  ProfileDirectedOracle Oracle(F.P, CH, Rules, Config);
+  InliningOracle Oracle(F.P, CH, Rules, Config);
   auto D = Oracle.decide(queryFor(F.P, F.Get, F.HashCodeSite));
   EXPECT_EQ(D.size(), 2u);
 }
@@ -290,7 +293,8 @@ TEST(CompilerTest, StaticOracleInlinesTinyCalls) {
   ClassHierarchy CH(F.P);
   CostModel Model;
   OptimizingCompiler Compiler(F.P, CH, Model);
-  StaticOracle Oracle(F.P, CH);
+  InlineRuleSet NoRules;
+  InliningOracle Oracle(F.P, CH, NoRules);
   auto V = Compiler.compile(F.RunTest, OptLevel::Opt2, Oracle);
   ASSERT_NE(V, nullptr);
   EXPECT_EQ(V->Level, OptLevel::Opt2);
@@ -310,8 +314,8 @@ TEST(CompilerTest, ContextSensitivePlanIsSmallerThanCins) {
   CostModel Model;
   OptimizingCompiler Compiler(Fx.F.P, Fx.CH, Model);
 
-  ProfileDirectedOracle CinsOracle(Fx.F.P, Fx.CH, Fx.CinsRules);
-  ProfileDirectedOracle CtxOracle(Fx.F.P, Fx.CH, Fx.CtxRules);
+  InliningOracle CinsOracle(Fx.F.P, Fx.CH, Fx.CinsRules);
+  InliningOracle CtxOracle(Fx.F.P, Fx.CH, Fx.CtxRules);
   auto CinsV = Compiler.compile(Fx.F.RunTest, OptLevel::Opt2, CinsOracle);
   auto CtxV = Compiler.compile(Fx.F.RunTest, OptLevel::Opt2, CtxOracle);
 
@@ -363,7 +367,8 @@ TEST(CompilerTest, RecursiveInliningIsBlocked) {
   ClassHierarchy CH(P);
   CostModel Model;
   OptimizingCompiler Compiler(P, CH, Model);
-  StaticOracle Oracle(P, CH);
+  InlineRuleSet NoRules;
+  InliningOracle Oracle(P, CH, NoRules);
   auto V = Compiler.compile(Rec, OptLevel::Opt1, Oracle);
   EXPECT_EQ(V->Plan.NumInlineBodies, 0u);
 }
@@ -379,7 +384,7 @@ TEST(CompilerTest, BudgetRefusalsAreRecordedInDatabase) {
   Rules.add(rule({{F.RunTest, F.GetSite2}}, F.Get, 60));
   InlinerConfig Config;
   Config.AbsoluteUnitCap = 1; // Refuse everything.
-  ProfileDirectedOracle Oracle(F.P, CH, Rules, Config);
+  InliningOracle Oracle(F.P, CH, Rules, Config);
 
   struct CountingSink : InlineRefusalSink {
     unsigned Refusals = 0;
@@ -424,7 +429,8 @@ TEST(CompilerTest, DepthLimitStopsNestedInlining) {
   ClassHierarchy CH(P);
   CostModel Model;
   OptimizingCompiler Compiler(P, CH, Model);
-  StaticOracle Oracle(P, CH);
+  InlineRuleSet NoRules;
+  InliningOracle Oracle(P, CH, NoRules);
   auto V = Compiler.compile(Chain[0], OptLevel::Opt2, Oracle);
   EXPECT_GT(V->Plan.MaxDepth, 0u);
   EXPECT_LE(V->Plan.MaxDepth, Oracle.config().HardMaxDepth);
@@ -448,7 +454,7 @@ TEST(CompilerTest, CompiledPlanExecutesCorrectly) {
                  F.ObjHashCode, 50));
   Rules.add(rule({{F.RunTest, F.GetSite1}}, F.Get, 60));
   Rules.add(rule({{F.RunTest, F.GetSite2}}, F.Get, 60));
-  ProfileDirectedOracle Oracle(F.P, CH, Rules);
+  InliningOracle Oracle(F.P, CH, Rules);
 
   VirtualMachine VM(F.P);
   auto V = Compiler.compile(F.RunTest, OptLevel::Opt2, Oracle);

@@ -84,7 +84,7 @@ TEST_P(OracleFuzzTest, StructuralInvariantsHoldForRandomRules) {
 
   for (int Case = 0; Case != 25; ++Case) {
     InlineRuleSet Rules = randomRules(F, R);
-    ProfileDirectedOracle Oracle(F.P, CH, Rules);
+    InliningOracle Oracle(F.P, CH, Rules);
     for (bool InsideCs1 : {false, true}) {
       OracleQuery Q = hashCodeQuery(F, InsideCs1);
       auto Decisions = Oracle.decide(Q);
@@ -128,7 +128,7 @@ TEST_P(OracleFuzzTest, CompiledPlansRespectBudgets) {
     InlineRuleSet Rules = randomRules(F, R);
     InlinerConfig Config;
     Config.AbsoluteUnitCap = 60 + R.nextBelow(400);
-    ProfileDirectedOracle Oracle(F.P, CH, Rules, Config);
+    InliningOracle Oracle(F.P, CH, Rules, Config);
     for (MethodId Root : {F.RunTest, F.Get, F.Main}) {
       auto V = Compiler.compile(Root, OptLevel::Opt2, Oracle);
       EXPECT_LE(V->Plan.MaxDepth, Config.HardMaxDepth);
@@ -153,7 +153,7 @@ TEST_P(OracleFuzzTest, ArbitraryRuleSubsetsPreserveSemantics) {
     CostModel Model;
     OptimizingCompiler Compiler(F.P, CH, Model);
     InlineRuleSet Rules = randomRules(F, R);
-    ProfileDirectedOracle Oracle(F.P, CH, Rules);
+    InliningOracle Oracle(F.P, CH, Rules);
 
     VirtualMachine VM(F.P);
     // Compile a random subset of methods with the random rules.

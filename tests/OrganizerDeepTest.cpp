@@ -105,10 +105,10 @@ TEST(DeepMissingEdgeTest, OuterPositionTriggersOnlyWithDeepChains) {
   // Install an opt runTest with no inlining at all, compiled at t=10.
   OptimizingCompiler Compiler(F.P, CH, Model);
   InlineRuleSet Empty;
-  ProfileDirectedOracle NoRules(F.P, CH, Empty);
+  InliningOracle NoRules(F.P, CH, Empty);
   InlinerConfig Tight;
   Tight.AbsoluteUnitCap = 1; // Forbid even tiny inlining.
-  ProfileDirectedOracle Nothing(F.P, CH, Empty, Tight);
+  InliningOracle Nothing(F.P, CH, Empty, Tight);
   auto V = Compiler.compile(F.RunTest, OptLevel::Opt1, Nothing);
   V->CompiledAtCycle = 10;
   VM.codeManager().install(std::move(V));
@@ -146,7 +146,7 @@ TEST(DeepMissingEdgeTest, UnsupportedChainDoesNotTrigger) {
   InlineRuleSet Empty;
   InlinerConfig Tight;
   Tight.AbsoluteUnitCap = 1;
-  ProfileDirectedOracle Nothing(F.P, CH, Empty, Tight);
+  InliningOracle Nothing(F.P, CH, Empty, Tight);
   auto V = Compiler.compile(F.RunTest, OptLevel::Opt1, Nothing);
   V->CompiledAtCycle = 10;
   VM.codeManager().install(std::move(V));
@@ -175,7 +175,7 @@ TEST(DeepMissingEdgeTest, ConflictingContextsSuppressStandaloneRecompile) {
   InlineRuleSet Empty;
   InlinerConfig Tight;
   Tight.AbsoluteUnitCap = 1;
-  ProfileDirectedOracle Nothing(F.P, CH, Empty, Tight);
+  InliningOracle Nothing(F.P, CH, Empty, Tight);
   auto V = Compiler.compile(F.Get, OptLevel::Opt1, Nothing);
   V->CompiledAtCycle = 10;
   VM.codeManager().install(std::move(V));

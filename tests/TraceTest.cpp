@@ -53,9 +53,9 @@ TEST(TraceFilterTest, EveryKindNameRoundTrips) {
 TEST(TraceFilterTest, CommaListUnionsKinds) {
   uint32_t Mask = 0;
   std::string Error;
-  ASSERT_TRUE(parseTraceFilter("sample,gc-pause,plan-site", Mask, Error));
+  ASSERT_TRUE(parseTraceFilter("sample,deopt,plan-site", Mask, Error));
   EXPECT_EQ(Mask, traceKindBit(TraceEventKind::Sample) |
-                      traceKindBit(TraceEventKind::GcPause) |
+                      traceKindBit(TraceEventKind::Deopt) |
                       traceKindBit(TraceEventKind::PlanSite));
 }
 
@@ -90,11 +90,11 @@ TEST(TraceFilterTest, EmptyItemIsAnErrorNamingTheList) {
 TEST(TraceSinkTest, WantsHonoursEnableAndKindMask) {
   TraceSink Sink;
   EXPECT_FALSE(Sink.wants(TraceEventKind::Sample));
-  Sink.enable(traceKindBit(TraceEventKind::GcPause));
-  EXPECT_TRUE(Sink.wants(TraceEventKind::GcPause));
+  Sink.enable(traceKindBit(TraceEventKind::Deopt));
+  EXPECT_TRUE(Sink.wants(TraceEventKind::Deopt));
   EXPECT_FALSE(Sink.wants(TraceEventKind::Sample));
   Sink.disable();
-  EXPECT_FALSE(Sink.wants(TraceEventKind::GcPause));
+  EXPECT_FALSE(Sink.wants(TraceEventKind::Deopt));
 }
 
 TEST(TraceSinkTest, SortedEventsOrdersByCycleThenSeq) {
@@ -147,7 +147,7 @@ TEST(TraceSinkTest, ClearKeepsSettings) {
 TEST(TraceSinkTest, AdoptEventsTakesTheOtherStream) {
   TraceSink Donor;
   Donor.enable();
-  Donor.append(TraceEventKind::GcPause, TraceTrackVm, 42).A = 7;
+  Donor.append(TraceEventKind::Deopt, TraceTrackVm, 42).A = 7;
   Donor.captureMethodNames(1, [](uint32_t) { return "Main.run"; });
 
   TraceSink Sink;
@@ -157,7 +157,7 @@ TEST(TraceSinkTest, AdoptEventsTakesTheOtherStream) {
 
   ASSERT_EQ(Sink.numEvents(), 1u);
   std::vector<TraceEvent> Events = Sink.sortedEvents();
-  EXPECT_EQ(Events[0].Kind, TraceEventKind::GcPause);
+  EXPECT_EQ(Events[0].Kind, TraceEventKind::Deopt);
   EXPECT_EQ(Events[0].Cycle, 42u);
   EXPECT_EQ(Events[0].A, 7);
   EXPECT_EQ(Sink.methodName(0), "Main.run");
@@ -215,33 +215,6 @@ TEST(TraceCostTest, KindMaskFiltersAtTheHook) {
 //===----------------------------------------------------------------------===//
 // Event fidelity on runs engineered to reach the rare kinds.
 //===----------------------------------------------------------------------===//
-
-TEST(TraceEventsTest, GcPausesAreRecordedAsDurationEvents) {
-  // The default GC trigger (4MB) is never reached by the scaled-down
-  // workloads, so pin it low on the allocation-heavy one (mirrors
-  // FingerprintTest's "SPECjbb2000+gc" row).
-  TraceSink Sink;
-  Sink.enable(traceKindBit(TraceEventKind::GcPause));
-  RunConfig Config;
-  Config.WorkloadName = "SPECjbb2000";
-  Config.Policy = PolicyKind::Fixed;
-  Config.MaxDepth = 3;
-  Config.Params.Scale = 0.1;
-  Config.Model.GcTriggerBytes = 50000;
-  Config.Trace = &Sink;
-  RunResult R = runExperiment(Config);
-
-  ASSERT_GT(Sink.numEvents(), 0u);
-  uint64_t PauseCycles = 0;
-  Sink.forEach([&](const TraceEvent &E) {
-    ASSERT_EQ(E.Kind, TraceEventKind::GcPause);
-    EXPECT_GT(E.Dur, 0u) << "gc-pause is a duration event";
-    EXPECT_GE(E.A, 50000) << "bytesSinceGc reaches the trigger";
-    PauseCycles += E.Dur;
-  });
-  EXPECT_EQ(PauseCycles, R.GcCycles)
-      << "pause durations must sum to the run's GC cycles";
-}
 
 TEST(TraceEventsTest, GuardFallbacksAreRecordedPerOccurrence) {
   // mtrt is the guard-heavy workload (the paper's polymorphic-receiver

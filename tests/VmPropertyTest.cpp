@@ -10,7 +10,7 @@
 //  - random structured programs (locals, bounded loops, acyclic static
 //    calls) must verify, terminate, and run deterministically;
 //  - inlining is semantics-preserving: compiling the random program's
-//    methods with the static oracle and rerunning must produce the same
+//    methods with a rule-free oracle and rerunning must produce the same
 //    result, with fewer physical calls.
 //
 //===----------------------------------------------------------------------===//
@@ -289,12 +289,13 @@ TEST_P(ProgramFuzzTest, StaticInliningPreservesSemantics) {
   uint64_t PlainCalls = 0;
   int64_t Expected = runProgram(P, nullptr, &PlainCalls);
 
-  // Compile every method with the static oracle and rerun: identical
+  // Compile every method with a rule-free oracle and rerun: identical
   // result, strictly fewer physical calls whenever anything was inlined.
   ClassHierarchy CH(P);
   CostModel Model;
   OptimizingCompiler Compiler(P, CH, Model);
-  StaticOracle Oracle(P, CH);
+  InlineRuleSet NoRules;
+  InliningOracle Oracle(P, CH, NoRules);
   VirtualMachine VM(P);
   unsigned TotalInlineBodies = 0;
   for (MethodId M = 0; M != P.numMethods(); ++M) {

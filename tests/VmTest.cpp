@@ -790,7 +790,7 @@ TEST(VmStackWalkTest, PhysicalStackHidesInlinedFrames) {
 }
 
 //===----------------------------------------------------------------------===//
-// Threads and GC
+// Threads
 //===----------------------------------------------------------------------===//
 
 TEST(VmThreadTest, TwoThreadsInterleaveAndFinish) {
@@ -821,34 +821,6 @@ TEST(VmThreadTest, TwoThreadsInterleaveAndFinish) {
   EXPECT_TRUE(VM.threads()[T1]->Finished);
   EXPECT_EQ(VM.threads()[T0]->Result.asInt(), 7);
   EXPECT_EQ(VM.threads()[T1]->Result.asInt(), 7);
-}
-
-TEST(VmGcTest, AllocationPressureTriggersPauses) {
-  ProgramBuilder B;
-  ClassId C = B.addClass("Main", InvalidClassId, 8);
-  MethodId Main = B.declareMethod(C, "main", MethodKind::Static, 0, true);
-  {
-    CodeEmitter E = B.code(Main);
-    auto Top = E.newLabel();
-    auto Exit = E.newLabel();
-    E.iconst(200000).store(0);
-    E.bind(Top);
-    E.load(0).ifZero(Exit);
-    E.newObject(C).pop();
-    E.load(0).iconst(1).isub().store(0);
-    E.jump(Top);
-    E.bind(Exit);
-    E.iconst(0).vreturn();
-    E.finish();
-  }
-  B.setEntry(Main);
-  Program P = B.build();
-  VirtualMachine VM(P);
-  VM.addThread(P.entryMethod());
-  VM.run();
-  EXPECT_GT(VM.counters().GcPauses, 0u);
-  EXPECT_GT(VM.counters().GcCycles, 0u);
-  EXPECT_EQ(VM.counters().Allocations, 200000u);
 }
 
 TEST(VmTest, RunRespectsCycleLimit) {

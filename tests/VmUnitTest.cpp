@@ -110,17 +110,6 @@ TEST(HeapTest, ArenaCrossesChunksWithoutOverlap) {
   }
 }
 
-TEST(HeapTest, AllocationMeterAndCollection) {
-  Heap H;
-  EXPECT_EQ(H.bytesSinceGc(), 0u);
-  H.allocateObject(0, 4); // 16 + 32 bytes
-  EXPECT_EQ(H.bytesSinceGc(), 48u);
-  EXPECT_EQ(H.totalBytesAllocated(), 48u);
-  H.noteCollection();
-  EXPECT_EQ(H.bytesSinceGc(), 0u);
-  EXPECT_EQ(H.totalBytesAllocated(), 48u) << "total is never reset";
-}
-
 //===----------------------------------------------------------------------===//
 // OverheadMeter
 //===----------------------------------------------------------------------===//
